@@ -21,7 +21,7 @@ for name, shape in shapes.items():
         row.append(chi_local(grid))
     print("%-9s chi at eps 0.2 .. 0.01: %s" % (name, row))
 
-# grids round-trip through plain PGM files
+# grids round-trip through binary P4 (PBM) bitmaps, despite the .pgm name
 annulus = shapes["annulus"]
 grid = digitize(annulus, lattice_covering(annulus.bounding_box, 0.02, margin=2))
 write_pgm(grid, "annulus.pgm")

@@ -1,8 +1,9 @@
 """Experiment runner: one JSON config in, reproducible report files out.
 
 Every subcommand reads a single JSON config, runs one experiment, and
-writes ``report.json`` plus CSV tables (and optional PGM grid dumps) into
-the output directory.  The report header embeds the fully resolved config
+writes ``report.json`` plus CSV tables into the output directory; ``chi``
+can also dump its grid as ``grid.pgm``, a binary P4 (PBM) bitmap despite
+the extension.  The report header embeds the fully resolved config
 and the seed, so a report is reproducible from itself alone; with
 ``--no-timestamp`` two runs of the same config+seed are byte-identical.
 
@@ -30,15 +31,15 @@ from .errors import (
 from .lattice import IndicatorSet, digitize, lattice_covering, write_pgm
 from .randomsets import (
     ShotNoiseModel,
+    _mean_stderr,
+    _replicate_features,
     boolean_mean_chi,
     estimate_stationary_densities,
-    level_set_features_exact,
     mean_chi_closed_form,
-    sample_realization,
     stationary_density_closed_form,
 )
 from .shapes import PolyRectangle, make_shape
-from .topology import chi_local, chi_vef, config_counts, label_components
+from .topology import chi_vef, config_counts, label_components
 from .variogram import (
     chi_bicovariogram,
     estimate_perimeter,
@@ -66,6 +67,13 @@ def _shape(cfg: dict, key: str = "shape") -> IndicatorSet:
         return make_shape(spec)
     except KeyError as exc:
         raise ConfigInvalid(f"shape spec is missing key {exc}") from exc
+
+
+def _model(cfg: dict) -> ShotNoiseModel:
+    try:
+        return ShotNoiseModel.from_config(_need(cfg, "model"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"malformed model spec: {type(exc).__name__} {exc}") from exc
 
 
 def _polyrect(spec: dict) -> PolyRectangle:
@@ -122,7 +130,7 @@ def _run_chi(cfg: dict, out_dir: Path, timestamp: bool) -> None:
         "admissible": counts.admissible,
         "phi_out": counts.phi_out,
         "phi_in": counts.phi_in,
-        "chi_local": chi_local(grid) if counts.admissible else None,
+        "chi_local": counts.phi_out - counts.phi_in if counts.admissible else None,
         "chi_vef": chi_vef(grid),
         "num_components": comp.num_set_components,
         "num_bounded_holes": comp.num_complement_bounded_components,
@@ -219,22 +227,16 @@ def _run_bounds(cfg: dict, out_dir: Path, timestamp: bool) -> None:
 
 def _run_shotnoise(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     resolved = dict(cfg)
-    model = ShotNoiseModel.from_config(_need(resolved, "model"))
+    model = _model(resolved)
     window = _polyrect(_need(resolved, "window"))
     replicates = int(_need(resolved, "replicates"))
     seed = int(_need(resolved, "seed"))
 
-    rows = []
-    chis = []
-    for i in range(replicates):
-        real = sample_realization(model, window.bounding_box, seed + i)
-        feats = level_set_features_exact(real, model.level, window)
-        rows.append((seed + i, feats["chi"], feats["per1"] + feats["per2"],
-                     feats["vol"]))
-        chis.append(feats["chi"])
-    mean = math.fsum(chis) / replicates
-    var = math.fsum((c - mean) ** 2 for c in chis) / max(replicates - 1, 1)
-    stderr = math.sqrt(var / replicates)
+    feats = _replicate_features(model, window, replicates, seed)
+    rows = [(seed + i, f["chi"], f["per1"] + f["per2"], f["vol"])
+            for i, f in enumerate(feats)]
+    stats = _mean_stderr([f["chi"] for f in feats])
+    mean, stderr = stats["mean"], stats["stderr"]
 
     try:
         closed = mean_chi_closed_form(model, window)
@@ -261,7 +263,7 @@ def _run_shotnoise(cfg: dict, out_dir: Path, timestamp: bool) -> None:
 
 def _run_densities(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     resolved = dict(cfg)
-    model = ShotNoiseModel.from_config(_need(resolved, "model"))
+    model = _model(resolved)
     window = tuple(float(v) for v in _need(resolved, "window"))
     if len(window) != 4:
         raise ConfigInvalid("window must be [x0, x1, y0, y1]")

@@ -40,6 +40,7 @@ from .errors import (
     UnsupportedMarkLaw,
 )
 from .shapes import PolyRectangle, polyrect_features
+from .topology import _cell_features
 
 __all__ = [
     "AtomicMarks",
@@ -383,14 +384,6 @@ def _stamped_field(xs, ys, rect_lists, weights):
     return diff.cumsum(axis=0).cumsum(axis=1)[:len(ys) - 1, :len(xs) - 1]
 
 
-def _complex_chi(occ: np.ndarray) -> int:
-    # V - E + F on the closed cell complex spanned by the occupied cells
-    po = np.pad(occ, 1, constant_values=False)
-    v = (po[1:, 1:] | po[1:, :-1] | po[:-1, 1:] | po[:-1, :-1]).sum()
-    e = (po[1:-1, 1:] | po[1:-1, :-1]).sum() + (po[1:, 1:-1] | po[:-1, 1:-1]).sum()
-    return int(v) - int(e) + int(occ.sum())
-
-
 def _germ_rects(real: Realization):
     rect_lists = []
     for (gx, gy), grain, _ in real.germs:
@@ -427,19 +420,7 @@ def level_set_features_exact(real: Realization, level: float,
     if np.any(np.abs(f - level) <= 1e-12 * scale):
         warnings.warn("field value ties the level on some cell; the closed-set "
                       "convention decides membership", stacklevel=2)
-    occ = (f >= level) & w_occ
-
-    dx = np.diff(xs)
-    dy = np.diff(ys)
-    po = np.pad(occ, 1, constant_values=False)
-    vb = po[1:-1, 1:] ^ po[1:-1, :-1]
-    hb = po[1:, 1:-1] ^ po[:-1, 1:-1]
-    return {
-        "chi": _complex_chi(occ),
-        "per1": float((dy[:, None] * vb).sum()),
-        "per2": float((hb * dx[None, :]).sum()),
-        "vol": float((dy[:, None] * occ * dx[None, :]).sum()),
-    }
+    return _cell_features(xs, ys, (f >= level) & w_occ)
 
 
 def level_set_chi_exact(real: Realization, level: float, window: PolyRectangle) -> int:
@@ -581,18 +562,30 @@ def boolean_mean_chi(model: ShotNoiseModel, window: PolyRectangle) -> float:
 
 # ------------------------------------------------------------- Monte Carlo
 
+def _replicate_features(model: ShotNoiseModel, window: PolyRectangle,
+                        replicates: int, seed: int) -> list[dict]:
+    """Exact level-set features of replicates drawn with seeds seed, seed+1, ..."""
+    if replicates < 2:
+        raise InvalidSpec("need at least 2 replicates")
+    return [level_set_features_exact(
+                sample_realization(model, window.bounding_box, seed + i),
+                model.level, window)
+            for i in range(replicates)]
+
+
+def _mean_stderr(vals) -> dict:
+    """Sample mean and its standard error (n - 1 in the variance)."""
+    n = len(vals)
+    mean = math.fsum(vals) / n
+    var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
+    return {"mean": mean, "stderr": math.sqrt(var / n)}
+
+
 def mc_mean_chi(model: ShotNoiseModel, window: PolyRectangle,
                 replicates: int, seed: int) -> dict:
     """Average exact per-realization chi over independent replicates."""
-    if replicates < 2:
-        raise InvalidSpec("need at least 2 replicates")
-    vals = []
-    for i in range(replicates):
-        real = sample_realization(model, window.bounding_box, seed + i)
-        vals.append(level_set_chi_exact(real, model.level, window))
-    mean = math.fsum(vals) / replicates
-    var = math.fsum((v - mean) ** 2 for v in vals) / (replicates - 1)
-    return {"mean": mean, "stderr": math.sqrt(var / replicates)}
+    feats = _replicate_features(model, window, replicates, seed)
+    return _mean_stderr([f["chi"] for f in feats])
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Polyrectangles (finite unions of axis-aligned rectangles, no two member
 rectangles sharing a corner) get exact geometry from a coordinate-sweep
 arrangement: collect every rectangle edge coordinate, mark occupied cells,
-classify each arrangement vertex by its four quadrant cells.  The same
-2x2 pattern logic that drives the lattice Euler characteristic then yields
-chi, the directional perimeters and the corner census in closed form.
+classify each arrangement vertex by its four quadrant cells.  The 2x2
+window kernel of ``topology`` that drives the lattice Euler characteristic
+then yields chi, the directional perimeters and the corner census exactly.
 
 Smooth shapes (disc, annulus, unions, implicit sets) are exposed as
 predicates with bounding box, regularity radius and boundary normals, the
@@ -23,6 +23,7 @@ from scipy import ndimage
 
 from .errors import CornerClash, InvalidSpec, NoNormalAvailable, RadiusTooSmall
 from .lattice import BitGrid, IndicatorSet
+from .topology import _cell_features, _windows
 
 __all__ = [
     "PolyRectangle",
@@ -87,51 +88,27 @@ class PolyRectangle:
             occ[j0:j1, i0:i1] = True
         return xs, ys, occ
 
-    @cached_property
-    def features(self) -> dict:
-        return polyrect_features(self)
-
-
-def _vertex_quadrants(w: PolyRectangle):
-    xs, ys, occ = w._arrangement
-    p = np.pad(occ, 1, constant_values=False)
-    sw = p[:-1, :-1]
-    se = p[:-1, 1:]
-    nw = p[1:, :-1]
-    ne = p[1:, 1:]
-    return xs, ys, sw, se, nw, ne
-
 
 def polyrect_features(w: PolyRectangle) -> dict:
     """Exact chi, directional perimeters, area and corner counts.
 
-    chi counts arrangement vertices whose only occupied quadrant is the
-    south-west one, minus those whose only empty quadrant is the
-    north-east one; per1 sums boundary edges whose normal is horizontal,
-    per2 those with vertical normal.
+    Outward corners are arrangement vertices whose only occupied quadrant
+    is the south-west one, inward corners those whose only empty quadrant
+    is the north-east one; chi is their difference.
     """
-    xs, ys, sw, se, nw, ne = _vertex_quadrants(w)
-    out = sw & ~se & ~nw & ~ne
-    inn = sw & se & nw & ~ne
-    _, _, occ = w._arrangement
-    dx = np.diff(xs)
-    dy = np.diff(ys)
-    p = np.pad(occ, 1, constant_values=False)
-    vb = p[1:-1, 1:] ^ p[1:-1, :-1]
-    hb = p[1:, 1:-1] ^ p[:-1, 1:-1]
+    xs, ys, occ = w._arrangement
+    sw, se, nw, ne = _windows(occ)
     return {
-        "chi": int(out.sum()) - int(inn.sum()),
-        "per1": float((dy[:, None] * vb).sum()),
-        "per2": float((hb * dx[None, :]).sum()),
-        "vol": float((dy[:, None] * occ * dx[None, :]).sum()),
-        "out_corners": int(out.sum()),
-        "in_corners": int(inn.sum()),
+        **_cell_features(xs, ys, occ),
+        "out_corners": int((sw & ~se & ~nw & ~ne).sum()),
+        "in_corners": int((sw & se & nw & ~ne).sum()),
     }
 
 
 def corner_points(w: PolyRectangle) -> list[tuple[float, float]]:
     """All boundary corners: vertices with an odd number of occupied quadrants."""
-    xs, ys, sw, se, nw, ne = _vertex_quadrants(w)
+    xs, ys, occ = w._arrangement
+    sw, se, nw, ne = _windows(occ)
     s = sw.astype(np.int8) + se + nw + ne
     jj, ii = np.nonzero((s == 1) | (s == 3))
     return [(float(xs[i]), float(ys[j])) for j, i in zip(jj, ii)]
@@ -140,12 +117,10 @@ def corner_points(w: PolyRectangle) -> list[tuple[float, float]]:
 def _boundary_segments(w: PolyRectangle):
     """Yield (p0, p1, normal) over the arrangement's boundary edges."""
     xs, ys, occ = w._arrangement
-    p = np.pad(occ, 1, constant_values=False)
-    vb = p[1:-1, 1:] ^ p[1:-1, :-1]
-    hb = p[1:, 1:-1] ^ p[:-1, 1:-1]
-    for j, i in zip(*np.nonzero(vb)):
+    sw, se, nw, _ = _windows(occ)
+    for j, i in zip(*np.nonzero(se[1:] ^ sw[1:])):
         yield (xs[i], ys[j]), (xs[i], ys[j + 1]), (1.0, 0.0)
-    for j, i in zip(*np.nonzero(hb)):
+    for j, i in zip(*np.nonzero(nw[:, 1:] ^ sw[:, 1:])):
         yield (xs[i], ys[j]), (xs[i + 1], ys[j]), (0.0, 1.0)
 
 

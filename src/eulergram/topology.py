@@ -81,13 +81,38 @@ def _require_margin(bits: np.ndarray) -> None:
 
 def _windows(bits: np.ndarray):
     # Pad one background cell on every side so windows anchored at border
-    # points (and one row/column outside) see off-grid cells as empty.
+    # points (and one row/column outside) see off-grid cells as empty.  On a
+    # cell arrangement a, b, c, d are the sw, se, nw, ne quadrants of a vertex.
+    # Tallies use count_nonzero: a boolean .sum() casts through int64 first.
     p = np.pad(bits, 1, constant_values=False)
     a = p[:-1, :-1]
     b = p[:-1, 1:]
     c = p[1:, :-1]
     d = p[1:, 1:]
     return a, b, c, d
+
+
+def _cell_features(xs: np.ndarray, ys: np.ndarray, occ: np.ndarray) -> dict:
+    """chi, per1, per2 and vol of the union of closed cells [xs[i], xs[i+1]] x
+    [ys[j], ys[j+1]] with occ[j, i] set.
+
+    chi is V - E + F of the closed cell complex, so cells meeting only at a
+    corner are connected.  per1 sums boundary edges with horizontal normal,
+    per2 those with vertical normal.
+    """
+    a, b, c, d = _windows(occ)
+    vb = b[1:] ^ a[1:]
+    hb = c[:, 1:] ^ a[:, 1:]
+    v = np.count_nonzero(a | b | c | d)
+    e = np.count_nonzero(b[1:] | a[1:]) + np.count_nonzero(c[:, 1:] | a[:, 1:])
+    dx = np.diff(xs)
+    dy = np.diff(ys)
+    return {
+        "chi": int(v - e + np.count_nonzero(occ)),
+        "per1": float((dy[:, None] * vb).sum()),
+        "per2": float((hb * dx[None, :]).sum()),
+        "vol": float((dy[:, None] * occ * dx[None, :]).sum()),
+    }
 
 
 def config_counts(grid: BitGrid) -> ConfigCounts:
@@ -98,10 +123,10 @@ def config_counts(grid: BitGrid) -> ConfigCounts:
     out = a & ~b & ~c
     inn = b & c & ~d
     return ConfigCounts(
-        phi_out=int(out.sum()),
-        phi_in=int(inn.sum()),
-        phi_x_set=int((out & d).sum()),
-        phi_x_complement=int((inn & ~a).sum()),
+        phi_out=int(np.count_nonzero(out)),
+        phi_in=int(np.count_nonzero(inn)),
+        phi_x_set=int(np.count_nonzero(out & d)),
+        phi_x_complement=int(np.count_nonzero(inn & ~a)),
     )
 
 
@@ -126,10 +151,11 @@ def chi_vef(grid: BitGrid) -> int:
     on admissible grids it agrees with chi_local.
     """
     bits = grid.bits
-    v = int(bits.sum())
-    e = int((bits[:, 1:] & bits[:, :-1]).sum()) + int((bits[1:, :] & bits[:-1, :]).sum())
-    f = int((bits[1:, 1:] & bits[1:, :-1] & bits[:-1, 1:] & bits[:-1, :-1]).sum())
-    return v - e + f
+    a, b, c, d = _windows(bits)
+    ab = a & b
+    e = np.count_nonzero(ab) + np.count_nonzero(a & c)
+    f = np.count_nonzero(ab & c & d)
+    return int(np.count_nonzero(bits) - e + f)
 
 
 def _first_seen_relabel(raw: np.ndarray, count: int) -> np.ndarray:

@@ -104,6 +104,35 @@ def chi_by_components(bits) -> int:
     return bfs_component_count(bits, 4) - bounded_hole_count(bits)
 
 
+def scan_cell_measures(xs, ys, occ) -> dict:
+    """per1, per2 and vol of a union of closed arrangement cells, by loops.
+
+    Cell (j, i) is [xs[i], xs[i+1]] x [ys[j], ys[j+1]]; off-grid cells read
+    as empty.  A cell side is boundary when exactly one of its two cells is
+    occupied; per1 sums the vertical sides, per2 the horizontal ones.
+    """
+    occ = np.asarray(occ, dtype=bool)
+    ny, nx = occ.shape
+
+    def at(j, i):
+        return bool(occ[j, i]) if 0 <= j < ny and 0 <= i < nx else False
+
+    per1 = per2 = vol = 0.0
+    for j in range(ny):
+        for i in range(nx + 1):
+            if at(j, i - 1) != at(j, i):
+                per1 += ys[j + 1] - ys[j]
+    for j in range(ny + 1):
+        for i in range(nx):
+            if at(j - 1, i) != at(j, i):
+                per2 += xs[i + 1] - xs[i]
+    for j in range(ny):
+        for i in range(nx):
+            if occ[j, i]:
+                vol += (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
+    return {"per1": per1, "per2": per2, "vol": vol}
+
+
 def rect_union_area(rects) -> float:
     """Area of a union of axis rectangles by y-slab sweep with merged intervals."""
     ys = sorted({r[2] for r in rects} | {r[3] for r in rects})

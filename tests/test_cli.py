@@ -138,6 +138,44 @@ def test_missing_config_key_reports_json_error(tmp_path, capsys):
     assert err["context"]["subcommand"] == "chi"
 
 
+@pytest.mark.parametrize("replicates", [0, 1])
+def test_shotnoise_rejects_too_few_replicates(tmp_path, capsys, replicates):
+    # a standard error needs at least two replicates
+    cfg = {**SHOT_CFG, "replicates": replicates}
+    code, _, report = run_cli(tmp_path, "fewreps", "shotnoise", cfg)
+    assert code == 1
+    assert report is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidSpec"
+    assert "replicates" in err["message"]
+    assert err["context"]["subcommand"] == "shotnoise"
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize("subcommand,model,missing", [
+    ("shotnoise", _without(SHOT_CFG["model"], "grains"), "grains"),
+    ("shotnoise", {**SHOT_CFG["model"], "grains": [{"rects": [[0, 1, 0, 1]]}]}, "p"),
+    ("densities", _without(SHOT_CFG["model"], "lambda"), "lambda"),
+])
+def test_malformed_model_reports_config_error(tmp_path, capsys, subcommand, model,
+                                              missing):
+    if subcommand == "shotnoise":
+        cfg = {**SHOT_CFG, "model": model}
+    else:
+        cfg = {"model": model, "window": [0, 4, 0, 4], "epsilon": 0.05,
+               "replicates": 8, "seed": 1}
+    code, _, report = run_cli(tmp_path, "badmodel", subcommand, cfg)
+    assert code == 1
+    assert report is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    assert missing in err["message"]
+    assert err["context"]["subcommand"] == subcommand
+
+
 def test_module_error_surfaces_with_name(tmp_path, capsys):
     # fewer than three epsilons is a variogram-module error, not a CLI one
     cfg = {"shape": {"type": "disc", "center": [0, 0], "r": 0.5},

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eulergram import (
     BitGrid,
@@ -11,12 +14,14 @@ from eulergram import (
     config_counts,
     label_components,
 )
+from eulergram.topology import _cell_features
 
 from gridgen import admissible_random_bits
 from oracles import (
     bfs_component_count,
     bounded_hole_count,
     chi_by_components,
+    scan_cell_measures,
     scan_chi_vef,
     scan_config_counts,
 )
@@ -201,3 +206,41 @@ def test_translation_invariance():
     la, lb = label_components(base), label_components(shifted)
     assert la.num_set_components == lb.num_set_components
     assert la.num_complement_bounded_components == lb.num_complement_bounded_components
+
+
+@st.composite
+def cell_arrangements(draw):
+    ny = draw(st.integers(1, 7))
+    nx = draw(st.integers(1, 7))
+    occ = draw(hnp.arrays(np.bool_, (ny, nx)))
+
+    def axis(n):
+        start = draw(st.floats(-10.0, 10.0))
+        steps = draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n))
+        return start + np.concatenate([[0.0], np.cumsum(steps)])
+
+    return axis(nx), axis(ny), occ
+
+
+def _unit_axes(occ):
+    occ = np.array(occ, dtype=bool)
+    ny, nx = occ.shape
+    return np.arange(nx + 1.0), np.arange(ny + 1.0), occ
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_arrangements())
+# corner-touching cells: one closed component, and the ring encloses a hole
+@example(_unit_axes([[1, 0], [0, 1]]))
+@example(_unit_axes([[0, 1], [1, 0]]))
+@example(_unit_axes([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
+def test_cell_features_match_oracles(arrangement):
+    xs, ys, occ = arrangement
+    assert (np.diff(xs) > 0).all() and (np.diff(ys) > 0).all()
+    got = _cell_features(xs, ys, occ)
+    # closed cells meeting at a corner are connected, so the set is
+    # 8-connected and its complement 4-connected
+    assert got["chi"] == bfs_component_count(occ, 8) - bounded_hole_count(occ)
+    ref = scan_cell_measures(xs, ys, occ)
+    for key in ("per1", "per2", "vol"):
+        assert got[key] == pytest.approx(ref[key], rel=1e-12, abs=1e-12)
