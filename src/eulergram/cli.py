@@ -53,33 +53,35 @@ _USAGE = "usage: eulergram <subcommand> --config path.json --out dir/ [--no-time
 
 # ------------------------------------------------------------ config access
 
-def _need(cfg: dict, key: str):
+def _read(cfg: dict, key: str, parse):
+    """``parse(cfg[key])``; a missing key or a Key/Type/ValueError is ConfigInvalid."""
     if key not in cfg:
         raise ConfigInvalid(f"config is missing required key {key!r}")
-    return cfg[key]
-
-
-def _shape(cfg: dict, key: str = "shape") -> IndicatorSet:
-    spec = _need(cfg, key)
-    if not isinstance(spec, dict):
-        raise ConfigInvalid(f"{key!r} must be a shape object")
     try:
-        return make_shape(spec)
-    except KeyError as exc:
-        raise ConfigInvalid(f"shape spec is missing key {exc}") from exc
-
-
-def _model(cfg: dict) -> ShotNoiseModel:
-    try:
-        return ShotNoiseModel.from_config(_need(cfg, "model"))
+        return parse(cfg[key])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"malformed model spec: {type(exc).__name__} {exc}") from exc
+        raise ConfigInvalid(f"malformed {key!r}: {type(exc).__name__} {exc}") from exc
 
 
-def _polyrect(spec: dict) -> PolyRectangle:
+def _positive(value) -> float:
+    if not 0 < float(value) < math.inf:
+        raise ValueError(f"must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def _positives(values) -> list[float]:
+    return [_positive(v) for v in values]
+
+
+def _rect(value) -> tuple[float, float, float, float]:
+    x0, x1, y0, y1 = (float(v) for v in value)
+    return x0, x1, y0, y1
+
+
+def _polyrect(spec) -> PolyRectangle:
     if not isinstance(spec, dict) or "rects" not in spec:
-        raise ConfigInvalid("window must be {'rects': [[x0,x1,y0,y1], ...]}")
-    return PolyRectangle(rects=tuple(tuple(float(v) for v in r) for r in spec["rects"]))
+        raise TypeError("window must be {'rects': [[x0,x1,y0,y1], ...]}")
+    return PolyRectangle(rects=tuple(_rect(r) for r in spec["rects"]))
 
 
 def _clip_to_window(ind: IndicatorSet, w: PolyRectangle) -> IndicatorSet:
@@ -120,8 +122,9 @@ def _write_report(out_dir: Path, subcommand: str, resolved: dict, seed,
 
 def _run_chi(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     resolved = {"margin": 2, "dump_grid": False, **cfg}
-    epsilon = float(_need(resolved, "epsilon"))
-    grid = _digitize_at(_shape(resolved), epsilon, margin=int(resolved["margin"]))
+    epsilon = _read(resolved, "epsilon", _positive)
+    grid = _digitize_at(_read(resolved, "shape", make_shape), epsilon,
+                        margin=_read(resolved, "margin", int))
     counts = config_counts(grid)
     comp = label_components(grid)
     chi_comp = comp.num_set_components - comp.num_complement_bounded_components
@@ -144,15 +147,16 @@ def _run_chi(cfg: dict, out_dir: Path, timestamp: bool) -> None:
 
 def _run_sweep(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     resolved = {"margin": 2, **cfg}
-    ind = _shape(resolved)
+    ind = _read(resolved, "shape", make_shape)
     if "window" in resolved:
-        ind = _clip_to_window(ind, _polyrect(resolved["window"]))
-    epsilons = [float(e) for e in _need(resolved, "epsilons")]
+        ind = _clip_to_window(ind, _read(resolved, "window", _polyrect))
+    epsilons = _read(resolved, "epsilons", _positives)
     if not epsilons:
         raise ConfigInvalid("epsilons must be a nonempty list")
+    margin = _read(resolved, "margin", int)
     rows = []
     for eps in epsilons:
-        grid = _digitize_at(ind, eps, margin=int(resolved["margin"]))
+        grid = _digitize_at(ind, eps, margin=margin)
         comp = label_components(grid)
         rows.append((eps, comp.num_set_components
                      - comp.num_complement_bounded_components))
@@ -165,10 +169,10 @@ def _run_sweep(cfg: dict, out_dir: Path, timestamp: bool) -> None:
         "plateau": chis[-1] if stabilized else None,
     }
     if "quad_mesh" in resolved:
-        cont_eps = float(resolved.get("continuum_epsilon", min(epsilons)))
-        resolved.setdefault("continuum_epsilon", cont_eps)
+        resolved.setdefault("continuum_epsilon", min(epsilons))
+        cont_eps = _read(resolved, "continuum_epsilon", _positive)
         results["chi_continuum"] = chi_bicovariogram(
-            ind, cont_eps, float(resolved["quad_mesh"]))
+            ind, cont_eps, _read(resolved, "quad_mesh", float))
         results["continuum_epsilon"] = cont_eps
     _write_report(out_dir, "sweep", resolved, resolved.get("seed"), timestamp,
                   results, {"sweep.csv": (("epsilon", "chi"), rows)})
@@ -176,10 +180,10 @@ def _run_sweep(cfg: dict, out_dir: Path, timestamp: bool) -> None:
 
 def _run_perimeter(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     resolved = {"directions": 64, **cfg}
-    ind = _shape(resolved)
-    epsilons = [float(e) for e in _need(resolved, "epsilons")]
-    quad_mesh = float(_need(resolved, "quad_mesh"))
-    n_dir = int(resolved["directions"])
+    ind = _read(resolved, "shape", make_shape)
+    epsilons = _read(resolved, "epsilons", _positives)
+    quad_mesh = _read(resolved, "quad_mesh", float)
+    n_dir = _read(resolved, "directions", int)
     est1 = estimate_perimeter(ind, (1.0, 0.0), epsilons, quad_mesh)
     est2 = estimate_perimeter(ind, (0.0, 1.0), epsilons, quad_mesh)
     per_inf = est1.extrapolated + est2.extrapolated
@@ -204,19 +208,20 @@ def _run_perimeter(cfg: dict, out_dir: Path, timestamp: bool) -> None:
 
 def _run_bounds(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     resolved = {"margin": 4, **cfg}
-    ind = _shape(resolved, "truth")
-    h = float(_need(resolved, "h"))
-    grid = _digitize_at(ind, h, margin=int(resolved["margin"]))
-    window = _polyrect(resolved["window"]) if "window" in resolved else None
+    ind = _read(resolved, "truth", make_shape)
+    h = _read(resolved, "h", _positive)
+    epsilons = _read(resolved, "epsilons", _positives)
+    window = _read(resolved, "window", _polyrect) if "window" in resolved else None
+    grid = _digitize_at(ind, h, margin=_read(resolved, "margin", int))
     header = ("epsilon", "n_interior", "n_boundary", "corners",
               "components_digitized", "components_truth", "bound_rhs", "holds",
               "chi_abs", "chi_bound_rhs", "chi_holds")
     rows = []
     all_hold = True
-    for eps in _need(resolved, "epsilons"):
-        rep = verify_bounds(grid, float(eps), window)
+    for eps in epsilons:
+        rep = verify_bounds(grid, eps, window)
         all_hold &= rep.holds and rep.chi_holds
-        rows.append((float(eps), rep.n_interior, rep.n_boundary, rep.corners,
+        rows.append((eps, rep.n_interior, rep.n_boundary, rep.corners,
                      rep.num_components_digitized, rep.num_components_truth,
                      rep.bound_rhs, rep.holds, rep.chi_abs, rep.chi_bound_rhs,
                      rep.chi_holds))
@@ -227,10 +232,10 @@ def _run_bounds(cfg: dict, out_dir: Path, timestamp: bool) -> None:
 
 def _run_shotnoise(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     resolved = dict(cfg)
-    model = _model(resolved)
-    window = _polyrect(_need(resolved, "window"))
-    replicates = int(_need(resolved, "replicates"))
-    seed = int(_need(resolved, "seed"))
+    model = _read(resolved, "model", ShotNoiseModel.from_config)
+    window = _read(resolved, "window", _polyrect)
+    replicates = _read(resolved, "replicates", int)
+    seed = _read(resolved, "seed", int)
 
     feats = _replicate_features(model, window, replicates, seed)
     rows = [(seed + i, f["chi"], f["per1"] + f["per2"], f["vol"])
@@ -263,13 +268,11 @@ def _run_shotnoise(cfg: dict, out_dir: Path, timestamp: bool) -> None:
 
 def _run_densities(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     resolved = dict(cfg)
-    model = _model(resolved)
-    window = tuple(float(v) for v in _need(resolved, "window"))
-    if len(window) != 4:
-        raise ConfigInvalid("window must be [x0, x1, y0, y1]")
-    epsilon = float(_need(resolved, "epsilon"))
-    replicates = int(_need(resolved, "replicates"))
-    seed = int(_need(resolved, "seed"))
+    model = _read(resolved, "model", ShotNoiseModel.from_config)
+    window = _read(resolved, "window", _rect)
+    epsilon = _read(resolved, "epsilon", _positive)
+    replicates = _read(resolved, "replicates", int)
+    seed = _read(resolved, "seed", int)
     d = estimate_stationary_densities(model, epsilon, window, replicates, seed)
     try:
         reference = stationary_density_closed_form(model)

@@ -39,7 +39,7 @@ from .errors import (
     UnboundedGrain,
     UnsupportedMarkLaw,
 )
-from .shapes import PolyRectangle, polyrect_features
+from .shapes import PolyRectangle, _stamped_field, polyrect_features
 from .topology import _cell_features
 
 __all__ = [
@@ -364,32 +364,19 @@ def _arrangement_axis(raw: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return coords
 
 
-def _stamped_field(xs, ys, rect_lists, weights):
-    """Sum of weights over cells covered by each germ's rectangles."""
-    lo_x, hi_x = xs[0], xs[-1]
-    lo_y, hi_y = ys[0], ys[-1]
-    diff = np.zeros((len(ys), len(xs)))
-    for rects, wgt in zip(rect_lists, weights):
-        for rx0, rx1, ry0, ry1 in rects:
-            cx0, cx1 = max(rx0, lo_x), min(rx1, hi_x)
-            cy0, cy1 = max(ry0, lo_y), min(ry1, hi_y)
-            if cx1 <= cx0 or cy1 <= cy0:
-                continue
-            i0, i1 = np.searchsorted(xs, (cx0, cx1))
-            j0, j1 = np.searchsorted(ys, (cy0, cy1))
-            diff[j0, i0] += wgt
-            diff[j0, i1] -= wgt
-            diff[j1, i0] -= wgt
-            diff[j1, i1] += wgt
-    return diff.cumsum(axis=0).cumsum(axis=1)[:len(ys) - 1, :len(xs) - 1]
+def _axes(rects: np.ndarray, box) -> tuple[np.ndarray, np.ndarray]:
+    """Both arrangement axes of the rectangles and the box, clipped to the box."""
+    x0, x1, y0, y1 = box
+    return (_arrangement_axis(np.append(rects[:, :2], (x0, x1)), x0, x1),
+            _arrangement_axis(np.append(rects[:, 2:], (y0, y1)), y0, y1))
 
 
-def _germ_rects(real: Realization):
-    rect_lists = []
-    for (gx, gy), grain, _ in real.germs:
-        rect_lists.append([(x0 + gx, x1 + gx, y0 + gy, y1 + gy)
-                           for x0, x1, y0, y1 in grain.rects])
-    return rect_lists
+def _germ_rects(real: Realization) -> tuple[np.ndarray, np.ndarray]:
+    """Every germ's translated grain rectangles as an (n, 4) array, with their marks."""
+    rects = [(x0 + gx, x1 + gx, y0 + gy, y1 + gy)
+             for (gx, gy), grain, _ in real.germs for x0, x1, y0, y1 in grain.rects]
+    marks = [m for _, grain, m in real.germs for _ in grain.rects]
+    return np.array(rects, dtype=float).reshape(-1, 4), np.array(marks, dtype=float)
 
 
 def level_set_features_exact(real: Realization, level: float,
@@ -401,26 +388,20 @@ def level_set_features_exact(real: Realization, level: float,
     occupied cells (boundary values only ever exceed the neighbouring cell
     values, so closure adds nothing in generic position).
     """
-    bx0, bx1, by0, by1 = window.bounding_box
-    rect_lists = _germ_rects(real)
-    raw_x = [bx0, bx1] + [v for r in window.rects for v in (r[0], r[1])]
-    raw_y = [by0, by1] + [v for r in window.rects for v in (r[2], r[3])]
-    for rects in rect_lists:
-        for x0, x1, y0, y1 in rects:
-            raw_x += (x0, x1)
-            raw_y += (y0, y1)
-    xs = _arrangement_axis(np.array(raw_x), bx0, bx1)
-    ys = _arrangement_axis(np.array(raw_y), by0, by1)
+    rects, marks = _germ_rects(real)
+    w_rects = np.array(window.rects)
+    xs, ys = _axes(np.concatenate([w_rects, rects]), window.bounding_box)
+    occ = _stamped_field(xs, ys, w_rects, np.ones(len(w_rects))) > 0
 
-    marks = [m for _, _, m in real.germs]
-    f = _stamped_field(xs, ys, rect_lists, marks)
-    w_occ = _stamped_field(xs, ys, [window.rects], [1.0]) >= 0.5
-
-    scale = max(1.0, abs(level))
-    if np.any(np.abs(f - level) <= 1e-12 * scale):
+    f = _stamped_field(xs, ys, rects, marks)
+    occ &= f >= level
+    # |f - level| in the field's own buffer: no more full-size temporaries
+    f -= level
+    np.abs(f, out=f)
+    if np.any(f <= 1e-12 * max(1.0, abs(level))):
         warnings.warn("field value ties the level on some cell; the closed-set "
                       "convention decides membership", stacklevel=2)
-    return _cell_features(xs, ys, (f >= level) & w_occ)
+    return _cell_features(xs, ys, occ)
 
 
 def level_set_chi_exact(real: Realization, level: float, window: PolyRectangle) -> int:
@@ -562,11 +543,15 @@ def boolean_mean_chi(model: ShotNoiseModel, window: PolyRectangle) -> float:
 
 # ------------------------------------------------------------- Monte Carlo
 
+def _check_replicates(replicates: int) -> None:
+    if replicates < 2:
+        raise InvalidSpec("need at least 2 replicates")
+
+
 def _replicate_features(model: ShotNoiseModel, window: PolyRectangle,
                         replicates: int, seed: int) -> list[dict]:
     """Exact level-set features of replicates drawn with seeds seed, seed+1, ..."""
-    if replicates < 2:
-        raise InvalidSpec("need at least 2 replicates")
+    _check_replicates(replicates)
     return [level_set_features_exact(
                 sample_realization(model, window.bounding_box, seed + i),
                 model.level, window)
@@ -611,8 +596,7 @@ def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
     Monte Carlo average over replicates then estimates the densities
     chi = (P1 - P2)/eps^2, Per_ui = 2 P(in, +eps u_i out)/eps, Vol = P(in).
     """
-    if replicates < 2:
-        raise InvalidSpec("need at least 2 replicates")
+    _check_replicates(replicates)
     if epsilon <= 0:
         raise InvalidSpec("epsilon must be positive")
     min_edge = model.grain_dist.min_edge()
@@ -623,32 +607,18 @@ def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
 
     wx0, wx1, wy0, wy1 = (float(v) for v in window)
     w_area = (wx1 - wx0) * (wy1 - wy0)
-    lam = model.level
     e = float(epsilon)
     offsets = ((0.0, 0.0), (-e, 0.0), (0.0, -e), (e, 0.0), (0.0, e))
 
-    samples = np.empty((replicates, 4))
+    samples = []
     for i in range(replicates):
         # shifted membership looks up to epsilon beyond the window
         real = sample_realization(model, (wx0 - e, wx1 + e, wy0 - e, wy1 + e), seed + i)
-        rect_lists = _germ_rects(real)
-        marks = [m for _, _, m in real.germs]
-
-        raw_x = [wx0, wx1]
-        raw_y = [wy0, wy1]
-        for rects in rect_lists:
-            for x0, x1, y0, y1 in rects:
-                raw_x += (x0, x1, x0 - e, x1 - e, x0 + e, x1 + e)
-                raw_y += (y0, y1, y0 - e, y1 - e, y0 + e, y1 + e)
-        xs = _arrangement_axis(np.array(raw_x), wx0, wx1)
-        ys = _arrangement_axis(np.array(raw_y), wy0, wy1)
-
-        occ = []
-        for ox, oy in offsets:
-            shifted = [[(x0 + ox, x1 + ox, y0 + oy, y1 + oy)
-                        for x0, x1, y0, y1 in rects] for rects in rect_lists]
-            occ.append(_stamped_field(xs, ys, shifted, marks) >= lam)
-        inside, east_in, north_in, east_rev, north_rev = occ
+        rects, marks = _germ_rects(real)
+        xs, ys = _axes(np.concatenate([rects, rects - e, rects + e]), (wx0, wx1, wy0, wy1))
+        inside, east_in, north_in, east_rev, north_rev = (
+            _stamped_field(xs, ys, rects + (ox, ox, oy, oy), marks) >= model.level
+            for ox, oy in offsets)
 
         area = np.diff(ys)[:, None] * np.diff(xs)[None, :]
 
@@ -657,16 +627,15 @@ def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
 
         p_out = frac(inside & ~east_in & ~north_in)
         p_in = frac(~inside & east_rev & north_rev)
-        samples[i, 0] = (p_out - p_in) / (e * e)
-        samples[i, 1] = 2.0 * frac(inside & ~east_in) / e
-        samples[i, 2] = 2.0 * frac(inside & ~north_in) / e
-        samples[i, 3] = frac(inside)
+        samples.append(((p_out - p_in) / (e * e),
+                        2.0 * frac(inside & ~east_in) / e,
+                        2.0 * frac(inside & ~north_in) / e,
+                        frac(inside)))
 
-    means = samples.mean(axis=0)
-    errs = samples.std(axis=0, ddof=1) / math.sqrt(replicates)
+    chi, per1, per2, vol = (_mean_stderr(col) for col in zip(*samples))
     return StationaryDensities(
-        chi_bar=float(means[0]), per_bar_u1=float(means[1]),
-        per_bar_u2=float(means[2]), vol_bar=float(means[3]),
+        chi_bar=chi["mean"], per_bar_u1=per1["mean"],
+        per_bar_u2=per2["mean"], vol_bar=vol["mean"],
         epsilon_used=e,
-        chi_stderr=float(errs[0]), per_u1_stderr=float(errs[1]),
-        per_u2_stderr=float(errs[2]), vol_stderr=float(errs[3]))
+        chi_stderr=chi["stderr"], per_u1_stderr=per1["stderr"],
+        per_u2_stderr=per2["stderr"], vol_stderr=vol["stderr"])

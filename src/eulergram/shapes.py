@@ -2,10 +2,12 @@
 
 Polyrectangles (finite unions of axis-aligned rectangles, no two member
 rectangles sharing a corner) get exact geometry from a coordinate-sweep
-arrangement: collect every rectangle edge coordinate, mark occupied cells,
+arrangement: collect every rectangle edge coordinate, stamp occupied cells,
 classify each arrangement vertex by its four quadrant cells.  The 2x2
 window kernel of ``topology`` that drives the lattice Euler characteristic
 then yields chi, the directional perimeters and the corner census exactly.
+The same stamper sums shot-noise marks over the germ arrangements of
+``randomsets``.
 
 Smooth shapes (disc, annulus, unions, implicit sets) are exposed as
 predicates with bounding box, regularity radius and boundary normals, the
@@ -79,14 +81,33 @@ class PolyRectangle:
 
     @cached_property
     def _arrangement(self):
-        xs = np.unique([v for r in self.rects for v in (r[0], r[1])])
-        ys = np.unique([v for r in self.rects for v in (r[2], r[3])])
-        occ = np.zeros((len(ys) - 1, len(xs) - 1), dtype=bool)
-        for x0, x1, y0, y1 in self.rects:
-            i0, i1 = np.searchsorted(xs, (x0, x1))
-            j0, j1 = np.searchsorted(ys, (y0, y1))
-            occ[j0:j1, i0:i1] = True
-        return xs, ys, occ
+        rects = np.array(self.rects)
+        xs, ys = np.unique(rects[:, :2]), np.unique(rects[:, 2:])
+        return xs, ys, _stamped_field(xs, ys, rects, np.ones(len(rects))) > 0
+
+
+def _stamped_field(xs, ys, rects, weights):
+    """Sum of ``weights`` (n,) over the cells each of ``rects`` (n, 4: x0, x1, y0, y1) covers.
+
+    Rectangles are clipped to the axes; each adds +w, -w, -w, +w at its four
+    corners of a difference array, in rectangle order, and two cumulative
+    sums turn the corners into the cell field.
+    """
+    x0 = np.maximum(rects[:, 0], xs[0])
+    x1 = np.minimum(rects[:, 1], xs[-1])
+    y0 = np.maximum(rects[:, 2], ys[0])
+    y1 = np.minimum(rects[:, 3], ys[-1])
+    keep = (x1 > x0) & (y1 > y0)
+    i0, i1 = np.searchsorted(xs, x0[keep]), np.searchsorted(xs, x1[keep])
+    j0, j1 = np.searchsorted(ys, y0[keep]), np.searchsorted(ys, y1[keep])
+    w = weights[keep]
+    diff = np.zeros((len(ys), len(xs)))
+    np.add.at(diff, (np.stack([j0, j0, j1, j1], 1).ravel(),
+                     np.stack([i0, i1, i0, i1], 1).ravel()),
+              np.stack([w, -w, -w, w], 1).ravel())
+    np.cumsum(diff, axis=0, out=diff)
+    np.cumsum(diff, axis=1, out=diff)
+    return diff[:-1, :-1]
 
 
 def polyrect_features(w: PolyRectangle) -> dict:
@@ -134,6 +155,8 @@ def make_shape(spec: dict) -> IndicatorSet:
      "bounding_box": [x0, x1, y0, y1], "rho": optional}.  The set is
     {g <= 0} for implicit specs; g must accept numpy arrays.
     """
+    if not isinstance(spec, dict):
+        raise InvalidSpec(f"a shape spec is an object, got {spec!r}")
     kind = spec.get("type")
     if kind == "disc":
         cx, cy = (float(v) for v in spec["center"])

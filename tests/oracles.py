@@ -8,6 +8,7 @@ these are the oracles the fast implementations are judged against.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 
 import numpy as np
@@ -131,6 +132,39 @@ def scan_cell_measures(xs, ys, occ) -> dict:
             if occ[j, i]:
                 vol += (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
     return {"per1": per1, "per2": per2, "vol": vol}
+
+
+def stamped_field_by_loop(xs, ys, rect_lists, weights):
+    """Per-cell weight sums over grains, one rectangle at a time.
+
+    Grain g covers the cells of its rectangles ``rect_lists[g]`` with weight
+    ``weights[g]``.  Each rectangle, clipped to the axes, adds its weight at
+    its (x0, y0) and (x1, y1) corners of a difference array and subtracts it
+    at the other two, in that order; row then column running sums give the
+    field on cell (j, i) = [xs[i], xs[i+1]] x [ys[j], ys[j+1]].
+    """
+    xs, ys = list(xs), list(ys)
+    nx, ny = len(xs), len(ys)
+    diff = [[0.0] * nx for _ in range(ny)]
+    for rects, wgt in zip(rect_lists, weights):
+        for rx0, rx1, ry0, ry1 in rects:
+            cx0, cx1 = max(rx0, xs[0]), min(rx1, xs[-1])
+            cy0, cy1 = max(ry0, ys[0]), min(ry1, ys[-1])
+            if cx1 <= cx0 or cy1 <= cy0:
+                continue
+            i0, i1 = bisect_left(xs, cx0), bisect_left(xs, cx1)
+            j0, j1 = bisect_left(ys, cy0), bisect_left(ys, cy1)
+            diff[j0][i0] += wgt
+            diff[j0][i1] -= wgt
+            diff[j1][i0] -= wgt
+            diff[j1][i1] += wgt
+    for j in range(1, ny):
+        for i in range(nx):
+            diff[j][i] += diff[j - 1][i]
+    for j in range(ny):
+        for i in range(1, nx):
+            diff[j][i] += diff[j][i - 1]
+    return np.array([row[:nx - 1] for row in diff[:ny - 1]], dtype=float)
 
 
 def rect_union_area(rects) -> float:

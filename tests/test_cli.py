@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from eulergram import cli
 from eulergram.cli import main
 
 E1 = math.exp(-1.0)
@@ -223,10 +224,42 @@ def test_unreadable_and_malformed_configs(tmp_path, capsys):
     assert "object" in json.loads(capsys.readouterr().err)["message"]
 
 
-def test_unexpected_exception_exits_two(tmp_path, capsys):
-    cfg = {"shape": {"type": "disc", "center": [0, 0], "r": 1.0},
-           "epsilon": "tiny"}
-    code, _, _ = run_cli(tmp_path, "boom", "chi", cfg)
+DISC = {"type": "disc", "center": [0, 0], "r": 1.0}
+DENS_CFG = {"model": SHOT_CFG["model"], "window": [0, 4, 0, 4], "epsilon": 0.05,
+            "replicates": 8, "seed": 1}
+
+
+@pytest.mark.parametrize("subcommand,cfg", [
+    ("densities", {**DENS_CFG, "window": 5}),
+    ("shotnoise", {**SHOT_CFG, "window": {"rects": [[0, 6, 0]]}}),
+    ("shotnoise", {**SHOT_CFG, "window": {"rects": 5}}),
+    ("shotnoise", {**SHOT_CFG, "replicates": "x"}),
+    ("chi", {"shape": DISC, "epsilon": "abc"}),
+    ("chi", {"shape": DISC, "epsilon": 0}),
+    ("chi", {"shape": DISC, "epsilon": -0.1}),
+    ("chi", {"shape": DISC, "epsilon": math.inf}),
+    ("sweep", {"shape": DISC, "epsilons": 5}),
+    ("bounds", {"truth": DISC, "h": 0.05, "epsilons": 5}),
+], ids=["densities-window-scalar", "shotnoise-rect-3-numbers", "shotnoise-rects-scalar",
+        "shotnoise-replicates-text", "chi-epsilon-text", "chi-epsilon-zero",
+        "chi-epsilon-negative", "chi-epsilon-infinite", "sweep-epsilons-scalar",
+        "bounds-epsilons-scalar"])
+def test_malformed_config_value_exits_one(tmp_path, capsys, subcommand, cfg):
+    code, _, report = run_cli(tmp_path, "badvalue", subcommand, cfg)
+    assert code == 1
+    assert report is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    assert err["context"]["subcommand"] == subcommand
+
+
+def test_unexpected_exception_exits_two(tmp_path, capsys, monkeypatch):
+    # a library failure is not a config error, even when it is a ValueError
+    def boom(grid):
+        raise ValueError("unexpected failure inside the library")
+
+    monkeypatch.setattr(cli, "config_counts", boom)
+    code, _, _ = run_cli(tmp_path, "boom", "chi", {"shape": DISC, "epsilon": 0.1})
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eulergram import (
     AtomicMarks,
@@ -29,7 +31,8 @@ from eulergram import (
     sample_realization,
     stationary_density_closed_form,
 )
-from oracles import poisson_cdf, poisson_pmf
+from eulergram.shapes import _stamped_field
+from oracles import poisson_cdf, poisson_pmf, stamped_field_by_loop
 
 E1 = math.exp(-1.0)
 
@@ -516,6 +519,48 @@ def test_window_shift_leaves_chi_distribution_unchanged():
                 - np.searchsorted(np.sort(s2), v, side="right") / 200)
             for v in support)
     assert d <= 0.2
+
+
+# ------------------------------------------------------------- stamping
+
+
+@st.composite
+def stamp_cases(draw):
+    """Axes, grains of one to three rectangles, and one weight per grain.
+
+    Rectangle edges are axis coordinates or arbitrary values up to 3 beyond
+    either end, so rectangles fall inside, across or wholly outside the axes.
+    """
+    def axis():
+        start = draw(st.floats(-5.0, 5.0))
+        steps = draw(st.lists(st.floats(0.01, 3.0), min_size=1, max_size=6))
+        return start + np.concatenate([[0.0], np.cumsum(steps)])
+
+    def span(ax):
+        edge = st.one_of(st.sampled_from(list(ax)), st.floats(ax[0] - 3.0, ax[-1] + 3.0))
+        return sorted((draw(edge), draw(edge)))
+
+    xs, ys = axis(), axis()
+    n = draw(st.integers(0, 6))
+    grains = [[tuple(span(xs) + span(ys)) for _ in range(draw(st.integers(1, 3)))]
+              for _ in range(n)]
+    weights = draw(st.lists(st.floats(0.001, 10.0), min_size=n, max_size=n))
+    return xs, ys, grains, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(stamp_cases())
+@example((np.arange(4.0), np.arange(3.0), [], []))
+@example((np.arange(4.0), np.arange(3.0),
+          [[(0.0, 2.0, 0.0, 1.0), (1.0, 3.0, 1.0, 2.0)], [(-1.0, 5.0, -2.0, 0.5)]],
+          [0.7, 1.3]))
+def test_stamper_matches_loop_oracle(case):
+    xs, ys, grains, weights = case
+    rects = np.array([r for g in grains for r in g], dtype=float).reshape(-1, 4)
+    marks = np.array([wgt for g, wgt in zip(grains, weights) for _ in g], dtype=float)
+    got = _stamped_field(xs, ys, rects, marks)
+    assert got.shape == (len(ys) - 1, len(xs) - 1)
+    assert np.array_equal(got, stamped_field_by_loop(xs, ys, grains, weights))
 
 
 # ----------------------------------------------------------- density estimates

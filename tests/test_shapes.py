@@ -146,6 +146,8 @@ def test_shape_spec_validation():
         make_shape({"type": "warp", "center": [0, 0]})
     with pytest.raises(InvalidSpec):
         make_shape({"type": "implicit", "g": lambda x, y: x})
+    with pytest.raises(InvalidSpec):
+        make_shape({"type": "union", "members": [5]})
 
 
 # --------------------------------------------------------------- morphology
