@@ -49,6 +49,7 @@ from .variogram import (
     chi_bicovariogram,
     chi_bicovariogram_discrete,
     continuous_polyvariogram,
+    directional_perimeters,
     discrete_polyvariogram,
     estimate_perimeter,
     perimeter_axis_sum,

@@ -40,11 +40,7 @@ from .randomsets import (
 )
 from .shapes import PolyRectangle, make_shape
 from .topology import chi_vef, config_counts, label_components
-from .variogram import (
-    chi_bicovariogram,
-    estimate_perimeter,
-    perimeter_variational,
-)
+from .variogram import _circle, _circle_mean, chi_bicovariogram, directional_perimeters
 
 __all__ = ["main"]
 
@@ -54,12 +50,12 @@ _USAGE = "usage: eulergram <subcommand> --config path.json --out dir/ [--no-time
 # ------------------------------------------------------------ config access
 
 def _read(cfg: dict, key: str, parse):
-    """``parse(cfg[key])``; a missing key or a Key/Type/ValueError is ConfigInvalid."""
+    """``parse(cfg[key])``; a missing key or a Key/Type/Value/OverflowError is ConfigInvalid."""
     if key not in cfg:
         raise ConfigInvalid(f"config is missing required key {key!r}")
     try:
         return parse(cfg[key])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"malformed {key!r}: {type(exc).__name__} {exc}") from exc
 
 
@@ -71,6 +67,19 @@ def _positive(value) -> float:
 
 def _positives(values) -> list[float]:
     return [_positive(v) for v in values]
+
+
+def _whole(value) -> int:
+    if isinstance(value, bool) or int(value) != float(value):
+        raise ValueError(f"must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _margin(value) -> int:
+    n = _whole(value)
+    if n < 0:
+        raise ValueError(f"must be a nonnegative whole number, got {value!r}")
+    return n
 
 
 def _rect(value) -> tuple[float, float, float, float]:
@@ -88,6 +97,8 @@ def _clip_to_window(ind: IndicatorSet, w: PolyRectangle) -> IndicatorSet:
     bx0, bx1, by0, by1 = ind.bounding_box
     wx0, wx1, wy0, wy1 = w.bounding_box
     box = (max(bx0, wx0), min(bx1, wx1), max(by0, wy0), min(by1, wy1))
+    if box[0] > box[1] or box[2] > box[3]:
+        raise ConfigInvalid(f"window misses the shape's bounding box {ind.bounding_box}")
 
     def contains(x, y):
         return ind.contains(x, y) & w.contains(x, y)
@@ -124,7 +135,7 @@ def _run_chi(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     resolved = {"margin": 2, "dump_grid": False, **cfg}
     epsilon = _read(resolved, "epsilon", _positive)
     grid = _digitize_at(_read(resolved, "shape", make_shape), epsilon,
-                        margin=_read(resolved, "margin", int))
+                        margin=_read(resolved, "margin", _margin))
     counts = config_counts(grid)
     comp = label_components(grid)
     chi_comp = comp.num_set_components - comp.num_complement_bounded_components
@@ -153,7 +164,7 @@ def _run_sweep(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     epsilons = _read(resolved, "epsilons", _positives)
     if not epsilons:
         raise ConfigInvalid("epsilons must be a nonempty list")
-    margin = _read(resolved, "margin", int)
+    margin = _read(resolved, "margin", _margin)
     rows = []
     for eps in epsilons:
         grid = _digitize_at(ind, eps, margin=margin)
@@ -172,7 +183,7 @@ def _run_sweep(cfg: dict, out_dir: Path, timestamp: bool) -> None:
         resolved.setdefault("continuum_epsilon", min(epsilons))
         cont_eps = _read(resolved, "continuum_epsilon", _positive)
         results["chi_continuum"] = chi_bicovariogram(
-            ind, cont_eps, _read(resolved, "quad_mesh", float))
+            ind, cont_eps, _read(resolved, "quad_mesh", _positive))
         results["continuum_epsilon"] = cont_eps
     _write_report(out_dir, "sweep", resolved, resolved.get("seed"), timestamp,
                   results, {"sweep.csv": (("epsilon", "chi"), rows)})
@@ -182,12 +193,12 @@ def _run_perimeter(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     resolved = {"directions": 64, **cfg}
     ind = _read(resolved, "shape", make_shape)
     epsilons = _read(resolved, "epsilons", _positives)
-    quad_mesh = _read(resolved, "quad_mesh", float)
-    n_dir = _read(resolved, "directions", int)
-    est1 = estimate_perimeter(ind, (1.0, 0.0), epsilons, quad_mesh)
-    est2 = estimate_perimeter(ind, (0.0, 1.0), epsilons, quad_mesh)
+    quad_mesh = _read(resolved, "quad_mesh", _positive)
+    n_dir = _read(resolved, "directions", _whole)
+    est1, est2, *around = directional_perimeters(
+        ind, [(1.0, 0.0), (0.0, 1.0), *_circle(n_dir)], epsilons, quad_mesh)
     per_inf = est1.extrapolated + est2.extrapolated
-    per = perimeter_variational(ind, epsilons, quad_mesh, n_directions=n_dir)
+    per = _circle_mean(around)
     # Per <= Per_inf <= sqrt(2) Per, with quadrature slack
     tol = 1e-6 + 0.01 * max(per, per_inf)
     results = {
@@ -212,7 +223,7 @@ def _run_bounds(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     h = _read(resolved, "h", _positive)
     epsilons = _read(resolved, "epsilons", _positives)
     window = _read(resolved, "window", _polyrect) if "window" in resolved else None
-    grid = _digitize_at(ind, h, margin=_read(resolved, "margin", int))
+    grid = _digitize_at(ind, h, margin=_read(resolved, "margin", _margin))
     header = ("epsilon", "n_interior", "n_boundary", "corners",
               "components_digitized", "components_truth", "bound_rhs", "holds",
               "chi_abs", "chi_bound_rhs", "chi_holds")
@@ -234,8 +245,8 @@ def _run_shotnoise(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     resolved = dict(cfg)
     model = _read(resolved, "model", ShotNoiseModel.from_config)
     window = _read(resolved, "window", _polyrect)
-    replicates = _read(resolved, "replicates", int)
-    seed = _read(resolved, "seed", int)
+    replicates = _read(resolved, "replicates", _whole)
+    seed = _read(resolved, "seed", _whole)
 
     feats = _replicate_features(model, window, replicates, seed)
     rows = [(seed + i, f["chi"], f["per1"] + f["per2"], f["vol"])
@@ -271,8 +282,8 @@ def _run_densities(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     model = _read(resolved, "model", ShotNoiseModel.from_config)
     window = _read(resolved, "window", _rect)
     epsilon = _read(resolved, "epsilon", _positive)
-    replicates = _read(resolved, "replicates", int)
-    seed = _read(resolved, "seed", int)
+    replicates = _read(resolved, "replicates", _whole)
+    seed = _read(resolved, "seed", _whole)
     d = estimate_stationary_densities(model, epsilon, window, replicates, seed)
     try:
         reference = stationary_density_closed_form(model)

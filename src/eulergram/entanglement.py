@@ -27,7 +27,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import MeshMismatch
-from .lattice import BitGrid, Lattice
+from .lattice import BitGrid, Lattice, _whole_multiple
 from .shapes import PolyRectangle, corner_points
 from .topology import label_components
 
@@ -72,13 +72,12 @@ class BoundReport:
 
 def _subdivision(truth: BitGrid, coarse_epsilon: float) -> int:
     h = truth.lattice.epsilon
-    q = coarse_epsilon / h
-    k = round(q)
-    if abs(q - k) > 1e-9 * max(1.0, abs(q)) or k < 4:
+    k = _whole_multiple(coarse_epsilon, h)
+    if k is None or k < 4:
         raise MeshMismatch(
             f"coarse mesh {coarse_epsilon} must be an integer multiple >= 4 of "
             f"the truth mesh {h}")
-    return int(k)
+    return k
 
 
 def _dist_to_polyrect(px: float, py: float, w: PolyRectangle) -> float:

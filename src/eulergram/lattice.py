@@ -156,6 +156,13 @@ def digitize(
     return BitGrid(lattice, mask)
 
 
+def _whole_multiple(value: float, unit: float) -> Optional[int]:
+    """``round(value / unit)`` if that ratio is whole to a relative 1e-9, else None."""
+    q = value / unit
+    k = round(q)
+    return int(k) if abs(q - k) <= 1e-9 * max(1.0, abs(q)) else None
+
+
 def grid_volume(grid: BitGrid) -> float:
     """Counting-measure volume: epsilon^2 per set bit."""
     return grid.lattice.epsilon ** 2 * grid.count

@@ -167,6 +167,45 @@ def stamped_field_by_loop(xs, ys, rect_lists, weights):
     return np.array([row[:nx - 1] for row in diff[:ny - 1]], dtype=float)
 
 
+def midpoint_shift_counts(contains, domain, h, specs) -> list:
+    """Midpoint counts of shifted intersections, one whole-grid array per shift.
+
+    The grid holds the cell midpoints of ``domain`` at spacing ``h``.  A shift
+    within a relative 1e-9 of a whole number of cells reads the master grid at
+    that integer offset, off-grid cells reading as empty; any other shift
+    evaluates ``contains`` at the shifted midpoints.  ``specs`` is a list of
+    (plus_shifts, minus_shifts) pairs; each count is the number of midpoints
+    inside every plus copy and outside every minus copy.
+    """
+    x0, x1, y0, y1 = domain
+    nx, ny = int(round((x1 - x0) / h)), int(round((y1 - y0) / h))
+    xs = x0 + (np.arange(nx) + 0.5) * h
+    ys = y0 + (np.arange(ny) + 0.5) * h
+    master = np.asarray(contains(xs[None, :], ys[:, None]), dtype=bool)
+
+    def copy_at(shift):
+        qx, qy = shift[0] / h, shift[1] / h
+        kx, ky = round(qx), round(qy)
+        if abs(qx - kx) <= 1e-9 * max(1.0, abs(qx)) \
+                and abs(qy - ky) <= 1e-9 * max(1.0, abs(qy)):
+            # out[j, i] = master[j - ky, i - kx], read from a zero-padded canvas
+            pad = max(abs(kx), abs(ky))
+            canvas = np.pad(master, pad)
+            return canvas[pad - ky:pad - ky + ny, pad - kx:pad - kx + nx]
+        return np.asarray(contains(xs[None, :] - shift[0], ys[:, None] - shift[1]),
+                          dtype=bool)
+
+    counts = []
+    for plus, minus in specs:
+        acc = np.ones((ny, nx), dtype=bool)
+        for s in plus:
+            acc &= copy_at(s)
+        for s in minus:
+            acc &= ~copy_at(s)
+        counts.append(int(acc.sum()))
+    return counts
+
+
 def rect_union_area(rects) -> float:
     """Area of a union of axis rectangles by y-slab sweep with merged intervals."""
     ys = sorted({r[2] for r in rects} | {r[3] for r in rects})

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from eulergram import cli
+from eulergram import cli, estimate_perimeter, make_shape, perimeter_variational, variogram
 from eulergram.cli import main
 
 E1 = math.exp(-1.0)
@@ -77,6 +77,34 @@ def test_perimeter_subcommand_on_disc(tmp_path):
     assert res["sandwich_ok"] is True
     assert (out_dir / "per_u1.csv").exists()
     assert (out_dir / "per_u2.csv").exists()
+
+
+def test_perimeter_runs_one_sweep_with_library_values(tmp_path, monkeypatch):
+    built = []
+
+    class CountingSweep(variogram._RowSweep):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    cfg = {"shape": {"type": "annulus", "center": [0, 0], "r_in": 0.2, "r_out": 0.5},
+           "epsilons": [0.08, 0.04, 0.02], "quad_mesh": 2e-3, "directions": 12}
+    monkeypatch.setattr(variogram, "_RowSweep", CountingSweep)
+    code, out_dir, report = run_cli(tmp_path, "per", "perimeter", cfg)
+    assert code == 0
+    assert len(built) == 1
+    monkeypatch.undo()
+
+    ring, eps, mesh = make_shape(cfg["shape"]), cfg["epsilons"], cfg["quad_mesh"]
+    est1 = estimate_perimeter(ring, (1.0, 0.0), eps, mesh)
+    est2 = estimate_perimeter(ring, (0.0, 1.0), eps, mesh)
+    res = report["results"]
+    assert res["per_u1"] == est1.extrapolated
+    assert res["per_u2"] == est2.extrapolated
+    assert res["per_inf"] == est1.extrapolated + est2.extrapolated
+    assert res["per"] == perimeter_variational(ring, eps, mesh, n_directions=12)
+    rows = (out_dir / "per_u1.csv").read_text().strip().splitlines()[1:]
+    assert [tuple(map(float, r.split(","))) for r in rows] == est1.rows()
 
 
 def test_bounds_subcommand(tmp_path):
@@ -227,6 +255,10 @@ def test_unreadable_and_malformed_configs(tmp_path, capsys):
 DISC = {"type": "disc", "center": [0, 0], "r": 1.0}
 DENS_CFG = {"model": SHOT_CFG["model"], "window": [0, 4, 0, 4], "epsilon": 0.05,
             "replicates": 8, "seed": 1}
+HALF_DISC = {"type": "disc", "center": [0, 0], "r": 0.5}
+PER_CFG = {"shape": HALF_DISC, "epsilons": [0.08, 0.04, 0.02], "quad_mesh": 1e-2,
+           "directions": 8}
+SWEEP_CFG = {"shape": HALF_DISC, "epsilons": [0.2, 0.1, 0.05], "quad_mesh": 1e-2}
 
 
 @pytest.mark.parametrize("subcommand,cfg", [
@@ -240,10 +272,30 @@ DENS_CFG = {"model": SHOT_CFG["model"], "window": [0, 4, 0, 4], "epsilon": 0.05,
     ("chi", {"shape": DISC, "epsilon": math.inf}),
     ("sweep", {"shape": DISC, "epsilons": 5}),
     ("bounds", {"truth": DISC, "h": 0.05, "epsilons": 5}),
+    ("perimeter", {**PER_CFG, "quad_mesh": math.nan}),
+    ("perimeter", {**PER_CFG, "quad_mesh": math.inf}),
+    ("sweep", {**SWEEP_CFG, "quad_mesh": math.nan}),
+    ("sweep", {**SWEEP_CFG, "quad_mesh": math.inf}),
+    ("sweep", {**SWEEP_CFG, "window": {"rects": [[5, 6, 5, 6]]}}),
+    ("chi", {"shape": DISC, "epsilon": 0.1, "margin": -100}),
+    ("sweep", {**SWEEP_CFG, "margin": -100}),
+    ("bounds", {"truth": DISC, "h": 0.05, "epsilons": [0.2], "margin": -3}),
+    ("chi", {"shape": DISC, "epsilon": 0.1, "margin": 2.5}),
+    ("perimeter", {**PER_CFG, "directions": 4.9}),
+    ("perimeter", {**PER_CFG, "directions": True}),
+    ("shotnoise", {**SHOT_CFG, "replicates": 2.5}),
+    ("densities", {**DENS_CFG, "replicates": True}),
+    ("densities", {**DENS_CFG, "replicates": math.inf}),
+    ("shotnoise", {**SHOT_CFG, "seed": 3.7}),
 ], ids=["densities-window-scalar", "shotnoise-rect-3-numbers", "shotnoise-rects-scalar",
         "shotnoise-replicates-text", "chi-epsilon-text", "chi-epsilon-zero",
         "chi-epsilon-negative", "chi-epsilon-infinite", "sweep-epsilons-scalar",
-        "bounds-epsilons-scalar"])
+        "bounds-epsilons-scalar", "perimeter-quad-mesh-nan", "perimeter-quad-mesh-infinite",
+        "sweep-quad-mesh-nan", "sweep-quad-mesh-infinite", "sweep-window-misses-shape",
+        "chi-margin-negative", "sweep-margin-negative", "bounds-margin-negative",
+        "chi-margin-fraction", "perimeter-directions-fraction", "perimeter-directions-bool",
+        "shotnoise-replicates-fraction", "densities-replicates-bool",
+        "densities-replicates-infinite", "shotnoise-seed-fraction"])
 def test_malformed_config_value_exits_one(tmp_path, capsys, subcommand, cfg):
     code, _, report = run_cli(tmp_path, "badvalue", subcommand, cfg)
     assert code == 1
@@ -251,6 +303,20 @@ def test_malformed_config_value_exits_one(tmp_path, capsys, subcommand, cfg):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigInvalid"
     assert err["context"]["subcommand"] == subcommand
+
+
+@pytest.mark.parametrize("subcommand,cfg", [
+    ("perimeter", {**PER_CFG, "quad_mesh": 5.0}),
+    ("sweep", {**SWEEP_CFG, "quad_mesh": 5.0}),
+], ids=["perimeter", "sweep"])
+def test_mesh_coarser_than_shape_exits_one(tmp_path, capsys, subcommand, cfg):
+    # the parent reported a perimeter and a continuum chi of 0.0 here
+    code, _, report = run_cli(tmp_path, "coarse", subcommand, cfg)
+    assert code == 1
+    assert report is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidSpec"
+    assert "coarser" in err["message"]
 
 
 def test_unexpected_exception_exits_two(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eulergram import (
     BitGrid,
@@ -16,14 +18,17 @@ from eulergram import (
     chi_local,
     config_counts,
     continuous_polyvariogram,
+    directional_perimeters,
     discrete_polyvariogram,
     estimate_perimeter,
     make_shape,
     perimeter_axis_sum,
     perimeter_variational,
 )
+from eulergram.variogram import _circle, _circle_mean, _RowSweep, _sweep_domain
 
 from gridgen import admissible_random_bits
+from oracles import midpoint_shift_counts
 
 
 def grid_from(bits, epsilon=1.0):
@@ -135,6 +140,57 @@ def test_slab_volume_of_unit_square():
     assert vol == pytest.approx(0.1, abs=2e-3)
 
 
+@st.composite
+def sweep_cases(draw):
+    h = draw(st.sampled_from([0.02, 0.025, 0.04]))
+    if draw(st.booleans()):
+        # two members stacked vertically: the rows between them are empty
+        cx = draw(st.floats(-0.6, 0.6))
+        members = [{"type": "disc", "center": [cx, cy], "r": draw(st.floats(0.05, 0.25))}
+                   for cy in (-0.7, 0.7)]
+    else:
+        members = []
+        for _ in range(draw(st.integers(1, 3))):
+            center = [draw(st.floats(-0.6, 0.6)), draw(st.floats(-0.6, 0.6))]
+            r = draw(st.floats(0.05, 0.4))
+            if draw(st.booleans()):
+                members.append({"type": "disc", "center": center, "r": r})
+            else:
+                members.append({"type": "annulus", "center": center,
+                                "r_in": r * draw(st.floats(0.3, 0.8)), "r_out": r})
+
+    def coord():
+        k = draw(st.integers(-6, 6))
+        return (k + 1.0 / 3.0) * h if draw(st.booleans()) else k * h
+
+    pool = [(0.0, 0.0)] + [(coord(), coord()) for _ in range(draw(st.integers(1, 4)))]
+    shifts = st.sampled_from(pool)
+    specs = [(draw(st.lists(shifts, min_size=1, max_size=2)),
+              draw(st.lists(shifts, max_size=2)))
+             for _ in range(draw(st.integers(1, 4)))]
+    # a cropped domain cuts through the set, so off-grid cells matter
+    crop = draw(st.sampled_from([0.0, 0.0, 0.25]))
+    return members, h, specs, crop
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_cases())
+@example(([{"type": "disc", "center": [0.0, y], "r": 0.2} for y in (-0.7, 0.7)], 0.02,
+          [([(0.0, 0.0)], [(0.04, 0.0), (0.0, 0.04)]),
+           ([(0.04, 0.0), (0.0, -0.04)], [(0.0, 0.0)]),
+           ([(0.0, 0.0), (0.02 * (3 + 1.0 / 3.0), 0.02 * (1.0 / 3.0 - 2))], []),
+           ([(0.0, 0.0)], [(0.02 * (1.0 / 3.0 - 5), 0.02 * 4)])], 0.0))
+def test_row_sweep_matches_whole_grid_oracle(case):
+    members, h, raw_specs, crop = case
+    shape = make_shape({"type": "union", "members": members})
+    specs = [ShiftSpec(plus_shifts=plus, minus_shifts=minus) for plus, minus in raw_specs]
+    x0, x1, y0, y1 = _sweep_domain(shape, specs)
+    cx, cy = crop * (x1 - x0), crop * (y1 - y0)
+    domain = (x0 + cx, x1 - cx, y0 + cy, y1 - cy)
+    assert _RowSweep(shape, domain, h).run(specs) == midpoint_shift_counts(
+        shape.contains, domain, h, [(sp.plus_shifts, sp.minus_shifts) for sp in specs])
+
+
 # ---------------------------------------------------------------- chi routes
 
 
@@ -165,6 +221,13 @@ def test_chi_bicovariogram_annulus():
 def test_chi_bicovariogram_rejects_bad_epsilon():
     with pytest.raises(InvalidSpec):
         chi_bicovariogram(disc(), epsilon=0.0, quad_mesh=1e-4)
+
+
+@pytest.mark.parametrize("quad_mesh", [10.0, math.nan, math.inf])
+def test_chi_bicovariogram_rejects_unusable_mesh(quad_mesh):
+    # a mesh coarser than the sweep domain leaves no midpoint to count
+    with pytest.raises(InvalidSpec):
+        chi_bicovariogram(disc(), 0.05, quad_mesh=quad_mesh)
 
 
 def test_discrete_route_single_bit_and_ring():
@@ -286,3 +349,17 @@ def test_sandwich_inequality_on_fixtures():
         tol = 1e-6 + 0.02 * max(per, per_inf)
         assert per <= per_inf + tol
         assert per_inf <= math.sqrt(2.0) * per + tol
+
+
+def test_one_sweep_equals_separate_perimeter_calls():
+    ring = make_shape({"type": "annulus", "center": [0.1, -0.2],
+                       "r_in": 0.25, "r_out": 0.6})
+    n = 8
+    est1, est2, *around = directional_perimeters(
+        ring, [(1.0, 0.0), (0.0, 1.0), *_circle(n)], EPS, quad_mesh=2e-3)
+    assert est1 == estimate_perimeter(ring, (1.0, 0.0), EPS, quad_mesh=2e-3)
+    assert est2 == estimate_perimeter(ring, (0.0, 1.0), EPS, quad_mesh=2e-3)
+    assert est1.extrapolated + est2.extrapolated == perimeter_axis_sum(
+        ring, EPS, quad_mesh=2e-3)
+    assert _circle_mean(around) == perimeter_variational(
+        ring, EPS, quad_mesh=2e-3, n_directions=n)
