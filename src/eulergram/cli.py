@@ -66,6 +66,8 @@ def _positive(value) -> float:
 
 
 def _positives(values) -> list[float]:
+    if not values:
+        raise ValueError("must be a nonempty list")
     return [_positive(v) for v in values]
 
 
@@ -75,7 +77,7 @@ def _whole(value) -> int:
     return int(value)
 
 
-def _margin(value) -> int:
+def _nonnegative(value) -> int:
     n = _whole(value)
     if n < 0:
         raise ValueError(f"must be a nonnegative whole number, got {value!r}")
@@ -135,7 +137,7 @@ def _run_chi(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     resolved = {"margin": 2, "dump_grid": False, **cfg}
     epsilon = _read(resolved, "epsilon", _positive)
     grid = _digitize_at(_read(resolved, "shape", make_shape), epsilon,
-                        margin=_read(resolved, "margin", _margin))
+                        margin=_read(resolved, "margin", _nonnegative))
     counts = config_counts(grid)
     comp = label_components(grid)
     chi_comp = comp.num_set_components - comp.num_complement_bounded_components
@@ -162,9 +164,7 @@ def _run_sweep(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     if "window" in resolved:
         ind = _clip_to_window(ind, _read(resolved, "window", _polyrect))
     epsilons = _read(resolved, "epsilons", _positives)
-    if not epsilons:
-        raise ConfigInvalid("epsilons must be a nonempty list")
-    margin = _read(resolved, "margin", _margin)
+    margin = _read(resolved, "margin", _nonnegative)
     rows = []
     for eps in epsilons:
         grid = _digitize_at(ind, eps, margin=margin)
@@ -223,7 +223,7 @@ def _run_bounds(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     h = _read(resolved, "h", _positive)
     epsilons = _read(resolved, "epsilons", _positives)
     window = _read(resolved, "window", _polyrect) if "window" in resolved else None
-    grid = _digitize_at(ind, h, margin=_read(resolved, "margin", _margin))
+    grid = _digitize_at(ind, h, margin=_read(resolved, "margin", _nonnegative))
     header = ("epsilon", "n_interior", "n_boundary", "corners",
               "components_digitized", "components_truth", "bound_rhs", "holds",
               "chi_abs", "chi_bound_rhs", "chi_holds")
@@ -246,7 +246,7 @@ def _run_shotnoise(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     model = _read(resolved, "model", ShotNoiseModel.from_config)
     window = _read(resolved, "window", _polyrect)
     replicates = _read(resolved, "replicates", _whole)
-    seed = _read(resolved, "seed", _whole)
+    seed = _read(resolved, "seed", _nonnegative)
 
     feats = _replicate_features(model, window, replicates, seed)
     rows = [(seed + i, f["chi"], f["per1"] + f["per2"], f["vol"])
@@ -283,7 +283,7 @@ def _run_densities(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     window = _read(resolved, "window", _rect)
     epsilon = _read(resolved, "epsilon", _positive)
     replicates = _read(resolved, "replicates", _whole)
-    seed = _read(resolved, "seed", _whole)
+    seed = _read(resolved, "seed", _nonnegative)
     d = estimate_stationary_densities(model, epsilon, window, replicates, seed)
     try:
         reference = stationary_density_closed_form(model)

@@ -16,6 +16,16 @@ multiple k*h (k >= 4).  Connectivity inside the test squares is taken
 8-connected at mesh h, which can only over-report pairs: continuum paths may
 pass between diagonal pixels, so erring this way keeps every verified upper
 bound sound.
+
+Both detectors screen all candidates as arrays.  Interior candidates (each
+coarse point with its east and north neighbour) pass four boolean masks:
+both ends off the set, test square inside the grid, square nonempty by
+prefix sums, both ends near the window.  The surviving squares of each of
+the two shapes are stacked into one (n, rows, cols) array and labelled by a
+single 3-D ``ndimage.label`` whose structure is 8-connected within a square
+and empty across squares.  Boundary candidates are consecutive members of
+each coarse row and column, with a cumulative count of blocking points
+between them, tested against every maximal window edge in one broadcast.
 """
 
 from __future__ import annotations
@@ -24,12 +34,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .errors import MeshMismatch
 from .lattice import BitGrid, Lattice, _whole_multiple
 from .shapes import PolyRectangle, corner_points
-from .topology import label_components
+from .topology import _windows, label_components
 
 __all__ = [
     "PairSet",
@@ -40,6 +51,8 @@ __all__ = [
 ]
 
 _EIGHT = np.ones((3, 3), dtype=bool)
+# a stack of boxes: 8-connected within one box, never linking two boxes
+_BOX_STACK = np.pad(_EIGHT[None], ((1, 1), (0, 0), (0, 0)))
 
 
 @dataclass(frozen=True)
@@ -80,38 +93,9 @@ def _subdivision(truth: BitGrid, coarse_epsilon: float) -> int:
     return k
 
 
-def _dist_to_polyrect(px: float, py: float, w: PolyRectangle) -> float:
-    best = math.inf
-    for x0, x1, y0, y1 in w.rects:
-        dx = max(x0 - px, 0.0, px - x1)
-        dy = max(y0 - py, 0.0, py - y1)
-        best = min(best, math.hypot(dx, dy))
-    return best
-
-
-def _prefix_counts(bits: np.ndarray) -> np.ndarray:
-    c = np.zeros((bits.shape[0] + 1, bits.shape[1] + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(bits, axis=0), axis=1, out=c[1:, 1:])
-    return c
-
-
-def _box_count(pref: np.ndarray, j0: int, j1: int, i0: int, i1: int) -> int:
-    # inclusive box [j0, j1] x [i0, i1]
-    return int(pref[j1 + 1, i1 + 1] - pref[j0, i1 + 1] - pref[j1 + 1, i0] + pref[j0, i0])
-
-
-def _connected_with_bridge(box: np.ndarray, gaps: tuple[tuple[int, int], tuple[int, int]]) -> bool:
-    # force the box border on except at the two pair points, then ask
-    # whether everything that is on forms a single 8-connected component
-    m = box.copy()
-    m[0, :] = True
-    m[-1, :] = True
-    m[:, 0] = True
-    m[:, -1] = True
-    for j, i in gaps:
-        m[j, i] = False
-    _, n = ndimage.label(m, structure=_EIGHT)
-    return n == 1
+def _pair_tuples(ends: np.ndarray) -> tuple:
+    """(n, 2, 2) endpoint coordinates as pairs of Python-float points."""
+    return tuple(zip(map(tuple, ends[:, 0].tolist()), map(tuple, ends[:, 1].tolist())))
 
 
 def detect_interior_pairs(truth: BitGrid, coarse_epsilon: float,
@@ -124,97 +108,76 @@ def detect_interior_pairs(truth: BitGrid, coarse_epsilon: float,
     on except at x and y, and report the pair iff the result is a single
     8-connected component at the fine mesh.  Pairs whose test square leaves
     the truth grid are skipped (the set is assumed to keep that margin).
+    Pairs come in raster order of x, the east neighbour before the north one.
     """
     k = _subdivision(truth, coarse_epsilon)
     bits = truth.bits
     ny, nx = bits.shape
     lat = truth.lattice
-    pref = _prefix_counts(bits)
-    half_lo = k // 2  # box rows r-half_lo..r+half_lo; exact square for even k
+    half = k // 2  # box rows r-half..r+half; exact square for even k
 
-    pairs = []
+    n_cj, n_ci = (ny - 1) // k + 1, (nx - 1) // k + 1
+    cj, ci, north = np.indices((n_cj, n_ci, 2), dtype=np.int32).reshape(3, -1)
+    j0, i0, north = np.stack([cj * k, ci * k, north])[
+        :, np.where(north, cj + 1 < n_cj, ci + 1 < n_ci)]
+    east = 1 - north
+    j1, i1 = j0 + k * north, i0 + k * east
+    ja, ia = j0 - half * east, i0 - half * north  # inclusive box corners
+    jb, ib = j1 + half * east, i1 + half * north
 
-    def try_pair(i0: int, j0: int, i1: int, j1: int) -> None:
-        # fine-index endpoints of a coarse-neighbour pair, horizontal or vertical
-        if bits[j0, i0] or bits[j1, i1]:
-            return
-        if i0 != i1:  # horizontal: box spans cols i0..i1, rows j0 +- k/2
-            ja, jb = j0 - half_lo, j0 + half_lo
-            ia, ib = i0, i1
-            gaps = ((j0 - ja, 0), (j0 - ja, ib - ia))
-        else:
-            ja, jb = j0, j1
-            ia, ib = i0 - half_lo, i0 + half_lo
-            gaps = ((0, i0 - ia), (jb - ja, i0 - ia))
-        if ja < 0 or ia < 0 or jb >= ny or ib >= nx:
-            return
-        if _box_count(pref, ja, jb, ia, ib) == 0:
-            return  # border ring minus two gaps is two arcs, never one component
-        if window is not None:
-            for ii, jj in ((i0, j0), (i1, j1)):
-                px, py = lat.point(ii, jj)
-                if _dist_to_polyrect(px, py, window) > coarse_epsilon * (1 + 1e-12):
-                    return
-        if _connected_with_bridge(bits[ja:jb + 1, ia:ib + 1], gaps):
-            pairs.append((lat.point(i0, j0), lat.point(i1, j1)))
+    # screens, cheapest first, each narrowing the candidate indices c
+    c = np.flatnonzero(~bits[j0, i0] & ~bits[j1, i1]
+                       & (ja >= 0) & (ia >= 0) & (jb < ny) & (ib < nx))
+    # an empty box leaves two border arcs, never one component; int32 prefix
+    # sums hold the set count of any grid under 2**31 cells
+    pref = np.zeros((ny + 1, nx + 1), dtype=np.int32)
+    np.cumsum(np.cumsum(bits, axis=0, dtype=np.int32), axis=1, out=pref[1:, 1:])
+    a, b, A, B = ja[c], ia[c], jb[c] + 1, ib[c] + 1
+    c = c[pref[A, B] - pref[a, B] - pref[A, b] + pref[a, b] > 0]
+    ends = np.stack([lat.origin[0] + lat.epsilon * np.stack([i0[c], i1[c]], 1),
+                     lat.origin[1] + lat.epsilon * np.stack([j0[c], j1[c]], 1)], 2)
+    if window is not None:
+        x0, x1, y0, y1 = np.array(window.rects).T
+        px, py = ends[..., :1], ends[..., 1:]
+        dx = np.maximum(np.maximum(x0 - px, 0.0), px - x1)
+        dy = np.maximum(np.maximum(y0 - py, 0.0), py - y1)
+        near = (np.hypot(dx, dy).min(axis=2) <= coarse_epsilon * (1 + 1e-12)).all(axis=1)
+        c, ends = c[near], ends[near]
 
-    n_ci = (nx - 1) // k + 1
-    n_cj = (ny - 1) // k + 1
-    for cj in range(n_cj):
-        for ci in range(n_ci):
-            i, j = ci * k, cj * k
-            if ci + 1 < n_ci:
-                try_pair(i, j, i + k, j)
-            if cj + 1 < n_cj:
-                try_pair(i, j, i, j + k)
+    keep = np.zeros(len(c), dtype=bool)
+    rim = [0, -1]
+    for vert, shape, gaps in ((0, (2 * half + 1, k + 1), (half, rim)),
+                              (1, (k + 1, 2 * half + 1), (rim, half))):
+        sel = np.flatnonzero(north[c] == vert)
+        if not sel.size:
+            continue
+        boxes = sliding_window_view(bits, shape)[ja[c[sel]], ia[c[sel]]]
+        boxes[:, rim, :] = True
+        boxes[:, :, rim] = True
+        boxes[:, gaps[0], gaps[1]] = False
+        lab, _ = ndimage.label(boxes, structure=_BOX_STACK)
+        # one component iff every label in a box is its corner's (always on)
+        keep[sel] = ((lab == 0) | (lab == lab[:, :1, :1])).all(axis=(1, 2))
 
-    return PairSet(pairs=tuple(pairs), kind="interior")
-
-
-def _maximal_edges(w: PolyRectangle):
-    """Boundary edges merged into maximal axis-aligned segments."""
-    from .shapes import _boundary_segments
-
-    def merge(items):
-        # items: (fixed coordinate, lo, hi); merge touching intervals per line
-        out = []
-        by_line: dict[float, list[tuple[float, float]]] = {}
-        for c, lo, hi in items:
-            by_line.setdefault(c, []).append((lo, hi))
-        for c, ivs in by_line.items():
-            ivs.sort()
-            cur_lo, cur_hi = ivs[0]
-            for lo, hi in ivs[1:]:
-                if lo <= cur_hi:
-                    cur_hi = max(cur_hi, hi)
-                else:
-                    out.append((c, cur_lo, cur_hi))
-                    cur_lo, cur_hi = lo, hi
-            out.append((c, cur_lo, cur_hi))
-        return out
-
-    vert, horiz = [], []
-    for p0, p1, n in _boundary_segments(w):
-        if n[0] != 0.0:
-            vert.append((p0[0], p0[1], p1[1]))
-        else:
-            horiz.append((p0[1], p0[0], p1[0]))
-    edges = []
-    for x, lo, hi in merge(vert):
-        edges.append(("v", x, lo, hi))
-    for y, lo, hi in merge(horiz):
-        edges.append(("h", y, lo, hi))
-    return edges
+    return PairSet(pairs=_pair_tuples(ends[keep]), kind="interior")
 
 
-def _dist_to_edge(px: float, py: float, edge) -> float:
-    axis, c, lo, hi = edge
-    if axis == "v":
-        along, perp = py, px - c
-    else:
-        along, perp = px, py - c
-    d_along = max(lo - along, 0.0, along - hi)
-    return math.hypot(perp, d_along)
+def _maximal_edges(w: PolyRectangle) -> np.ndarray:
+    """Boundary edges merged into maximal axis-aligned segments.
+
+    Rows are (vertical, fixed coordinate, lo, hi): a run of boundary edges
+    of the window's arrangement along one grid line is one segment.
+    """
+    xs, ys, occ = w._arrangement
+    sw, se, nw, _ = _windows(occ)
+    rows = []
+    for vertical, edge, fixed, run in ((1.0, (se[1:] ^ sw[1:]).T, xs, ys),
+                                       (0.0, nw[:, 1:] ^ sw[:, 1:], ys, xs)):
+        step = np.diff(np.pad(edge, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+        line, lo = np.nonzero(step == 1)
+        _, hi = np.nonzero(step == -1)
+        rows.append(np.stack([np.full(len(line), vertical), fixed[line], run[lo], run[hi]], 1))
+    return np.concatenate(rows)
 
 
 def detect_boundary_pairs(truth: BitGrid, coarse_epsilon: float,
@@ -226,58 +189,44 @@ def detect_boundary_pairs(truth: BitGrid, coarse_epsilon: float,
     edge, separated by at least one coarse point, with every strictly
     intermediate coarse point off the set yet within the coarse mesh of it
     (Euclidean distance on the fine grid, padded by half a fine diagonal
-    so the fine-grid surrogate can only over-report).
+    so the fine-grid surrogate can only over-report).  Pairs come sorted.
     """
     k = _subdivision(truth, coarse_epsilon)
     bits = truth.bits
-    ny, nx = bits.shape
     lat = truth.lattice
     h = lat.epsilon
 
-    # distance from every fine cell to the set, in length units
-    dist = ndimage.distance_transform_edt(~bits) * h
+    # distance from every coarse point to the set, in length units
+    dist = ndimage.distance_transform_edt(~bits)[::k, ::k] * h
     near = dist <= coarse_epsilon + h / math.sqrt(2.0)
+    xy = np.stack(np.meshgrid(lat.origin[0] + h * np.arange(0, lat.nx, k),
+                              lat.origin[1] + h * np.arange(0, lat.ny, k)), 2)
+    in_f = bits[::k, ::k]
+    member = in_f & window.contains(xy[..., 0], xy[..., 1])
+    # an intermediate coarse point on the set or beyond its coarse mesh
+    breaks = in_f | ~near
 
-    edges = _maximal_edges(window)
-    eps_tol = coarse_epsilon * (1 + 1e-12)
+    # consecutive members of one row, then of one column, at least two apart
+    # with no break strictly between them
+    cand = []
+    for mem, brk, pts in ((member, breaks, xy), (member.T, breaks.T, xy.transpose(1, 0, 2))):
+        line, pos = np.nonzero(mem)
+        same, a, b = line[1:], pos[:-1], pos[1:]
+        cum = np.cumsum(brk, axis=1)
+        ok = (line[:-1] == same) & (b - a >= 2) & (cum[same, b - 1] == cum[same, a])
+        cand.append(np.stack([pts[same, a], pts[same, b]], 1)[ok])
+    ends = np.concatenate(cand)
 
-    cii = np.arange(0, nx, k)
-    cjj = np.arange(0, ny, k)
-    cx = lat.origin[0] + h * cii
-    cy = lat.origin[1] + h * cjj
-    in_f = bits[np.ix_(cjj, cii)]
-    in_w = window.contains(cx[None, :], cy[:, None])
-    member = in_f & in_w
+    # both ends within the coarse mesh of one maximal edge, all (pair, edge) at once
+    vertical, fixed, lo, hi = _maximal_edges(window).T
+    x, y = ends[..., :1], ends[..., 1:]
+    along = np.where(vertical, y, x)
+    perp = np.where(vertical, x, y) - fixed
+    d = np.hypot(perp, np.maximum(np.maximum(lo - along, 0.0), along - hi))
+    ends = ends[(d <= coarse_epsilon * (1 + 1e-12)).all(axis=1).any(axis=1)]
 
-    pairs = set()
-
-    def scan_line(coords_fixed, coords_run, run_member, run_near_ok, horizontal: bool):
-        # consecutive member points along one row/column
-        idx = np.flatnonzero(run_member)
-        for a, b in zip(idx[:-1], idx[1:]):
-            if b - a < 2:
-                continue
-            if not run_near_ok[a + 1:b].all():
-                continue
-            if horizontal:
-                p = (float(coords_run[a]), coords_fixed)
-                q = (float(coords_run[b]), coords_fixed)
-            else:
-                p = (coords_fixed, float(coords_run[a]))
-                q = (coords_fixed, float(coords_run[b]))
-            for e in edges:
-                if _dist_to_edge(*p, e) <= eps_tol and _dist_to_edge(*q, e) <= eps_tol:
-                    pairs.add((p, q))
-                    break
-
-    near_coarse = near[np.ix_(cjj, cii)]
-    off_f = ~in_f
-    for row in range(len(cjj)):
-        scan_line(float(cy[row]), cx, member[row], off_f[row] & near_coarse[row], True)
-    for col in range(len(cii)):
-        scan_line(float(cx[col]), cy, member[:, col], off_f[:, col] & near_coarse[:, col], False)
-
-    return PairSet(pairs=tuple(sorted(pairs)), kind="boundary")
+    order = np.lexsort(ends.reshape(-1, 4).T[::-1])
+    return PairSet(pairs=_pair_tuples(ends[order]), kind="boundary")
 
 
 def _coarse_grid(truth: BitGrid, k: int, mask: np.ndarray | None = None) -> BitGrid:

@@ -80,9 +80,6 @@ class IndicatorSet:
     normal: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     signed_distance: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
-    def contains_point(self, x: float, y: float) -> bool:
-        return bool(np.asarray(self.contains(np.asarray(x), np.asarray(y))))
-
 
 @dataclass(frozen=True, eq=False)
 class BitGrid:

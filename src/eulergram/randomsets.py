@@ -193,7 +193,8 @@ class RectFamily:
     Each law is ('uniform', low, high) or ('exponential', scale, truncate_q);
     an exponential law has no almost-sure bound, so sampling demands a
     truncation quantile to derive the germ-domain padding (recorded on the
-    realization), while the moment formulas stay exact.
+    realization).  Sampling clamps the edge at that quantile, and the
+    moments are those of the clamped law.
     """
 
     a_law: tuple
@@ -207,7 +208,8 @@ class RectFamily:
     def _mean(law) -> float:
         if law[0] == "uniform":
             return 0.5 * (law[1] + law[2])
-        return law[1]
+        # E min(X, b) = scale * q when b is the q-quantile of X ~ Exp(scale)
+        return law[1] if law[2] is None else law[1] * law[2]
 
     @staticmethod
     def _bound(law) -> float | None:

@@ -206,6 +206,144 @@ def midpoint_shift_counts(contains, domain, h, specs) -> list:
     return counts
 
 
+def _in_rects(rects, x, y) -> bool:
+    return any(x0 <= x <= x1 and y0 <= y <= y1 for x0, x1, y0, y1 in rects)
+
+
+def _dist_to_rects(rects, x, y) -> float:
+    return min(math.hypot(max(x0 - x, 0.0, x - x1), max(y0 - y, 0.0, y - y1))
+               for x0, x1, y0, y1 in rects)
+
+
+def interior_pairs_by_loop(bits, h, origin, coarse_epsilon, rects=None) -> tuple:
+    """Interior entanglement pairs, one test square and one BFS per neighbour pair.
+
+    Coarse points sit every k = coarse_epsilon / h fine cells from cell (0, 0)
+    at ``origin``.  Walking them in raster order, each point is paired with
+    its east and then its north neighbour.  A pair counts when both ends are
+    off the set, its test square (the ends as midpoints of two opposite
+    sides, k // 2 cells to either side) lies inside the grid and holds a set
+    cell, both ends lie within coarse_epsilon of ``rects`` when given, and
+    the square with its border forced on except at the two ends is a single
+    8-connected component.
+    """
+    bits = np.asarray(bits, dtype=bool)
+    ny, nx = bits.shape
+    k = round(coarse_epsilon / h)
+    half = k // 2
+
+    def point(i, j):
+        return (origin[0] + h * i, origin[1] + h * j)
+
+    pairs = []
+    for cj in range(0, ny, k):
+        for ci in range(0, nx, k):
+            for i1, j1 in ((ci + k, cj), (ci, cj + k)):
+                if i1 >= nx or j1 >= ny or bits[cj, ci] or bits[j1, i1]:
+                    continue
+                if j1 == cj:
+                    ja, jb, ia, ib = cj - half, cj + half, ci, i1
+                else:
+                    ja, jb, ia, ib = cj, j1, ci - half, ci + half
+                if ja < 0 or ia < 0 or jb >= ny or ib >= nx:
+                    continue
+                box = bits[ja:jb + 1, ia:ib + 1].copy()
+                if not box.any():
+                    continue
+                if rects is not None and any(
+                        _dist_to_rects(rects, *point(i, j)) > coarse_epsilon * (1 + 1e-12)
+                        for i, j in ((ci, cj), (i1, j1))):
+                    continue
+                box[0, :] = box[-1, :] = box[:, 0] = box[:, -1] = True
+                box[cj - ja, ci - ia] = box[j1 - ja, i1 - ia] = False
+                if bfs_component_count(box, 8) == 1:
+                    pairs.append((point(ci, cj), point(i1, j1)))
+    return tuple(pairs)
+
+
+def maximal_window_edges(rects) -> list:
+    """Boundary of a rectangle union as maximal segments (vertical, fixed, lo, hi).
+
+    A cell of the coordinate arrangement is occupied when its midpoint lies
+    in a rectangle; a cell side is boundary when exactly one of its two cells
+    is occupied (off-grid cells are empty).  Touching sides on one line merge.
+    """
+    xs = sorted({r[0] for r in rects} | {r[1] for r in rects})
+    ys = sorted({r[2] for r in rects} | {r[3] for r in rects})
+
+    def occ(i, j):
+        return (0 <= i < len(xs) - 1 and 0 <= j < len(ys) - 1
+                and _in_rects(rects, 0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])))
+
+    lines: dict = {}
+    for i in range(len(xs)):
+        for j in range(len(ys) - 1):
+            if occ(i - 1, j) != occ(i, j):
+                lines.setdefault((True, xs[i]), []).append((ys[j], ys[j + 1]))
+    for j in range(len(ys)):
+        for i in range(len(xs) - 1):
+            if occ(i, j - 1) != occ(i, j):
+                lines.setdefault((False, ys[j]), []).append((xs[i], xs[i + 1]))
+    edges = []
+    for (vertical, c), spans in lines.items():
+        spans.sort()
+        lo, hi = spans[0]
+        for a, b in spans[1:]:
+            if a <= hi:
+                hi = max(hi, b)
+            else:
+                edges.append((vertical, c, lo, hi))
+                lo, hi = a, b
+        edges.append((vertical, c, lo, hi))
+    return edges
+
+
+def boundary_pairs_by_loop(bits, h, origin, coarse_epsilon, rects) -> tuple:
+    """Boundary entanglement pairs by walking every coarse row and column.
+
+    Members are coarse points on the set and in ``rects``.  Two members that
+    follow each other along a row or column count when at least one coarse
+    point lies between them, every such point is off the set with a set cell
+    within coarse_epsilon + h / sqrt(2) (brute force over cell offsets), and
+    both members lie within coarse_epsilon of one maximal window edge.  The
+    pairs are returned sorted.
+    """
+    bits = np.asarray(bits, dtype=bool)
+    ny, nx = bits.shape
+    k = round(coarse_epsilon / h)
+    reach = coarse_epsilon + h / math.sqrt(2.0)
+    r = int(reach / h) + 1
+    tol = coarse_epsilon * (1 + 1e-12)
+    edges = maximal_window_edges(rects)
+
+    def near_set(i, j):
+        return any(0 <= j + dj < ny and 0 <= i + di < nx and bits[j + dj, i + di]
+                   and math.sqrt(dj * dj + di * di) * h <= reach
+                   for dj in range(-r, r + 1) for di in range(-r, r + 1))
+
+    def hugs(edge, x, y):
+        vertical, c, lo, hi = edge
+        along, perp = (y, x - c) if vertical else (x, y - c)
+        return math.hypot(perp, max(lo - along, 0.0, along - hi)) <= tol
+
+    rows = [[(i, j) for i in range(0, nx, k)] for j in range(0, ny, k)]
+    cols = [[(i, j) for j in range(0, ny, k)] for i in range(0, nx, k)]
+    pairs = []
+    for line in rows + cols:
+        last, between, clear = None, 0, True
+        for i, j in line:
+            p = (origin[0] + h * i, origin[1] + h * j)
+            if bits[j, i] and _in_rects(rects, *p):
+                if last is not None and between and clear and any(
+                        hugs(e, *last) and hugs(e, *p) for e in edges):
+                    pairs.append((last, p))
+                last, between, clear = p, 0, True
+            else:
+                between += 1
+                clear = clear and not bits[j, i] and near_set(i, j)
+    return tuple(sorted(pairs))
+
+
 def rect_union_area(rects) -> float:
     """Area of a union of axis rectangles by y-slab sweep with merged intervals."""
     ys = sorted({r[2] for r in rects} | {r[3] for r in rects})

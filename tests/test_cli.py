@@ -287,6 +287,9 @@ SWEEP_CFG = {"shape": HALF_DISC, "epsilons": [0.2, 0.1, 0.05], "quad_mesh": 1e-2
     ("densities", {**DENS_CFG, "replicates": True}),
     ("densities", {**DENS_CFG, "replicates": math.inf}),
     ("shotnoise", {**SHOT_CFG, "seed": 3.7}),
+    ("shotnoise", {**SHOT_CFG, "seed": -1}),
+    ("densities", {**DENS_CFG, "seed": -1}),
+    ("bounds", {"truth": DISC, "h": 0.05, "epsilons": []}),
 ], ids=["densities-window-scalar", "shotnoise-rect-3-numbers", "shotnoise-rects-scalar",
         "shotnoise-replicates-text", "chi-epsilon-text", "chi-epsilon-zero",
         "chi-epsilon-negative", "chi-epsilon-infinite", "sweep-epsilons-scalar",
@@ -295,7 +298,8 @@ SWEEP_CFG = {"shape": HALF_DISC, "epsilons": [0.2, 0.1, 0.05], "quad_mesh": 1e-2
         "chi-margin-negative", "sweep-margin-negative", "bounds-margin-negative",
         "chi-margin-fraction", "perimeter-directions-fraction", "perimeter-directions-bool",
         "shotnoise-replicates-fraction", "densities-replicates-bool",
-        "densities-replicates-infinite", "shotnoise-seed-fraction"])
+        "densities-replicates-infinite", "shotnoise-seed-fraction",
+        "shotnoise-seed-negative", "densities-seed-negative", "bounds-epsilons-empty"])
 def test_malformed_config_value_exits_one(tmp_path, capsys, subcommand, cfg):
     code, _, report = run_cli(tmp_path, "badvalue", subcommand, cfg)
     assert code == 1

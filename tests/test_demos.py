@@ -1,0 +1,24 @@
+"""Every quick demo runs to completion against the current package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+# directional_perimeters.py runs dense 24-direction sweeps for about 18 s
+SLOW = {"directional_perimeters.py"}
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py") if p.name not in SLOW)
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    # run from a scratch directory: digitizing_shapes.py writes its files there
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

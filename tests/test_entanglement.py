@@ -13,6 +13,7 @@ from eulergram import (
     make_shape,
     verify_bounds,
 )
+from oracles import boundary_pairs_by_loop, interior_pairs_by_loop
 
 
 def fine_grid(bits, h=1.0):
@@ -189,3 +190,58 @@ def test_windowed_bounds_on_random_unions():
         rep = verify_bounds(fine_grid(bits), coarse_epsilon=8.0, window=w)
         assert rep.corners == 4
         assert rep.holds and rep.chi_holds
+
+
+# ------------------------------------------------------------------ oracles
+
+
+ORIGIN, H, N = (-1.25, 0.75), 0.5, 97
+WINDOWS = {
+    "none": None,
+    "square": ((3.3, 40.1, 2.9, 41.7),),
+    "L": ((3.3, 25.2, 2.9, 44.1), (25.2, 44.6, 2.4, 20.3)),
+}
+
+
+def threaded_bits(seed):
+    # discs, speckle and one-cell bars (vertical bars flip cells, cutting
+    # channels through discs): thin features for the set and for its
+    # complement to thread between coarse points
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:N, 0:N]
+    bits = rng.random((N, N)) < 0.04
+    for _ in range(6):
+        cx, cy, r = rng.uniform(10, 87, size=3) / [1, 1, 5]
+        bits |= (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+    for _ in range(8):
+        j, i0 = rng.integers(0, N, size=2)
+        length = rng.integers(5, 40)
+        if rng.random() < 0.5:
+            bits[j, i0:i0 + length] = True
+        else:
+            bits[i0:i0 + length, j] = ~bits[i0:i0 + length, j]
+    return bits
+
+
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+@pytest.mark.parametrize("k", [4, 5, 8, 16])
+def test_pair_detectors_match_loop_oracles(k, window):
+    lat = Lattice(epsilon=H, origin=ORIGIN, nx=N, ny=N)
+    rects = WINDOWS[window]
+    # boundary pairs need a window; without one, verify_bounds uses the frame
+    frame = rects or ((lat.point(0, 0)[0], lat.point(N - 1, 0)[0],
+                       lat.point(0, 0)[1], lat.point(0, N - 1)[1]),)
+    eps = k * H
+    found = [0, 0]
+    for seed in range(3):
+        bits = threaded_bits(seed)
+        for b in (bits, ~bits):
+            g = BitGrid(lattice=lat, bits=b)
+            w = None if rects is None else PolyRectangle(rects=rects)
+            got = detect_interior_pairs(g, eps, w).pairs
+            assert got == interior_pairs_by_loop(b, H, ORIGIN, eps, rects)
+            got_b = detect_boundary_pairs(g, eps, PolyRectangle(rects=frame)).pairs
+            assert got_b == boundary_pairs_by_loop(b, H, ORIGIN, eps, frame)
+            found[0] += len(got)
+            found[1] += len(got_b)
+    assert found[0] > 0 and found[1] > 0  # the comparison is not vacuous

@@ -288,6 +288,17 @@ def test_rect_family_moments_and_truncation():
     assert real.truncation is not None
     assert all(r[1] <= bound + 1e-12 for _, g, _ in real.germs for r in g.rects)
 
+    # the moments describe the clamped law that is sampled: E min(X, b) =
+    # scale * q, half the untruncated mean at q = 0.5
+    clamped = RectFamily(a_law=("exponential", 1.0, 0.5),
+                         b_law=("exponential", 2.0, 0.9))
+    rects = np.array([g.rects[0] for g in clamped.sample(np.random.default_rng(11), 4000)])
+    a, b = rects[:, 1], rects[:, 3]
+    for key, draws in (("per1", 2.0 * b), ("per2", 2.0 * a), ("vol", a * b)):
+        stderr = draws.std(ddof=1) / math.sqrt(len(draws))
+        assert abs(clamped.moments()[key] - draws.mean()) <= 4.0 * stderr, key
+    assert clamped.min_edge() == pytest.approx(0.5)
+
 
 # ------------------------------------------------------------- realizations
 
