@@ -17,7 +17,7 @@ window = PolyRectangle(rects=((0.0, 6.0, 0.0, 6.0),))
 real = sample_realization(model, window.bounding_box, seed=1)
 feats = level_set_features_exact(real, model.level, window)
 print("one realization on [0,6]^2: %d germs (expected %.0f)"
-      % (len(real.germs), real.expected_count))
+      % (real.count, real.expected_count))
 print("  chi %d, perimeters (%.2f, %.2f), area %.2f"
       % (feats["chi"], feats["per1"], feats["per2"], feats["vol"]))
 

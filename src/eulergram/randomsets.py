@@ -7,6 +7,7 @@ the boolean model.  Everything here is exact per realization: F restricted
 to a polyrectangular window is itself a polyrectangle living on the cell
 arrangement spanned by the germ rectangle edges, so chi, perimeters and
 areas come from integer/float cell bookkeeping rather than digitization.
+A realization holds its germs as arrays: translated grain rectangles and marks.
 
 The closed-form mean of chi(F intersect V) is evaluated from the grain
 moments and the law of f(0), which for atomic marks is a compound Poisson
@@ -39,7 +40,7 @@ from .errors import (
     UnboundedGrain,
     UnsupportedMarkLaw,
 )
-from .shapes import PolyRectangle, _stamped_field, polyrect_features
+from .shapes import PolyRectangle, polyrect_features
 from .topology import _cell_features
 
 __all__ = [
@@ -163,11 +164,16 @@ class GrainMixture:
         return min(min(x1 - x0, y1 - y0)
                    for w in self.components for x0, x1, y0, y1 in w.rects)
 
-    def sample(self, rng: np.random.Generator, n: int) -> list[PolyRectangle]:
-        if len(self.components) == 1:
-            return [self.components[0]] * n
-        idx = rng.choice(len(self.components), size=n, p=np.array(self.probs))
-        return [self.components[i] for i in idx]
+    def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rectangles of n drawn grains, (m, 4) in germ then grain order, with each row's germ."""
+        idx = (rng.choice(len(self.components), size=n, p=np.array(self.probs))
+               if len(self.components) > 1 else np.zeros(n, dtype=int))
+        table = np.array([r for w in self.components for r in w.rects])
+        sizes = np.array([len(w.rects) for w in self.components])
+        owner = np.repeat(np.arange(n), sizes[idx])
+        # per germ, its component's first table row minus its own first output row
+        shift = np.cumsum(sizes)[idx] - np.cumsum(sizes[idx])
+        return table[shift[owner] + np.arange(owner.size)], owner
 
 
 def _scalar_law(cfg: dict):
@@ -182,6 +188,8 @@ def _scalar_law(cfg: dict):
         if scale <= 0:
             raise InvalidSpec("exponential edge law needs positive scale")
         q = cfg.get("truncate_q")
+        if q is not None and not 0 < float(q) < 1:
+            raise InvalidSpec("exponential edge law needs 0 < truncate_q < 1")
         return ("exponential", scale, None if q is None else float(q))
     raise InvalidSpec(f"unknown edge law {dist!r}")
 
@@ -236,18 +244,17 @@ class RectFamily:
                 notes.append(f"{name} truncated at quantile {law[2]}")
         return "; ".join(notes) or None
 
-    def sample(self, rng: np.random.Generator, n: int) -> list[PolyRectangle]:
+    def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rectangles [0, A] x [0, B] of n drawn grains, (n, 4), with each row's germ."""
         def draw(law):
             if law[0] == "uniform":
                 return rng.uniform(law[1], law[2], size=n)
             vals = rng.exponential(law[1], size=n)
             bound = self._bound(law)
-            if bound is not None:
-                vals = np.minimum(vals, bound)
-            return np.maximum(vals, 1e-300)
+            return np.maximum(vals if bound is None else np.minimum(vals, bound), 1e-300)
 
         aa, bb = draw(self.a_law), draw(self.b_law)
-        return [PolyRectangle(rects=((0.0, a, 0.0, b),)) for a, b in zip(aa, bb)]
+        return np.stack([np.zeros(n), aa, np.zeros(n), bb], 1), np.arange(n)
 
 
 # ------------------------------------------------------------------- model
@@ -262,6 +269,8 @@ class ShotNoiseModel:
     def __post_init__(self):
         if self.intensity < 0 or not math.isfinite(self.intensity):
             raise InvalidSpec("intensity must be a finite nonnegative real")
+        if not math.isfinite(self.level):
+            raise InvalidSpec(f"level must be finite, got {self.level}")
         # integrability: E[mark] * E[grain volume] finite by construction
         vol = self.grain_dist.moments()["vol"]
         if not math.isfinite(vol * self.mark_dist.mean):
@@ -303,19 +312,19 @@ class ShotNoiseModel:
                    mark_dist=mark_dist, level=float(cfg["lambda"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Realization:
-    """Germs drawn on a padded domain, with the draw's bookkeeping."""
+    """Germs drawn on a padded domain: ``rects`` (m, 4), the translated grain rectangles
+    in germ then grain order, ``marks`` (m,), their germs' marks, and the draw's bookkeeping.
+    """
 
-    germs: tuple[tuple[tuple[float, float], PolyRectangle, float], ...]
+    rects: np.ndarray
+    marks: np.ndarray
+    count: int
     domain: tuple[float, float, float, float]
     padded_domain: tuple[float, float, float, float]
     expected_count: float
     truncation: str | None = None
-
-    @property
-    def count(self) -> int:
-        return len(self.germs)
 
 
 def sample_realization(model: ShotNoiseModel, domain, seed: int) -> Realization:
@@ -339,15 +348,13 @@ def sample_realization(model: ShotNoiseModel, domain, seed: int) -> Realization:
     n = int(rng.poisson(mean)) if mean > 0 else 0
     xs = rng.uniform(px0, px1, size=n)
     ys = rng.uniform(py0, py1, size=n)
-    grains = model.grain_dist.sample(rng, n)
+    grains, owner = model.grain_dist.sample(rng, n)
     marks = model.mark_dist.sample(rng, n)
 
-    trunc = None
-    if isinstance(model.grain_dist, RectFamily):
-        trunc = model.grain_dist.truncation_note()
-    germs = tuple(((float(xs[i]), float(ys[i])), grains[i], float(marks[i]))
-                  for i in range(n))
-    return Realization(germs=germs, domain=(x0, x1, y0, y1),
+    trunc = (model.grain_dist.truncation_note()
+             if isinstance(model.grain_dist, RectFamily) else None)
+    return Realization(rects=grains + np.stack([xs, xs, ys, ys], 1)[owner],
+                       marks=marks[owner], count=n, domain=(x0, x1, y0, y1),
                        padded_domain=(px0, px1, py0, py1),
                        expected_count=mean, truncation=trunc)
 
@@ -373,12 +380,28 @@ def _axes(rects: np.ndarray, box) -> tuple[np.ndarray, np.ndarray]:
             _arrangement_axis(np.append(rects[:, 2:], (y0, y1)), y0, y1))
 
 
-def _germ_rects(real: Realization) -> tuple[np.ndarray, np.ndarray]:
-    """Every germ's translated grain rectangles as an (n, 4) array, with their marks."""
-    rects = [(x0 + gx, x1 + gx, y0 + gy, y1 + gy)
-             for (gx, gy), grain, _ in real.germs for x0, x1, y0, y1 in grain.rects]
-    marks = [m for _, grain, m in real.germs for _ in grain.rects]
-    return np.array(rects, dtype=float).reshape(-1, 4), np.array(marks, dtype=float)
+def _stamped_field(xs, ys, rects, weights):
+    """Sum of ``weights`` (n,) over the cells each of ``rects`` (n, 4: x0, x1, y0, y1) covers.
+
+    Rectangles are clipped to the axes; each adds +w, -w, -w, +w at its four
+    corners of a difference array, in rectangle order, and two cumulative
+    sums turn the corners into the cell field.
+    """
+    x0 = np.maximum(rects[:, 0], xs[0])
+    x1 = np.minimum(rects[:, 1], xs[-1])
+    y0 = np.maximum(rects[:, 2], ys[0])
+    y1 = np.minimum(rects[:, 3], ys[-1])
+    keep = (x1 > x0) & (y1 > y0)
+    i0, i1 = np.searchsorted(xs, x0[keep]), np.searchsorted(xs, x1[keep])
+    j0, j1 = np.searchsorted(ys, y0[keep]), np.searchsorted(ys, y1[keep])
+    w = weights[keep]
+    diff = np.zeros((len(ys), len(xs)))
+    np.add.at(diff, (np.stack([j0, j0, j1, j1], 1).ravel(),
+                     np.stack([i0, i1, i0, i1], 1).ravel()),
+              np.stack([w, -w, -w, w], 1).ravel())
+    np.cumsum(diff, axis=0, out=diff)
+    np.cumsum(diff, axis=1, out=diff)
+    return diff[:-1, :-1]
 
 
 def level_set_features_exact(real: Realization, level: float,
@@ -390,13 +413,9 @@ def level_set_features_exact(real: Realization, level: float,
     occupied cells (boundary values only ever exceed the neighbouring cell
     values, so closure adds nothing in generic position).
     """
-    rects, marks = _germ_rects(real)
-    w_rects = np.array(window.rects)
-    xs, ys = _axes(np.concatenate([w_rects, rects]), window.bounding_box)
-    occ = _stamped_field(xs, ys, w_rects, np.ones(len(w_rects))) > 0
-
-    f = _stamped_field(xs, ys, rects, marks)
-    occ &= f >= level
+    xs, ys = _axes(np.concatenate([np.array(window.rects), real.rects]), window.bounding_box)
+    f = _stamped_field(xs, ys, real.rects, real.marks)
+    occ = window.cells(xs, ys) & (f >= level)
     # |f - level| in the field's own buffer: no more full-size temporaries
     f -= level
     np.abs(f, out=f)
@@ -545,19 +564,18 @@ def boolean_mean_chi(model: ShotNoiseModel, window: PolyRectangle) -> float:
 
 # ------------------------------------------------------------- Monte Carlo
 
-def _check_replicates(replicates: int) -> None:
+def _realizations(model: ShotNoiseModel, domain, replicates: int, seed: int):
+    """Replicates on the domain drawn with seeds seed, seed+1, ..., at least two."""
     if replicates < 2:
         raise InvalidSpec("need at least 2 replicates")
+    return (sample_realization(model, domain, seed + i) for i in range(replicates))
 
 
 def _replicate_features(model: ShotNoiseModel, window: PolyRectangle,
                         replicates: int, seed: int) -> list[dict]:
     """Exact level-set features of replicates drawn with seeds seed, seed+1, ..."""
-    _check_replicates(replicates)
-    return [level_set_features_exact(
-                sample_realization(model, window.bounding_box, seed + i),
-                model.level, window)
-            for i in range(replicates)]
+    return [level_set_features_exact(real, model.level, window)
+            for real in _realizations(model, window.bounding_box, replicates, seed)]
 
 
 def _mean_stderr(vals) -> dict:
@@ -598,28 +616,29 @@ def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
     Monte Carlo average over replicates then estimates the densities
     chi = (P1 - P2)/eps^2, Per_ui = 2 P(in, +eps u_i out)/eps, Vol = P(in).
     """
-    _check_replicates(replicates)
-    if epsilon <= 0:
-        raise InvalidSpec("epsilon must be positive")
+    e = float(epsilon)
+    if not 0 < e < math.inf:
+        raise InvalidSpec(f"epsilon must be positive and finite, got {epsilon}")
+    wx0, wx1, wy0, wy1 = (float(v) for v in window)
+    if not (wx1 > wx0 and wy1 > wy0):
+        raise InvalidSpec(f"window {tuple(window)} needs x0 < x1 and y0 < y1")
+    # shifted membership looks up to epsilon beyond the window
+    reals = _realizations(model, (wx0 - e, wx1 + e, wy0 - e, wy1 + e), replicates, seed)
     min_edge = model.grain_dist.min_edge()
     if epsilon > 0.25 * min_edge:
         warnings.warn(f"epsilon {epsilon} is not small against the grain edge "
                       f"scale {min_edge}; densities will carry finite-mesh bias",
                       stacklevel=2)
 
-    wx0, wx1, wy0, wy1 = (float(v) for v in window)
     w_area = (wx1 - wx0) * (wy1 - wy0)
-    e = float(epsilon)
     offsets = ((0.0, 0.0), (-e, 0.0), (0.0, -e), (e, 0.0), (0.0, e))
 
     samples = []
-    for i in range(replicates):
-        # shifted membership looks up to epsilon beyond the window
-        real = sample_realization(model, (wx0 - e, wx1 + e, wy0 - e, wy1 + e), seed + i)
-        rects, marks = _germ_rects(real)
+    for real in reals:
+        rects = real.rects
         xs, ys = _axes(np.concatenate([rects, rects - e, rects + e]), (wx0, wx1, wy0, wy1))
         inside, east_in, north_in, east_rev, north_rev = (
-            _stamped_field(xs, ys, rects + (ox, ox, oy, oy), marks) >= model.level
+            _stamped_field(xs, ys, rects + (ox, ox, oy, oy), real.marks) >= model.level
             for ox, oy in offsets)
 
         area = np.diff(ys)[:, None] * np.diff(xs)[None, :]

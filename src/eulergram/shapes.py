@@ -2,12 +2,11 @@
 
 Polyrectangles (finite unions of axis-aligned rectangles, no two member
 rectangles sharing a corner) get exact geometry from a coordinate-sweep
-arrangement: collect every rectangle edge coordinate, stamp occupied cells,
-classify each arrangement vertex by its four quadrant cells.  The 2x2
-window kernel of ``topology`` that drives the lattice Euler characteristic
-then yields chi, the directional perimeters and the corner census exactly.
-The same stamper sums shot-noise marks over the germ arrangements of
-``randomsets``.
+arrangement: collect every rectangle edge coordinate, mark the occupied
+cells by their midpoints, classify each arrangement vertex by its four
+quadrant cells.  The 2x2 window kernel of ``topology`` that drives the
+lattice Euler characteristic then yields chi, the directional perimeters
+and the corner census exactly.
 
 Smooth shapes (disc, annulus, unions, implicit sets) are exposed as
 predicates with bounding box, regularity radius and boundary normals, the
@@ -79,35 +78,15 @@ class PolyRectangle:
             out |= (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
         return out
 
+    def cells(self, xs, ys):
+        """Coverage of the cells between axis values, exact if the axes hold every edge inside."""
+        return self.contains(0.5 * (xs[:-1] + xs[1:])[None, :], 0.5 * (ys[:-1] + ys[1:])[:, None])
+
     @cached_property
     def _arrangement(self):
         rects = np.array(self.rects)
         xs, ys = np.unique(rects[:, :2]), np.unique(rects[:, 2:])
-        return xs, ys, _stamped_field(xs, ys, rects, np.ones(len(rects))) > 0
-
-
-def _stamped_field(xs, ys, rects, weights):
-    """Sum of ``weights`` (n,) over the cells each of ``rects`` (n, 4: x0, x1, y0, y1) covers.
-
-    Rectangles are clipped to the axes; each adds +w, -w, -w, +w at its four
-    corners of a difference array, in rectangle order, and two cumulative
-    sums turn the corners into the cell field.
-    """
-    x0 = np.maximum(rects[:, 0], xs[0])
-    x1 = np.minimum(rects[:, 1], xs[-1])
-    y0 = np.maximum(rects[:, 2], ys[0])
-    y1 = np.minimum(rects[:, 3], ys[-1])
-    keep = (x1 > x0) & (y1 > y0)
-    i0, i1 = np.searchsorted(xs, x0[keep]), np.searchsorted(xs, x1[keep])
-    j0, j1 = np.searchsorted(ys, y0[keep]), np.searchsorted(ys, y1[keep])
-    w = weights[keep]
-    diff = np.zeros((len(ys), len(xs)))
-    np.add.at(diff, (np.stack([j0, j0, j1, j1], 1).ravel(),
-                     np.stack([i0, i1, i0, i1], 1).ravel()),
-              np.stack([w, -w, -w, w], 1).ravel())
-    np.cumsum(diff, axis=0, out=diff)
-    np.cumsum(diff, axis=1, out=diff)
-    return diff[:-1, :-1]
+        return xs, ys, self.cells(xs, ys)
 
 
 def polyrect_features(w: PolyRectangle) -> dict:

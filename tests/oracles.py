@@ -167,6 +167,65 @@ def stamped_field_by_loop(xs, ys, rect_lists, weights):
     return np.array([row[:nx - 1] for row in diff[:ny - 1]], dtype=float)
 
 
+def realization_by_loop(model, domain, seed):
+    """(rects, marks, count) of one shot-noise realization, drawn germ by germ.
+
+    Repeats the sampler's draws with numpy's generator in their fixed order
+    (germ count, x then y locations, grains, marks) and lays the rows out
+    with plain loops: each germ's grain rectangles in grain order,
+    translated by the germ, each row carrying the germ's mark.  Grains are
+    a mixture of fixed polyrectangles (``components``, ``probs``) or random
+    rectangles [0, A] x [0, B] with bounded edge laws (``a_law``,
+    ``b_law``); marks are atomic.  The germ region pads the domain by the
+    largest grain coordinate magnitude on each axis.
+    """
+    grains, mark_law = model.grain_dist, model.mark_dist
+    mixture = hasattr(grains, "components")
+
+    def cap(law):
+        kind, p1, p2 = law
+        return p2 if kind == "uniform" else -p1 * math.log1p(-p2)
+
+    if mixture:
+        shapes = [list(w.rects) for w in grains.components]
+        pad_x = max(abs(v) for g in shapes for r in g for v in r[:2])
+        pad_y = max(abs(v) for g in shapes for r in g for v in r[2:])
+    else:
+        pad_x, pad_y = cap(grains.a_law), cap(grains.b_law)
+    x0, x1, y0, y1 = (float(v) for v in domain)
+    px0, px1, py0, py1 = x0 - pad_x, x1 + pad_x, y0 - pad_y, y1 + pad_y
+    mean = model.intensity * (px1 - px0) * (py1 - py0)
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.poisson(mean)) if mean > 0 else 0
+    xs = rng.uniform(px0, px1, size=n)
+    ys = rng.uniform(py0, py1, size=n)
+    if mixture:
+        picks = [0] * n if len(shapes) == 1 else \
+            rng.choice(len(shapes), size=n, p=np.array(grains.probs))
+        germ_rects = [shapes[k] for k in picks]
+    else:
+        def edges(law):
+            if law[0] == "uniform":
+                return list(rng.uniform(law[1], law[2], size=n))
+            return [max(min(v, cap(law)), 1e-300) for v in rng.exponential(law[1], size=n)]
+
+        aa, bb = edges(grains.a_law), edges(grains.b_law)
+        germ_rects = [[(0.0, a, 0.0, b)] for a, b in zip(aa, bb)]
+    if len(mark_law.values) == 1:
+        marks = [mark_law.values[0]] * n
+    else:
+        marks = rng.choice(np.array(mark_law.values), size=n, p=np.array(mark_law.probs))
+
+    rects, row_marks = [], []
+    for i in range(n):
+        gx, gy = float(xs[i]), float(ys[i])
+        for rx0, rx1, ry0, ry1 in germ_rects[i]:
+            rects.append((rx0 + gx, rx1 + gx, ry0 + gy, ry1 + gy))
+            row_marks.append(float(marks[i]))
+    return np.array(rects, dtype=float).reshape(-1, 4), np.array(row_marks, dtype=float), n
+
+
 def midpoint_shift_counts(contains, domain, h, specs) -> list:
     """Midpoint counts of shifted intersections, one whole-grid array per shift.
 

@@ -180,6 +180,33 @@ def test_shotnoise_rejects_too_few_replicates(tmp_path, capsys, replicates):
     assert err["context"]["subcommand"] == "shotnoise"
 
 
+TRUNCATED = {"type": "rect_family",
+             "a": {"dist": "exponential", "scale": 1.0, "truncate_q": 1.0},
+             "b": {"dist": "uniform", "low": 0.5, "high": 1.5}}
+
+
+@pytest.mark.parametrize("subcommand,cfg", [
+    ("shotnoise", {**SHOT_CFG, "model": {**SHOT_CFG["model"], "grains": TRUNCATED}}),
+    ("shotnoise", {**SHOT_CFG, "model": {**SHOT_CFG["model"], "grains": {
+        **TRUNCATED, "a": {**TRUNCATED["a"], "truncate_q": 1.5}}}}),
+    ("shotnoise", {**SHOT_CFG, "model": {**SHOT_CFG["model"], "grains": {
+        **TRUNCATED, "a": {**TRUNCATED["a"], "truncate_q": 0.0}}}}),
+    ("shotnoise", {**SHOT_CFG, "model": {**SHOT_CFG["model"], "lambda": math.nan}}),
+    ("shotnoise", {**SHOT_CFG, "model": {**SHOT_CFG["model"], "lambda": math.inf}}),
+    ("densities", {"model": SHOT_CFG["model"], "window": [6, 0, 0, 6],
+                   "epsilon": 0.05, "replicates": 8, "seed": 1}),
+], ids=["truncate-q-one", "truncate-q-above-one", "truncate-q-zero", "lambda-nan",
+        "lambda-infinite", "densities-window-reversed"])
+def test_degenerate_model_or_window_exits_one(tmp_path, capsys, subcommand, cfg):
+    # these used to exit 2 from a numpy/math error, or report on a meaningless model
+    code, _, report = run_cli(tmp_path, "degenerate", subcommand, cfg)
+    assert code == 1
+    assert report is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidSpec"
+    assert err["context"]["subcommand"] == subcommand
+
+
 def _without(d, key):
     return {k: v for k, v in d.items() if k != key}
 

@@ -31,8 +31,8 @@ from eulergram import (
     sample_realization,
     stationary_density_closed_form,
 )
-from eulergram.shapes import _stamped_field
-from oracles import poisson_cdf, poisson_pmf, stamped_field_by_loop
+from eulergram.randomsets import _stamped_field
+from oracles import poisson_cdf, poisson_pmf, realization_by_loop, stamped_field_by_loop
 
 E1 = math.exp(-1.0)
 
@@ -49,8 +49,13 @@ def square_model(level, intensity=1.0, a=1.0):
 
 
 def hand_realization(germs, domain):
+    """A realization of the given ((gx, gy), grain, mark) germs, laid out as the sampler does."""
+    rows = [((gx + r0, gx + r1, gy + s0, gy + s1), mark)
+            for (gx, gy), grain, mark in germs for r0, r1, s0, s1 in grain.rects]
     x0, x1, y0, y1 = domain
-    return Realization(germs=tuple(germs), domain=domain,
+    return Realization(rects=np.array([r for r, _ in rows], dtype=float).reshape(-1, 4),
+                       marks=np.array([m for _, m in rows], dtype=float),
+                       count=len(germs), domain=domain,
                        padded_domain=(x0 - 1, x1 + 1, y0 - 1, y1 + 1),
                        expected_count=float((x1 - x0 + 2) * (y1 - y0 + 2)))
 
@@ -225,6 +230,9 @@ def test_spec_validation():
         square_model(0.5, intensity=-1.0)
     with pytest.raises(InvalidSpec):
         square_model(0.5, intensity=math.inf)
+    for level in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidSpec):
+            square_model(level)
 
 
 def test_from_config_layouts_and_errors():
@@ -250,6 +258,13 @@ def test_from_config_layouts_and_errors():
         ShotNoiseModel.from_config({**cfg, "grains": {"type": "disc_family"}})
     with pytest.raises(InvalidSpec):
         ShotNoiseModel.from_config({**cfg, "marks": {"type": "gamma", "shape": 2.0}})
+    # the truncation quantile pads the germ domain, so it must lie in (0, 1)
+    for q in (0.0, 1.0, 1.5, -0.5, math.nan):
+        with pytest.raises(InvalidSpec):
+            ShotNoiseModel.from_config({**cfg, "grains": {
+                "type": "rect_family",
+                "a": {"dist": "exponential", "scale": 1.0, "truncate_q": q},
+                "b": {"dist": "uniform", "low": 0.5, "high": 1.5}}})
 
 
 def test_grain_mixture_moments():
@@ -286,13 +301,15 @@ def test_rect_family_moments_and_truncation():
                            level=0.5)
     real = sample_realization(model, (0.0, 5.0, 0.0, 5.0), seed=3)
     assert real.truncation is not None
-    assert all(r[1] <= bound + 1e-12 for _, g, _ in real.germs for r in g.rects)
+    assert real.count > 0
+    assert np.all(real.rects[:, 1] - real.rects[:, 0] <= bound + 1e-12)
 
     # the moments describe the clamped law that is sampled: E min(X, b) =
     # scale * q, half the untruncated mean at q = 0.5
     clamped = RectFamily(a_law=("exponential", 1.0, 0.5),
                          b_law=("exponential", 2.0, 0.9))
-    rects = np.array([g.rects[0] for g in clamped.sample(np.random.default_rng(11), 4000)])
+    rects, owner = clamped.sample(np.random.default_rng(11), 4000)
+    assert np.array_equal(owner, np.arange(4000))
     a, b = rects[:, 1], rects[:, 3]
     for key, draws in (("per1", 2.0 * b), ("per2", 2.0 * a), ("vol", a * b)):
         stderr = draws.std(ddof=1) / math.sqrt(len(draws))
@@ -307,15 +324,52 @@ def test_sampling_is_deterministic_and_padded():
     model = square_model(1.5)
     a = sample_realization(model, (0.0, 10.0, 0.0, 10.0), seed=42)
     b = sample_realization(model, (0.0, 10.0, 0.0, 10.0), seed=42)
-    assert a == b
+    assert a.count == b.count
+    assert np.array_equal(a.rects, b.rects)
+    assert np.array_equal(a.marks, b.marks)
     assert a.padded_domain == (-1.0, 11.0, -1.0, 11.0)
     assert a.expected_count == pytest.approx(144.0)
     c = sample_realization(model, (0.0, 10.0, 0.0, 10.0), seed=43)
-    assert c.germs != a.germs
+    assert not np.array_equal(c.rects, a.rects)
 
     empty = sample_realization(square_model(1.5, intensity=0.0),
                                (0.0, 10.0, 0.0, 10.0), seed=42)
     assert empty.count == 0
+
+
+TEE = PolyRectangle(rects=((0.0, 1.0, 0.0, 0.4), (0.1, 0.5, 0.4, 1.0)))
+LAYOUT_MODELS = {
+    # two mark atoms: a grain draw for one component would shift the marks
+    "one-component": ShotNoiseModel(
+        intensity=1.0, grain_dist=GrainMixture(components=(UNIT_SQUARE,), probs=(1.0,)),
+        mark_dist=AtomicMarks(values=(1.0, 2.0), probs=(0.5, 0.5)), level=1.5),
+    "square-and-tee": ShotNoiseModel(
+        intensity=3.0,
+        grain_dist=GrainMixture(components=(UNIT_SQUARE, TEE), probs=(0.5, 0.5)),
+        mark_dist=AtomicMarks(values=(1.0, 2.0), probs=(0.7, 0.3)),
+        level=2.5),
+    "truncated-exponential": ShotNoiseModel(
+        intensity=1.0,
+        grain_dist=RectFamily(a_law=("exponential", 1.0, 0.99),
+                              b_law=("uniform", 0.5, 1.5)),
+        mark_dist=AtomicMarks(values=(1.0,), probs=(1.0,)),
+        level=0.5),
+    "intensity-zero": square_model(1.5, intensity=0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_MODELS))
+def test_sampling_layout_matches_loop_oracle(name):
+    model = LAYOUT_MODELS[name]
+    real = sample_realization(model, (0.0, 5.0, 0.0, 5.0), seed=9)
+    rects, marks, count = realization_by_loop(model, (0.0, 5.0, 0.0, 5.0), seed=9)
+    assert real.count == count
+    assert (count > 0) == (model.intensity > 0)
+    assert np.array_equal(real.rects, rects)
+    assert np.array_equal(real.marks, marks)
+    if name == "square-and-tee":
+        # both grains occur, so rows of one- and two-rectangle germs interleave
+        assert count < len(rects) < 2 * count
 
 
 def test_germ_count_mean_matches_poisson():
@@ -403,10 +457,8 @@ class _LevelIndicator:
 
     def contains(self, xs, ys):
         f = np.zeros(np.broadcast(xs, ys).shape)
-        for (gx, gy), grain, mark in self.real.germs:
-            for x0, x1, y0, y1 in grain.rects:
-                f += mark * ((xs >= gx + x0) & (xs <= gx + x1)
-                             & (ys >= gy + y0) & (ys <= gy + y1))
+        for (x0, x1, y0, y1), mark in zip(self.real.rects, self.real.marks):
+            f += mark * ((xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1))
         wx0, wx1, wy0, wy1 = self.window
         inside = (xs >= wx0) & (xs <= wx1) & (ys >= wy0) & (ys <= wy1)
         return (f >= self.level) & inside
@@ -427,12 +479,8 @@ def test_exact_chi_matches_fine_digitization():
         model = square_model(level, intensity=intensity)
         for seed in range(base_seed, base_seed + 100):
             real = sample_realization(model, window, seed)
-            coords_x = {window[0], window[1]}
-            coords_y = {window[2], window[3]}
-            for (gx, gy), grain, _ in real.germs:
-                for x0, x1, y0, y1 in grain.rects:
-                    coords_x.update((gx + x0, gx + x1))
-                    coords_y.update((gy + y0, gy + y1))
+            coords_x = {window[0], window[1], *real.rects[:, :2].ravel().tolist()}
+            coords_y = {window[2], window[3], *real.rects[:, 2:].ravel().tolist()}
             gap = min(min(np.diff(np.unique(np.clip(sorted(coords_x),
                                                     window[0], window[1])))),
                       min(np.diff(np.unique(np.clip(sorted(coords_y),
@@ -599,10 +647,16 @@ def test_density_estimator_guards():
         estimate_stationary_densities(model, epsilon=0.02,
                                       window=(0.0, 2.0, 0.0, 2.0),
                                       replicates=1, seed=0)
-    with pytest.raises(InvalidSpec):
-        estimate_stationary_densities(model, epsilon=0.0,
-                                      window=(0.0, 2.0, 0.0, 2.0),
-                                      replicates=4, seed=0)
+    for epsilon in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidSpec):
+            estimate_stationary_densities(model, epsilon=epsilon,
+                                          window=(0.0, 2.0, 0.0, 2.0),
+                                          replicates=4, seed=0)
+    for window in ((6.0, 0.0, 0.0, 6.0), (0.0, 6.0, 6.0, 0.0),
+                   (0.0, 0.0, 0.0, 6.0), (0.0, 6.0, 2.0, 2.0)):
+        with pytest.raises(InvalidSpec):
+            estimate_stationary_densities(model, epsilon=0.02, window=window,
+                                          replicates=4, seed=0)
     with pytest.warns(UserWarning, match="bias"):
         estimate_stationary_densities(model, epsilon=0.3,
                                       window=(0.0, 2.0, 0.0, 2.0),
