@@ -38,7 +38,7 @@ from .randomsets import (
     mean_chi_closed_form,
     stationary_density_closed_form,
 )
-from .shapes import PolyRectangle, make_shape
+from .shapes import PolyRectangle, _intersect_runs, make_shape
 from .topology import chi_vef, config_counts, label_components
 from .variogram import _circle, _circle_mean, chi_bicovariogram, directional_perimeters
 
@@ -105,7 +105,12 @@ def _clip_to_window(ind: IndicatorSet, w: PolyRectangle) -> IndicatorSet:
     def contains(x, y):
         return ind.contains(x, y) & w.contains(x, y)
 
-    return IndicatorSet(contains=contains, bounding_box=box)
+    row_runs = None
+    if ind.row_runs is not None:
+        def row_runs(xs, ys):
+            return _intersect_runs(ind.row_runs(xs, ys), w.row_runs(xs, ys))
+
+    return IndicatorSet(contains=contains, bounding_box=box, row_runs=row_runs)
 
 
 def _digitize_at(ind: IndicatorSet, epsilon: float, margin: int = 2):

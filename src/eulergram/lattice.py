@@ -72,6 +72,15 @@ class IndicatorSet:
     ``normal`` maps boundary-adjacent points to outward unit normals and
     ``signed_distance`` (negative inside) is exposed by constructors that
     can provide it; all three default to unavailable.
+
+    ``row_runs(xs, ys)``, when given, lists the set's cells row by row:
+    ``xs`` are ascending, evenly spaced column coordinates and ``ys`` the
+    row coordinates, and it returns ``(lo, hi)``, two ``(len(ys), k)``
+    int arrays of half-open column ranges such that ``contains(xs[i], y)``
+    holds exactly for the columns of row ``y``'s ranges.  A row's ranges
+    are disjoint and never touch; rows with fewer than ``k`` of them pad
+    with empty ranges (``lo == hi``).  Discs, annuli, their unions and
+    their window clips provide it; implicit sets do not.
     """
 
     contains: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -79,6 +88,8 @@ class IndicatorSet:
     regularity_radius: Optional[float] = None
     normal: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     signed_distance: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    row_runs: Optional[Callable[[np.ndarray, np.ndarray],
+                                tuple[np.ndarray, np.ndarray]]] = None
 
 
 @dataclass(frozen=True, eq=False)

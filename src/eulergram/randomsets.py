@@ -177,20 +177,13 @@ class GrainMixture:
 
 
 def _scalar_law(cfg: dict):
+    # RectFamily checks the law it is given
     dist = cfg.get("dist")
     if dist == "uniform":
-        lo, hi = float(cfg["low"]), float(cfg["high"])
-        if not (0 < lo < hi):
-            raise InvalidSpec("uniform edge law needs 0 < low < high")
-        return ("uniform", lo, hi)
+        return ("uniform", float(cfg["low"]), float(cfg["high"]))
     if dist == "exponential":
-        scale = float(cfg["scale"])
-        if scale <= 0:
-            raise InvalidSpec("exponential edge law needs positive scale")
         q = cfg.get("truncate_q")
-        if q is not None and not 0 < float(q) < 1:
-            raise InvalidSpec("exponential edge law needs 0 < truncate_q < 1")
-        return ("exponential", scale, None if q is None else float(q))
+        return ("exponential", float(cfg["scale"]), None if q is None else float(q))
     raise InvalidSpec(f"unknown edge law {dist!r}")
 
 
@@ -207,6 +200,20 @@ class RectFamily:
 
     a_law: tuple
     b_law: tuple
+
+    def __post_init__(self):
+        for law in (self.a_law, self.b_law):
+            if law[0] == "uniform":
+                if not 0 < law[1] < law[2] < math.inf:
+                    raise InvalidSpec(f"uniform edge law needs 0 < low < high, got {law!r}")
+            elif law[0] == "exponential":
+                if not 0 < law[1] < math.inf:
+                    raise InvalidSpec(f"exponential edge law needs positive scale, got {law!r}")
+                if law[2] is not None and not 0 < law[2] < 1:
+                    raise InvalidSpec(
+                        f"exponential edge law needs 0 < truncate_q < 1, got {law!r}")
+            else:
+                raise InvalidSpec(f"unknown edge law {law!r}")
 
     def moments(self) -> dict:
         ea, eb = self._mean(self.a_law), self._mean(self.b_law)

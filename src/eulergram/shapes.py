@@ -11,6 +11,9 @@ and the corner census exactly.
 Smooth shapes (disc, annulus, unions, implicit sets) are exposed as
 predicates with bounding box, regularity radius and boundary normals, the
 metadata the digitization experiments and the transversality screen need.
+All but implicit sets also list their cells row by row as column runs,
+confirmed against the predicate's own float expression, for the
+continuum sweep of ``variogram``.
 """
 
 from __future__ import annotations
@@ -78,6 +81,14 @@ class PolyRectangle:
             out |= (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
         return out
 
+    def row_runs(self, xs, ys):
+        """Column runs of the union row by row, one per rectangle before merging."""
+        r = np.array(self.rects)
+        lo = np.searchsorted(xs, r[:, 0], "left")
+        hi = np.searchsorted(xs, r[:, 1], "right")
+        rows = (ys[:, None] >= r[:, 2]) & (ys[:, None] <= r[:, 3])
+        return _merge_runs(np.where(rows, lo, 0), np.where(rows, hi, 0))
+
     def cells(self, xs, ys):
         """Coverage of the cells between axis values, exact if the axes hold every edge inside."""
         return self.contains(0.5 * (xs[:-1] + xs[1:])[None, :], 0.5 * (ys[:-1] + ys[1:])[:, None])
@@ -124,6 +135,83 @@ def _boundary_segments(w: PolyRectangle):
         yield (xs[i], ys[j]), (xs[i + 1], ys[j]), (0.0, 1.0)
 
 
+# ------------------------------------------------------------- row runs
+# Runs are half-open column ranges, one (rows, k) array of starts and one
+# of ends; see ``IndicatorSet`` for the contract.
+
+
+def _merge_runs(lo, hi):
+    """Maximal runs of each row's union: sort by start, fold runs that touch or overlap."""
+    order = np.argsort(lo, axis=1)
+    lo, hi = np.take_along_axis(lo, order, 1), np.take_along_axis(hi, order, 1)
+    reach = np.maximum.accumulate(hi, axis=1)
+    start = np.ones(lo.shape, dtype=bool)
+    start[:, 1:] = lo[:, 1:] > reach[:, :-1]
+    end = np.ones(lo.shape, dtype=bool)
+    end[:, :-1] = start[:, 1:]
+    # starts ascend, so the running max of the starts is the open group's start
+    first = np.maximum.accumulate(np.where(start, lo, 0), axis=1)
+    return np.where(end, first, 0), np.where(end, reach, 0)
+
+
+def _intersect_runs(a, b):
+    """Runs of each row's intersection; maximal when both inputs are."""
+    lo = np.maximum(a[0][:, :, None], b[0][:, None, :]).reshape(len(a[0]), -1)
+    hi = np.minimum(a[1][:, :, None], b[1][:, None, :]).reshape(len(a[0]), -1)
+    return lo, np.maximum(lo, hi)
+
+
+def _d2(x, y, cx, cy):
+    """Squared distance to (cx, cy): the one float expression discs and annuli test."""
+    return (np.asarray(x) - cx) ** 2 + (np.asarray(y) - cy) ** 2
+
+
+def _settle(p, d, n, inside):
+    # move run end p outward (d = -1 or +1) while the next cell is inside,
+    # then inward while p itself is outside; this stops at the centre cell
+    while True:
+        q = p + d
+        out = (q >= 0) & (q < n) & inside(np.clip(q, 0, n - 1))
+        if not out.any():
+            break
+        p = np.where(out, q, p)
+    while True:
+        back = ~inside(p)
+        if not back.any():
+            return p
+        p = np.where(back, p - d, p)
+
+
+def _ball_run(xs, ys, cx, cy, r2, within):
+    """The columns i with ``within(_d2(xs[i], y), r2)``: one run per row y.
+
+    Along a row ``_d2`` falls and then rises, in floats too (``xs``
+    ascends and every operation is monotone), so the inside columns form
+    one run around the column ``c`` nearest ``cx``.  A row whose ``c`` is
+    outside is empty; this probe also catches tangent rows that the
+    closed form misses.  Otherwise the closed-form ends are moved until
+    the predicate itself confirms them.
+    """
+    n, m = xs.size, ys.size
+    k = int(np.searchsorted(xs, cx))
+    c = k - 1 if k == n or (k > 0 and (xs[k - 1] - cx) ** 2 <= (xs[k] - cx) ** 2) else k
+    lo, hi = np.full(m, c), np.full(m, c)
+    rows = np.flatnonzero(within(_d2(xs[c], ys, cx, cy), r2))
+    if rows.size:
+        y = ys[rows]
+
+        def inside(cols):
+            return within(_d2(xs[cols], y, cx, cy), r2)
+
+        w = np.sqrt(np.maximum(r2 - (y - cy) ** 2, 0.0))
+        step = (xs[-1] - xs[0]) / (n - 1) if n > 1 else 1.0
+        first = np.clip(np.ceil((cx - w - xs[0]) / step), 0, c).astype(np.intp)
+        last = np.clip(np.floor((cx + w - xs[0]) / step), c, n - 1).astype(np.intp)
+        lo[rows] = _settle(first, -1, n, inside)
+        hi[rows] = _settle(last, 1, n, inside) + 1
+    return lo, hi
+
+
 def make_shape(spec: dict) -> IndicatorSet:
     """Build a membership predicate with geometry metadata from a plain dict.
 
@@ -144,7 +232,11 @@ def make_shape(spec: dict) -> IndicatorSet:
             raise InvalidSpec(f"disc radius must be positive, got {r}")
 
         def contains(x, y, cx=cx, cy=cy, r=r):
-            return (np.asarray(x) - cx) ** 2 + (np.asarray(y) - cy) ** 2 <= r * r
+            return _d2(x, y, cx, cy) <= r * r
+
+        def row_runs(xs, ys, cx=cx, cy=cy, r=r):
+            lo, hi = _ball_run(xs, ys, cx, cy, r * r, np.less_equal)
+            return lo[:, None], hi[:, None]
 
         def normal(x, y, cx=cx, cy=cy):
             d = math.hypot(x - cx, y - cy)
@@ -158,6 +250,7 @@ def make_shape(spec: dict) -> IndicatorSet:
             regularity_radius=r,
             normal=normal,
             signed_distance=lambda x, y: math.hypot(x - cx, y - cy) - r,
+            row_runs=row_runs,
         )
 
     if kind == "annulus":
@@ -170,8 +263,17 @@ def make_shape(spec: dict) -> IndicatorSet:
             raise InvalidSpec(f"need r_in < r_out, got {r_in} >= {r_out}")
 
         def contains(x, y, cx=cx, cy=cy, a=r_in, b=r_out):
-            d2 = (np.asarray(x) - cx) ** 2 + (np.asarray(y) - cy) ** 2
+            d2 = _d2(x, y, cx, cy)
             return (d2 >= a * a) & (d2 <= b * b)
+
+        def row_runs(xs, ys, cx=cx, cy=cy, a=r_in, b=r_out):
+            # {d2 <= b^2} minus the hole {d2 < a^2}, which lies inside it;
+            # an empty hole moves to the outer start so the runs never touch
+            lo, hi = _ball_run(xs, ys, cx, cy, b * b, np.less_equal)
+            hole_lo, hole_hi = _ball_run(xs, ys, cx, cy, a * a, np.less)
+            hole = hole_lo < hole_hi
+            hole_lo, hole_hi = np.where(hole, hole_lo, lo), np.where(hole, hole_hi, lo)
+            return np.stack([lo, hole_hi], 1), np.stack([hole_lo, hi], 1)
 
         def normal(x, y, cx=cx, cy=cy, a=r_in, b=r_out):
             d = math.hypot(x - cx, y - cy)
@@ -191,6 +293,7 @@ def make_shape(spec: dict) -> IndicatorSet:
             normal=normal,
             signed_distance=lambda x, y: max(
                 r_in - math.hypot(x - cx, y - cy), math.hypot(x - cx, y - cy) - r_out),
+            row_runs=row_runs,
         )
 
     if kind == "union":
@@ -222,9 +325,16 @@ def make_shape(spec: dict) -> IndicatorSet:
                 best = min(members, key=lambda m: abs(m.signed_distance(x, y)))
                 return best.normal(x, y)
 
+        row_runs = None
+        if all(m.row_runs is not None for m in members):
+            def row_runs(xs, ys, members=members):
+                runs = [m.row_runs(xs, ys) for m in members]
+                return _merge_runs(np.concatenate([lo for lo, _ in runs], 1),
+                                   np.concatenate([hi for _, hi in runs], 1))
+
         return IndicatorSet(contains=contains, bounding_box=bbox,
                             regularity_radius=rho, normal=normal,
-                            signed_distance=signed_distance)
+                            signed_distance=signed_distance, row_runs=row_runs)
 
     if kind == "implicit":
         g = spec.get("g")

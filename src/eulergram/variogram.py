@@ -8,17 +8,22 @@ with translated copies of itself and of its complement:
 Two corner volumes of this kind, taken at the axis shifts of size eps and
 divided by eps^2, estimate the Euler characteristic; single-shift variograms
 divided by eps estimate directional perimeters.  The continuum versions are
-computed by midpoint counting on a fine sub-lattice with a row-sweep that
-shares predicate evaluations across every requested shift combination, so
-asking for several variograms of the same set costs one sweep:
-``directional_perimeters`` estimates Per_u for any list of directions at
-once, and every perimeter estimate, the CLI's included, is one call to it.
+computed by midpoint counting on a fine sub-lattice with a row sweep that
+counts whole runs of cells: within one row a disc, annulus, union or
+window-clipped set is a few runs, which the shape lists directly
+(``IndicatorSet.row_runs``), so the cost grows with the rows, not the
+cells.  Sets without runs (implicit ones) are evaluated cell by cell and
+their rows turned into runs.  One sweep serves every requested shift
+combination, so asking for several variograms of the same set costs one
+sweep: ``directional_perimeters`` estimates Per_u for any list of
+directions at once, and every perimeter estimate, the CLI's included, is
+one call to it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,18 +140,82 @@ def discrete_polyvariogram(grid: BitGrid, shifts: ShiftSpec) -> int:
     return int(acc.sum())
 
 
+# the sweep counts this many rows at a time, and a dense evaluation holds
+# at most this many cells at once, so memory stays flat on fine meshes
+_BLOCK_ROWS = 1024
+_DENSE_CELLS = 1 << 20
+
+
+def _runs_of(inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # maximal runs of True in each row of a 2-D bool array
+    edges = np.diff(inside.astype(np.int8), axis=1, prepend=0, append=0)
+    rows, lo = np.nonzero(edges == 1)
+    hi = np.nonzero(edges == -1)[1]
+    per_row = np.bincount(rows, minlength=len(inside))
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    out = np.zeros((2, len(inside), max(1, per_row.max(initial=0))), dtype=np.intp)
+    out[0, rows, rank] = lo
+    out[1, rows, rank] = hi
+    return out[0], out[1]
+
+
+def _dense_runs(contains):
+    """``row_runs`` for a set without one: evaluate ``contains`` on every cell."""
+    def row_runs(xs, ys):
+        step = max(1, _DENSE_CELLS // xs.size)
+        parts = []
+        for chunk in np.split(ys, np.arange(step, ys.size, step)):
+            inside = np.asarray(contains(xs[None, :], chunk[:, None]), dtype=bool)
+            parts.append(_runs_of(np.broadcast_to(inside, (chunk.size, xs.size))))
+        k = max(lo.shape[1] for lo, _ in parts)
+
+        def joined(ends):
+            return np.concatenate([np.pad(a, ((0, 0), (0, k - a.shape[1]))) for a in ends])
+        return joined([lo for lo, _ in parts]), joined([hi for _, hi in parts])
+    return row_runs
+
+
+def _moved(runs, kx: int, ky: int, nx: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # row j of the copy shifted by whole cells is row j - ky moved by kx,
+    # clipped to the grid; rows from off the grid are empty
+    ny = len(runs[0])
+    src = rows - ky
+    ok = ((src >= 0) & (src < ny))[:, None]
+    src = src.clip(0, ny - 1)
+    return tuple(np.where(ok, np.clip(a[src] + kx, 0, nx), 0) for a in runs)
+
+
+def _count(plus: list, minus: list) -> int:
+    """Cells inside every plus copy and outside every minus copy, over all rows.
+
+    A copy's runs are disjoint, so weighting each plus run 1 and each minus
+    run -n (n plus copies) makes a cell's summed weight n exactly when it
+    is counted.  Sorting each row's run ends gives that sum between them.
+    """
+    n = len(plus)
+    copies = [(lo, hi, 1) for lo, hi in plus] + [(lo, hi, -n) for lo, hi in minus]
+    ends = np.concatenate([a for lo, hi, _ in copies for a in (lo, hi)], axis=1)
+    weights = np.concatenate([np.repeat([w, -w], lo.shape[1]) for lo, _, w in copies])
+    order = np.argsort(ends, axis=1)
+    cover = np.cumsum(weights[order], axis=1)
+    gaps = np.diff(np.take_along_axis(ends, order, axis=1), axis=1)
+    return int(gaps[cover[:, :-1] == n].sum())
+
+
 class _RowSweep:
-    """Midpoint counts of several shift specs over one fine grid, row by row.
+    """Midpoint counts of several shift specs over one fine grid.
 
-    A shift of whole cells (kx, ky) reads master row j - ky moved by kx
-    columns, off-grid cells reading as empty; any other shift evaluates the
-    predicate at the shifted midpoints.  Each row fetches a shift at most
-    once and only when a spec needs it: a spec whose plus rows AND to
-    nothing skips its minus rows, so empty rows evaluate no unaligned shift.
-
-    Master rows j - k ... j + k stay cached for shifts of up to k cells,
-    bit-packed because that span is large: 5001 rows of 105,000 columns
-    (eps 0.05, mesh 2e-5, unit disc) take 66 MB packed, 525 MB as bools.
+    Every copy of the set is a list of column runs per row (see
+    ``IndicatorSet.row_runs``), and each spec is counted by interval
+    arithmetic on those runs, so the cost grows with the rows and runs,
+    not with the cells.  A shift of whole cells (kx, ky) reads master row
+    j - ky moved by kx columns, off-grid cells reading as empty; any other
+    shift asks the set for its runs at the shifted midpoints.  Discs,
+    annuli, their unions and window clips give their runs directly; any
+    other set is evaluated cell by cell and its rows turned into runs, the
+    only per-cell work left.  The master runs of all rows take a few
+    integers per row, so no packed-row cache is needed; the specs are
+    counted a block of rows at a time.
     """
 
     def __init__(self, indicator: IndicatorSet, domain: tuple[float, float, float, float],
@@ -156,38 +225,14 @@ class _RowSweep:
             raise InvalidSpec(f"degenerate sweep domain {domain}")
         if not 0 < h < math.inf:
             raise InvalidSpec(f"quad_mesh must be positive and finite, got {h}")
-        self.contains = indicator.contains
+        self.row_runs = indicator.row_runs or _dense_runs(indicator.contains)
         self.h = h
         self.nx = int(round((x1 - x0) / h))
         self.ny = int(round((y1 - y0) / h))
         if self.nx < 1 or self.ny < 1:
             raise InvalidSpec(f"quad_mesh {h} is coarser than the sweep domain {domain}")
         self.xs = x0 + (np.arange(self.nx) + 0.5) * h
-        self.y0 = y0
-        self._cache: dict[int, np.ndarray] = {}
-
-    def _master_row(self, r: int) -> np.ndarray:
-        packed = self._cache.get(r)
-        if packed is None:
-            row = np.zeros(self.nx, dtype=bool)
-            if 0 <= r < self.ny:
-                y = self.y0 + (r + 0.5) * self.h
-                row = np.asarray(self.contains(self.xs, np.full(self.nx, y)), dtype=bool)
-            packed = self._cache[r] = np.packbits(row)
-        return np.unpackbits(packed, count=self.nx).view(bool)
-
-    def _row(self, j: int, s: tuple[float, float], step: tuple[int, int] | None,
-             memo: dict) -> np.ndarray:
-        got = memo.get(s)
-        if got is None:
-            if step is None:
-                y = self.y0 + (j + 0.5) * self.h - s[1]
-                got = np.asarray(self.contains(self.xs - s[0], np.full(self.nx, y)), dtype=bool)
-            else:
-                kx, ky = step
-                got = _integer_shift(self._master_row(j - ky)[None], kx, 0)[0]
-            memo[s] = got
-        return got
+        self.ys = y0 + (np.arange(self.ny) + 0.5) * h
 
     def run(self, specs: list[ShiftSpec]) -> list[int]:
         for spec in specs:
@@ -195,23 +240,19 @@ class _RowSweep:
                 raise InvalidSpec("at least one intersected copy is required; "
                                   "a pure-complement volume is infinite")
         steps = {s: _cell_steps(s, self.h) for spec in specs for s in spec.all_shifts}
-        lag = max([0] + [step[1] for step in steps.values() if step is not None])
+        master = self.row_runs(self.xs, self.ys)
+
+        def runs(s, rows):
+            if steps[s] is None:
+                return self.row_runs(self.xs - s[0], self.ys[rows] - s[1])
+            return _moved(master, *steps[s], self.nx, rows)
+
         counts = [0] * len(specs)
-        for j in range(self.ny):
-            # rows below j - lag are never read again
-            self._cache.pop(j - lag - 1, None)
-            memo: dict = {}
+        for j in range(0, self.ny, _BLOCK_ROWS):
+            rows = np.arange(j, min(j + _BLOCK_ROWS, self.ny))
             for k, spec in enumerate(specs):
-                acc = None
-                for s in spec.plus_shifts:
-                    row = self._row(j, s, steps[s], memo)
-                    acc = row if acc is None else acc & row
-                if not acc.any():
-                    continue
-                for s in spec.minus_shifts:
-                    # for bools, a > b is a and not b
-                    acc = acc > self._row(j, s, steps[s], memo)
-                counts[k] += int(np.count_nonzero(acc))
+                counts[k] += _count([runs(s, rows) for s in spec.plus_shifts],
+                                    [runs(s, rows) for s in spec.minus_shifts])
         return counts
 
 
@@ -250,9 +291,9 @@ def chi_bicovariogram(indicator: IndicatorSet, epsilon: float, quad_mesh: float)
     divided by epsilon^2, is exactly chi for sets whose regularity radius
     exceeds the shift size; quadrature contributes O(quad_mesh/epsilon^2).
     """
-    if epsilon <= 0:
-        raise InvalidSpec("epsilon must be positive")
     e = float(epsilon)
+    if not 0 < e < math.inf:
+        raise InvalidSpec(f"epsilon must be positive and finite, got {epsilon!r}")
     specs = list(_corner_specs(e))
     sweep = _RowSweep(indicator, _sweep_domain(indicator, specs), quad_mesh)
     n_out, n_in = sweep.run(specs)
@@ -288,8 +329,11 @@ def _validate_epsilons(epsilons) -> tuple[float, ...]:
     eps = tuple(float(e) for e in epsilons)
     if len(eps) < 3:
         raise InvalidSpec("need at least 3 shift sizes")
-    if any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
-        raise InvalidSpec("shift sizes must be positive and strictly decreasing")
+    bad = [e for e in eps if not 0 < e < math.inf]
+    if bad:
+        raise InvalidSpec(f"shift size {bad[0]!r} is not positive and finite")
+    if any(a <= b for a, b in zip(eps, eps[1:])):
+        raise InvalidSpec("shift sizes must be strictly decreasing")
     return eps
 
 

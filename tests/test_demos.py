@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# directional_perimeters.py runs dense 24-direction sweeps for about 18 s
+# directional_perimeters.py sweeps an implicit square cell by cell for about 12 s
 SLOW = {"directional_perimeters.py"}
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py") if p.name not in SLOW)
 

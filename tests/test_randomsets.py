@@ -280,6 +280,23 @@ def test_grain_mixture_moments():
     assert mix.min_edge() == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("law", [
+    ("exponential", 1.0, 1.0),       # math domain error in the padding bound
+    ("exponential", 1.0, 0.0),       # zero-width grains
+    ("exponential", 1.0, math.nan),  # NaN extent
+    ("exponential", 0.0, 0.5),
+    ("uniform", 1.0, 0.5),           # low above high
+    ("uniform", 0.5, math.inf),
+    ("gamma", 1.0, 2.0),
+])
+def test_rect_family_rejects_bad_laws_when_built_directly(law):
+    good = ("uniform", 0.5, 1.5)
+    with pytest.raises(InvalidSpec):
+        RectFamily(a_law=law, b_law=good)
+    with pytest.raises(InvalidSpec):
+        RectFamily(a_law=good, b_law=law)
+
+
 def test_rect_family_moments_and_truncation():
     fam = RectFamily(a_law=("uniform", 0.5, 1.5), b_law=("uniform", 0.5, 1.5))
     m = fam.moments()

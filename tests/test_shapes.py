@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulergram import (
     BitGrid,
@@ -19,6 +21,8 @@ from eulergram import (
     morph,
     polyrect_features,
 )
+
+from eulergram.cli import _clip_to_window
 
 from oracles import brute_dilate, brute_erode, rect_union_area, rect_union_perimeters
 
@@ -148,6 +152,61 @@ def test_shape_spec_validation():
         make_shape({"type": "implicit", "g": lambda x, y: x})
     with pytest.raises(InvalidSpec):
         make_shape({"type": "union", "members": [5]})
+
+
+# -------------------------------------------------------------- row runs
+
+
+def runs_by_diff(inside) -> list:
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], inside.astype(np.int8), [0]])))
+    return [(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
+
+
+@st.composite
+def row_run_cases(draw):
+    cx, cy = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+    r = draw(st.floats(0.1, 0.6))
+    disc = {"type": "disc", "center": [cx, cy], "r": r}
+    annulus = {"type": "annulus", "center": [cx, cy], "r_out": r,
+               "r_in": r * draw(st.floats(0.2, 0.9))}
+    # touching, overlapping or apart along x
+    other = {"type": "disc", "center": [cx + 2 * r + draw(st.sampled_from([0.0, -0.05, 0.1])), cy],
+             "r": r}
+    window = PolyRectangle(rects=[(cx - 0.3, cx + 0.4, cy - 0.5, cy + 0.2),
+                                  (cx - 0.1, cx + 0.8, cy - 0.2, cy + 0.6)])
+    shapes = [make_shape(disc), make_shape(annulus),
+              make_shape({"type": "union", "members": [disc, other]}),
+              make_shape({"type": "union", "members": [annulus, other]}),
+              _clip_to_window(make_shape({"type": "union", "members": [annulus, other]}), window),
+              window]
+    h = draw(st.sampled_from([0.01, 0.013, 1.0 / 64.0]))
+    xs = -1.5 + (np.arange(int(round(4.0 / h))) + 0.5) * h - draw(st.floats(-0.1, 0.1))
+    # rows through the hole, between the radii, on both circles and off the set
+    ys = np.array([cy + t * r for t in draw(st.lists(st.floats(-1.3, 1.3), min_size=1,
+                                                      max_size=8))]
+                  + [cy - r, cy + r, cy + annulus["r_in"], cy + 2.0])
+    return shapes, xs, ys
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_run_cases())
+def test_row_runs_are_the_runs_of_contains(case):
+    shapes, xs, ys = case
+    for shape in shapes:
+        lo, hi = shape.row_runs(xs, ys)
+        assert lo.shape == hi.shape and lo.shape[0] == ys.size
+        assert (lo <= hi).all()
+        for y, row_lo, row_hi in zip(ys, lo, hi):
+            got = sorted((int(a), int(b)) for a, b in zip(row_lo, row_hi) if a < b)
+            assert got == runs_by_diff(np.asarray(shape.contains(xs, np.full(xs.size, y))))
+
+
+def test_annulus_row_runs_lose_the_hole_off_the_inner_circle():
+    ring = make_shape({"type": "annulus", "center": [0.0, 0.0], "r_in": 0.25, "r_out": 0.5})
+    xs = -1.0 + (np.arange(200) + 0.5) * 0.01
+    lo, hi = ring.row_runs(xs, np.array([0.0, 0.3, 0.9]))
+    runs = [sorted((int(a), int(b)) for a, b in zip(ra, rb) if a < b) for ra, rb in zip(lo, hi)]
+    assert [len(r) for r in runs] == [2, 1, 0]
 
 
 # --------------------------------------------------------------- morphology

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eulergram import (
     BitGrid,
+    ConfigInvalid,
+    CornerClash,
     InvalidSpec,
     Lattice,
     NonLatticeShift,
@@ -25,6 +28,7 @@ from eulergram import (
     perimeter_axis_sum,
     perimeter_variational,
 )
+from eulergram.cli import _clip_to_window, _polyrect
 from eulergram.variogram import _circle, _circle_mean, _RowSweep, _sweep_domain
 
 from gridgen import admissible_random_bits
@@ -191,6 +195,72 @@ def test_row_sweep_matches_whole_grid_oracle(case):
         shape.contains, domain, h, [(sp.plus_shifts, sp.minus_shifts) for sp in specs])
 
 
+@st.composite
+def run_sweep_cases(draw):
+    # a fixed domain whose midpoints are x0 + (i + 1/2) h, so centres and
+    # radii on mesh multiples put midpoints exactly on (or a rounding
+    # error off) the circles: tangent rows and columns
+    h = draw(st.sampled_from([0.02, 0.025, 1.0 / 32.0]))
+    domain = (-1.5, 1.5, -1.5, 1.5)
+
+    def on_mesh(lo, hi):
+        k = draw(st.integers(int(lo / h), int(hi / h)))
+        return -1.5 + (k + draw(st.sampled_from([0.0, 0.5]))) * h
+
+    def member():
+        center = [on_mesh(1.0, 2.0), on_mesh(1.0, 2.0)]
+        if draw(st.booleans()):
+            r = draw(st.integers(2, 12)) * h
+        else:
+            r = draw(st.floats(0.05, 0.35))
+        if draw(st.booleans()):
+            return {"type": "disc", "center": center, "r": r}
+        return {"type": "annulus", "center": center,
+                "r_in": r * draw(st.sampled_from([0.25, 0.5, 0.75])), "r_out": r}
+
+    members = [member() for _ in range(draw(st.integers(1, 3)))]
+    if len(members) == 2 and draw(st.booleans()):
+        # a second disc touching or overlapping the first one
+        a = members[0]
+        r = a.get("r", a.get("r_out"))
+        gap = draw(st.sampled_from([0.0, -h, -0.5 * r]))
+        members[1] = {"type": "disc", "center": [a["center"][0] + 2 * r + gap, a["center"][1]],
+                      "r": r}
+    shape = make_shape({"type": "union", "members": members})
+
+    if draw(st.booleans()):
+        rects = []
+        for _ in range(draw(st.integers(1, 2))):
+            x0, y0 = on_mesh(0.8, 1.8), on_mesh(0.8, 1.8)
+            rects.append([x0, x0 + draw(st.floats(0.1, 1.0)), y0, y0 + draw(st.floats(0.1, 1.0))])
+        try:
+            shape = _clip_to_window(shape, _polyrect({"rects": rects}))
+        except (ConfigInvalid, CornerClash):
+            assume(False)
+    if draw(st.integers(0, 4)) == 0:
+        # no row runs: the sweep reads dense rows
+        shape = dataclasses.replace(shape, row_runs=None)
+
+    def coord():
+        k = draw(st.integers(-6, 6))
+        return draw(st.sampled_from([k * h, (k + 1.0 / 3.0) * h, (k + 1e-12) * h]))
+
+    pool = [(0.0, 0.0)] + [(coord(), coord()) for _ in range(draw(st.integers(1, 4)))]
+    shifts = st.sampled_from(pool)
+    specs = [(draw(st.lists(shifts, min_size=1, max_size=2)), draw(st.lists(shifts, max_size=2)))
+             for _ in range(draw(st.integers(1, 4)))]
+    return shape, domain, h, specs
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_sweep_cases())
+def test_run_sweep_matches_whole_grid_oracle(case):
+    shape, domain, h, raw_specs = case
+    specs = [ShiftSpec(plus_shifts=plus, minus_shifts=minus) for plus, minus in raw_specs]
+    assert _RowSweep(shape, domain, h).run(specs) == midpoint_shift_counts(
+        shape.contains, domain, h, raw_specs)
+
+
 # ---------------------------------------------------------------- chi routes
 
 
@@ -221,6 +291,18 @@ def test_chi_bicovariogram_annulus():
 def test_chi_bicovariogram_rejects_bad_epsilon():
     with pytest.raises(InvalidSpec):
         chi_bicovariogram(disc(), epsilon=0.0, quad_mesh=1e-4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_shift_size_rejected_before_sweeping(bad, monkeypatch):
+    # NaN passes "<= 0"; it must be named as a shift size, not reach a sweep
+    monkeypatch.setattr("eulergram.variogram._RowSweep", None)
+    with pytest.raises(InvalidSpec, match="epsilon"):
+        chi_bicovariogram(disc(), bad, quad_mesh=1e-2)
+    with pytest.raises(InvalidSpec, match="shift size"):
+        directional_perimeters(disc(), [(1.0, 0.0)], (0.1, bad, 0.01), quad_mesh=1e-2)
+    with pytest.raises(InvalidSpec, match="shift size"):
+        perimeter_variational(disc(), (bad, 0.05, 0.01), quad_mesh=1e-2)
 
 
 @pytest.mark.parametrize("quad_mesh", [10.0, math.nan, math.inf])
