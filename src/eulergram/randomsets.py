@@ -422,13 +422,14 @@ def level_set_features_exact(real: Realization, level: float,
     """
     xs, ys = _axes(np.concatenate([np.array(window.rects), real.rects]), window.bounding_box)
     f = _stamped_field(xs, ys, real.rects, real.marks)
-    occ = window.cells(xs, ys) & (f >= level)
-    # |f - level| in the field's own buffer: no more full-size temporaries
-    f -= level
-    np.abs(f, out=f)
-    if np.any(f <= 1e-12 * max(1.0, abs(level))):
+    occ = f >= level
+    # cells with |f - level| <= tol, counted as two boolean masks: no float temporary
+    tol = 1e-12 * max(1.0, abs(level))
+    if np.count_nonzero(f >= level - tol) > np.count_nonzero(f > level + tol):
         warnings.warn("field value ties the level on some cell; the closed-set "
                       "convention decides membership", stacklevel=2)
+    del f  # the field's pages go back before the kernel allocates
+    occ &= window.cells(xs, ys)
     return _cell_features(xs, ys, occ)
 
 

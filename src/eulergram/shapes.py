@@ -212,6 +212,13 @@ def _ball_run(xs, ys, cx, cy, r2, within):
     return lo, hi
 
 
+def _centre(spec: dict) -> tuple[float, float]:
+    cx, cy = (float(v) for v in spec["center"])
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise InvalidSpec(f"centre must be finite, got {spec['center']!r}")
+    return cx, cy
+
+
 def make_shape(spec: dict) -> IndicatorSet:
     """Build a membership predicate with geometry metadata from a plain dict.
 
@@ -226,10 +233,10 @@ def make_shape(spec: dict) -> IndicatorSet:
         raise InvalidSpec(f"a shape spec is an object, got {spec!r}")
     kind = spec.get("type")
     if kind == "disc":
-        cx, cy = (float(v) for v in spec["center"])
+        cx, cy = _centre(spec)
         r = float(spec["r"])
-        if r <= 0:
-            raise InvalidSpec(f"disc radius must be positive, got {r}")
+        if not 0 < r < math.inf:
+            raise InvalidSpec(f"disc radius must be positive and finite, got {r}")
 
         def contains(x, y, cx=cx, cy=cy, r=r):
             return _d2(x, y, cx, cy) <= r * r
@@ -254,11 +261,11 @@ def make_shape(spec: dict) -> IndicatorSet:
         )
 
     if kind == "annulus":
-        cx, cy = (float(v) for v in spec["center"])
+        cx, cy = _centre(spec)
         r_in = float(spec["r_in"])
         r_out = float(spec["r_out"])
-        if r_in <= 0 or r_out <= 0:
-            raise InvalidSpec("annulus radii must be positive")
+        if not (0 < r_in < math.inf and 0 < r_out < math.inf):
+            raise InvalidSpec(f"annulus radii must be positive and finite, got {r_in}, {r_out}")
         if r_in >= r_out:
             raise InvalidSpec(f"need r_in < r_out, got {r_in} >= {r_out}")
 

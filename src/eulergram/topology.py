@@ -98,7 +98,9 @@ def _cell_features(xs: np.ndarray, ys: np.ndarray, occ: np.ndarray) -> dict:
 
     chi is V - E + F of the closed cell complex, so cells meeting only at a
     corner are connected.  per1 sums boundary edges with horizontal normal,
-    per2 those with vertical normal.
+    per2 those with vertical normal.  The floats come from integer edge
+    counts per row or column and one matrix-vector product, so no float
+    array of the arrangement's size is built.
     """
     a, b, c, d = _windows(occ)
     vb = b[1:] ^ a[1:]
@@ -109,9 +111,10 @@ def _cell_features(xs: np.ndarray, ys: np.ndarray, occ: np.ndarray) -> dict:
     dy = np.diff(ys)
     return {
         "chi": int(v - e + np.count_nonzero(occ)),
-        "per1": float((dy[:, None] * vb).sum()),
-        "per2": float((hb * dx[None, :]).sum()),
-        "vol": float((dy[:, None] * occ * dx[None, :]).sum()),
+        "per1": float(dy @ np.count_nonzero(vb, axis=1)),
+        "per2": float(np.count_nonzero(hb, axis=0) @ dx),
+        # einsum casts occ block by block; occ @ dx would copy all of it to float
+        "vol": float(dy @ np.einsum("ij,j->i", occ, dx)),
     }
 
 

@@ -195,8 +195,21 @@ TRUNCATED = {"type": "rect_family",
     ("shotnoise", {**SHOT_CFG, "model": {**SHOT_CFG["model"], "lambda": math.inf}}),
     ("densities", {"model": SHOT_CFG["model"], "window": [6, 0, 0, 6],
                    "epsilon": 0.05, "replicates": 8, "seed": 1}),
+    ("chi", {"shape": {"type": "disc", "center": [0, 0], "r": math.nan}, "epsilon": 0.1}),
+    ("chi", {"shape": {"type": "disc", "center": [0, 0], "r": math.inf}, "epsilon": 0.1}),
+    ("chi", {"shape": {"type": "disc", "center": [math.nan, 0], "r": 1.0}, "epsilon": 0.1}),
+    ("sweep", {"shape": {"type": "annulus", "center": [0, 0], "r_in": 0.5, "r_out": math.inf},
+               "epsilons": [0.2, 0.1, 0.05], "quad_mesh": 1e-2}),
+    ("bounds", {"truth": {"type": "annulus", "center": [0, -math.inf], "r_in": 0.5,
+                          "r_out": 1.0}, "h": 0.05, "epsilons": [0.2]}),
+    ("chi", {"shape": {"type": "union", "members": [
+        {"type": "disc", "center": [0, 0], "r": 1.0},
+        {"type": "annulus", "center": [3, 0], "r_in": math.nan, "r_out": 1.0}]},
+        "epsilon": 0.1}),
 ], ids=["truncate-q-one", "truncate-q-above-one", "truncate-q-zero", "lambda-nan",
-        "lambda-infinite", "densities-window-reversed"])
+        "lambda-infinite", "densities-window-reversed", "disc-radius-nan",
+        "disc-radius-infinite", "disc-centre-nan", "annulus-outer-radius-infinite",
+        "annulus-centre-infinite", "union-member-radius-nan"])
 def test_degenerate_model_or_window_exits_one(tmp_path, capsys, subcommand, cfg):
     # these used to exit 2 from a numpy/math error, or report on a meaningless model
     code, _, report = run_cli(tmp_path, "degenerate", subcommand, cfg)

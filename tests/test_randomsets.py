@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eulergram import (
@@ -28,15 +29,25 @@ from eulergram import (
     level_set_features_exact,
     mc_mean_chi,
     mean_chi_closed_form,
+    polyrect_features,
     sample_realization,
     stationary_density_closed_form,
 )
 from eulergram.randomsets import _stamped_field
-from oracles import poisson_cdf, poisson_pmf, realization_by_loop, stamped_field_by_loop
+from oracles import (
+    bfs_component_count,
+    bounded_hole_count,
+    poisson_cdf,
+    poisson_pmf,
+    realization_by_loop,
+    scan_cell_measures,
+    stamped_field_by_loop,
+)
 
 E1 = math.exp(-1.0)
 
 UNIT_SQUARE = PolyRectangle(rects=((0.0, 1.0, 0.0, 1.0),))
+TEE = PolyRectangle(rects=((0.0, 1.0, 0.0, 0.4), (0.1, 0.5, 0.4, 1.0)))  # perfbench's tee
 V10 = PolyRectangle(rects=((0.0, 10.0, 0.0, 10.0),))
 
 
@@ -461,6 +472,108 @@ def test_field_tie_on_cells_warns():
     with pytest.warns(UserWarning, match="tie"):
         chi = level_set_chi_exact(real, 1.0, PolyRectangle(rects=((0.0, 2.0, 0.0, 2.0),)))
     assert chi == 1
+
+
+@pytest.mark.parametrize("mark,level,warns,chi", [
+    (1.0, 1.0 + 5e-14, True, 0),
+    (1.0, 1.0 - 5e-14, True, 1),
+    (1.0, 1.0 + 1e-9, False, 0),
+    (1.0, 1.0 - 1e-9, False, 1),
+    # the tolerance scales with |level|, also for a negative level
+    (-1000.0, -1000.0 + 5e-10, True, 0),
+    (-1000.0, -1000.0 - 5e-10, True, 1),
+    (-1000.0, -1000.0 + 2e-9, False, 0),
+    # the empty cells, f = 0, tie a slightly negative level
+    (1.0, -5e-13, True, 1),
+    (1.0, -2e-12, False, 1),
+])
+def test_tie_check_tolerance(mark, level, warns, chi):
+    real = hand_realization([((0.2, 0.3), UNIT_SQUARE, mark)], (0.0, 2.0, 0.0, 2.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = level_set_chi_exact(real, level, PolyRectangle(rects=((0.0, 2.0, 0.0, 2.0),)))
+    assert any("tie" in str(w.message) for w in caught) is warns
+    # membership is f >= level whether or not the check warns
+    assert got == chi
+
+
+@st.composite
+def level_set_cases(draw):
+    """Unit-square and tee germs with unequal non-dyadic marks, a rectangular
+    or L-shaped window, and a level half-way between two attainable mark sums."""
+    coord = st.floats(-1.5, 4.5)
+    germs = [((draw(coord), draw(coord)), draw(st.sampled_from([UNIT_SQUARE, TEE])),
+              draw(st.sampled_from([0.7, 1.3, 2.9])))
+             for _ in range(draw(st.integers(0, 6)))]
+    x0, y0 = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    w1, h1 = draw(st.floats(1.0, 4.0)), draw(st.floats(0.5, 2.0))
+    rects = [(x0, x0 + w1, y0, y0 + h1)]
+    if draw(st.booleans()):
+        # a narrower arm that starts inside the first rectangle and rises above it
+        w2 = w1 * draw(st.floats(0.3, 0.9))
+        t = h1 * draw(st.floats(0.2, 0.8))
+        rects.append((x0, x0 + w2, y0 + t, y0 + h1 + draw(st.floats(0.5, 2.0))))
+    level = draw(st.sampled_from([0.65, 1.45, 2.05, 3.35]))
+    return germs, PolyRectangle(rects=tuple(rects)), level
+
+
+def _oracle_axis(values, lo, hi):
+    axis = sorted({min(max(v, lo), hi) for v in values})
+    # coordinates closer than 1e-12 are rejected by design; keep clear of them
+    assume(min(b - a for a, b in zip(axis, axis[1:])) >= 1e-9)
+    return axis
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_set_cases())
+@example(([((0.2, 0.3), UNIT_SQUARE, 1.3), ((0.6, 0.5), TEE, 0.7)],
+          PolyRectangle(rects=((0.0, 2.0, 0.0, 1.0), (0.0, 1.0, 0.5, 3.0))), 1.45))
+def test_level_set_features_match_loop_oracles(case):
+    germs, window, level = case
+    x0, x1, y0, y1 = window.bounding_box
+    rect_lists = [[(gx + r0, gx + r1, gy + s0, gy + s1) for r0, r1, s0, s1 in grain.rects]
+                  for (gx, gy), grain, _ in germs]
+    edges = [r for rects in rect_lists for r in rects] + list(window.rects)
+    xs = _oracle_axis([v for r in edges for v in r[:2]], x0, x1)
+    ys = _oracle_axis([v for r in edges for v in r[2:]], y0, y1)
+
+    field = stamped_field_by_loop(xs, ys, rect_lists, [mark for _, _, mark in germs])
+    occ = np.zeros(field.shape, dtype=bool)
+    for j in range(len(ys) - 1):
+        my = 0.5 * (ys[j] + ys[j + 1])
+        for i in range(len(xs) - 1):
+            mx = 0.5 * (xs[i] + xs[i + 1])
+            in_window = any(r[0] <= mx <= r[1] and r[2] <= my <= r[3] for r in window.rects)
+            occ[j, i] = in_window and field[j, i] >= level
+
+    real = hand_realization(germs, window.bounding_box)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no sum of marks comes near the level
+        got = level_set_features_exact(real, level, window)
+    assert got["chi"] == bfs_component_count(occ, 8) - bounded_hole_count(occ)
+    want = scan_cell_measures(xs, ys, occ)
+    for key in ("per1", "per2", "vol"):
+        assert math.isclose(got[key], want[key], rel_tol=1e-12), key
+
+
+def test_closed_form_inputs_keep_their_bits():
+    # report.json carries these; the values are pinned by repr so that a change
+    # to the cell kernel cannot move its bytes unnoticed
+    assert repr(polyrect_features(UNIT_SQUARE)) == (
+        "{'chi': 1, 'per1': 2.0, 'per2': 2.0, 'vol': 1.0, 'out_corners': 1, 'in_corners': 0}")
+    assert repr(polyrect_features(TEE)) == (
+        "{'chi': 1, 'per1': 2.0, 'per2': 2.0, 'vol': 0.64, 'out_corners': 2, 'in_corners': 1}")
+    assert repr(polyrect_features(PolyRectangle(rects=((0, 7, 0, 7),)))) == (
+        "{'chi': 1, 'per1': 14.0, 'per2': 14.0, 'vol': 49.0, 'out_corners': 1, 'in_corners': 0}")
+    assert repr(polyrect_features(V10)) == (
+        "{'chi': 1, 'per1': 20.0, 'per2': 20.0, 'vol': 100.0, 'out_corners': 1, "
+        "'in_corners': 0}")
+    dense = ShotNoiseModel(
+        intensity=3.0,
+        grain_dist=GrainMixture(components=(UNIT_SQUARE, TEE), probs=(0.5, 0.5)),
+        mark_dist=AtomicMarks(values=(1.0, 2.0), probs=(0.7, 0.3)), level=2.5)
+    assert repr(mean_chi_closed_form(dense, PolyRectangle(rects=((0, 7, 0, 7),)))) == \
+        "6.276785003246712"
 
 
 class _LevelIndicator:

@@ -152,6 +152,13 @@ def test_shape_spec_validation():
         make_shape({"type": "implicit", "g": lambda x, y: x})
     with pytest.raises(InvalidSpec):
         make_shape({"type": "union", "members": [5]})
+    for bad in ({"type": "disc", "center": [0, 0], "r": math.nan},
+                {"type": "disc", "center": [0, math.inf], "r": 1.0},
+                {"type": "annulus", "center": [0, 0], "r_in": math.inf, "r_out": math.inf},
+                {"type": "union", "members": [{"type": "disc", "center": [math.nan, 0],
+                                               "r": 1.0}]}):
+        with pytest.raises(InvalidSpec):
+            make_shape(bad)
 
 
 # -------------------------------------------------------------- row runs
