@@ -105,10 +105,8 @@ def _clip_to_window(ind: IndicatorSet, w: PolyRectangle) -> IndicatorSet:
     def contains(x, y):
         return ind.contains(x, y) & w.contains(x, y)
 
-    row_runs = None
-    if ind.row_runs is not None:
-        def row_runs(xs, ys):
-            return _intersect_runs(ind.row_runs(xs, ys), w.row_runs(xs, ys))
+    def row_runs(xs, ys):
+        return _intersect_runs(ind.row_runs(xs, ys), w.row_runs(xs, ys))
 
     return IndicatorSet(contains=contains, bounding_box=box, row_runs=row_runs)
 

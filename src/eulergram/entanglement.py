@@ -229,9 +229,8 @@ def detect_boundary_pairs(truth: BitGrid, coarse_epsilon: float,
     return PairSet(pairs=_pair_tuples(ends[order]), kind="boundary")
 
 
-def _coarse_grid(truth: BitGrid, k: int, mask: np.ndarray | None = None) -> BitGrid:
-    bits = truth.bits if mask is None else (truth.bits & mask)
-    sub = bits[::k, ::k]
+def _coarse_grid(truth: BitGrid, k: int, mask: np.ndarray) -> BitGrid:
+    sub = truth.bits[::k, ::k] & mask[::k, ::k]
     lat = truth.lattice
     coarse = Lattice(epsilon=lat.epsilon * k, origin=lat.origin,
                      nx=sub.shape[1], ny=sub.shape[0])
@@ -259,25 +258,17 @@ def verify_bounds(truth: BitGrid, coarse_epsilon: float,
     """
     k = _subdivision(truth, coarse_epsilon)
     lat = truth.lattice
-    h = lat.epsilon
 
+    frame = window
     if window is None:
+        # the lattice's own box, which holds every lattice point
         x0, y0 = lat.point(0, 0)
         x1, y1 = lat.point(lat.nx - 1, lat.ny - 1)
         frame = PolyRectangle(rects=((x0, x1, y0, y1),))
-        w_mask = None
-        corners = 4
-        windowed = False
-    else:
-        frame = window
-        cx = lat.origin[0] + h * np.arange(lat.nx)
-        cy = lat.origin[1] + h * np.arange(lat.ny)
-        w_mask = frame.contains(cx[None, :], cy[:, None])
-        corners = len(corner_points(frame))
-        windowed = True
+    w_mask = frame.contains(lat.xs()[None, :], lat.ys()[:, None])
+    corners = len(corner_points(frame))
 
-    truth_masked = truth.bits if w_mask is None else (truth.bits & w_mask)
-    n_truth = _count8(truth_masked)
+    n_truth = _count8(truth.bits & w_mask)
 
     comp_truth = BitGrid(lattice=lat, bits=~truth.bits)
     n_int_f = len(detect_interior_pairs(truth, coarse_epsilon, window=frame))
@@ -295,16 +286,15 @@ def verify_bounds(truth: BitGrid, coarse_epsilon: float,
                    nx=coarse.lattice.nx + 2, ny=coarse.lattice.ny + 2)
     coarse = BitGrid(lattice=ring, bits=np.pad(coarse.bits, 1))
 
-    if windowed:
+    if window is not None:
         bound_rhs = 2 * n_int_f + 2 * nb_f + n_truth + 2 * corners
     else:
         bound_rhs = 2 * n_int_f + n_truth
 
     labeling = label_components(coarse)
     chi = labeling.num_set_components - labeling.num_complement_bounded_components
-    comp_masked = (~truth.bits) if w_mask is None else ((~truth.bits) & w_mask)
     chi_rhs = (3 * corners + 2 * max(n_int_f, n_int_fc) + 2 * max(nb_f, nb_fc)
-               + max(n_truth, _count8(comp_masked)))
+               + max(n_truth, _count8(~truth.bits & w_mask)))
 
     return BoundReport(
         num_components_digitized=n_digitized,

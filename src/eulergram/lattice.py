@@ -73,14 +73,16 @@ class IndicatorSet:
     ``signed_distance`` (negative inside) is exposed by constructors that
     can provide it; all three default to unavailable.
 
-    ``row_runs(xs, ys)``, when given, lists the set's cells row by row:
-    ``xs`` are ascending, evenly spaced column coordinates and ``ys`` the
-    row coordinates, and it returns ``(lo, hi)``, two ``(len(ys), k)``
-    int arrays of half-open column ranges such that ``contains(xs[i], y)``
+    ``row_runs(xs, ys)`` lists the set's cells row by row: ``xs`` are
+    ascending, evenly spaced column coordinates and ``ys`` the row
+    coordinates, and it returns ``(lo, hi)``, two ``(len(ys), k)`` int
+    arrays of half-open column ranges such that ``contains(xs[i], y)``
     holds exactly for the columns of row ``y``'s ranges.  A row's ranges
-    are disjoint and never touch; rows with fewer than ``k`` of them pad
-    with empty ranges (``lo == hi``).  Discs, annuli, their unions and
-    their window clips provide it; implicit sets do not.
+    are disjoint and never touch; empty ranges (``lo == hi``) may sit
+    among them and pad rows with fewer than ``k``.  Every set has it:
+    discs, annuli, their unions and their window clips give it in closed
+    form, and a set built without one reads it off ``contains`` cell by
+    cell.
     """
 
     contains: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -90,6 +92,47 @@ class IndicatorSet:
     signed_distance: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     row_runs: Optional[Callable[[np.ndarray, np.ndarray],
                                 tuple[np.ndarray, np.ndarray]]] = None
+
+    def __post_init__(self):
+        if self.row_runs is None:
+            object.__setattr__(self, "row_runs", _dense_runs(self.contains))
+
+
+# a dense evaluation holds at most this many cells at once, so memory stays
+# flat on fine meshes
+_DENSE_CELLS = 1 << 20
+
+
+def _runs_of(inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs of True in each row of a 2-D bool array, as ``row_runs`` lists them."""
+    p = np.zeros((len(inside), inside.shape[1] + 2), dtype=bool)
+    p[:, 1:-1] = inside
+    change = p[:, 1:] != p[:, :-1]
+    rows, cols = np.divmod(np.flatnonzero(change), change.shape[1])
+    # a row's value changes alternate, starting with a run start, since
+    # both of its ends are padded with False
+    rows, lo, hi = rows[::2], cols[::2], cols[1::2]
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    out = np.zeros((2, len(inside), max(1, rank.max(initial=-1) + 1)), dtype=np.intp)
+    out[0, rows, rank] = lo
+    out[1, rows, rank] = hi
+    return out[0], out[1]
+
+
+def _dense_runs(contains):
+    """``row_runs`` read off ``contains``, evaluated on every cell a block of rows at a time."""
+    def row_runs(xs, ys):
+        step = max(1, _DENSE_CELLS // xs.size)
+        parts = []
+        for chunk in np.split(ys, np.arange(step, ys.size, step)):
+            inside = np.asarray(contains(xs[None, :], chunk[:, None]), dtype=bool)
+            parts.append(_runs_of(np.broadcast_to(inside, (chunk.size, xs.size))))
+        k = max(lo.shape[1] for lo, _ in parts)
+
+        def joined(ends):
+            return np.concatenate([np.pad(a, ((0, 0), (0, k - a.shape[1]))) for a in ends])
+        return joined([lo for lo, _ in parts]), joined([hi for _, hi in parts])
+    return row_runs
 
 
 @dataclass(frozen=True, eq=False)

@@ -328,7 +328,6 @@ class Realization:
     rects: np.ndarray
     marks: np.ndarray
     count: int
-    domain: tuple[float, float, float, float]
     padded_domain: tuple[float, float, float, float]
     expected_count: float
     truncation: str | None = None
@@ -361,8 +360,7 @@ def sample_realization(model: ShotNoiseModel, domain, seed: int) -> Realization:
     trunc = (model.grain_dist.truncation_note()
              if isinstance(model.grain_dist, RectFamily) else None)
     return Realization(rects=grains + np.stack([xs, xs, ys, ys], 1)[owner],
-                       marks=marks[owner], count=n, domain=(x0, x1, y0, y1),
-                       padded_domain=(px0, px1, py0, py1),
+                       marks=marks[owner], count=n, padded_domain=(px0, px1, py0, py1),
                        expected_count=mean, truncation=trunc)
 
 

@@ -11,9 +11,10 @@ and the corner census exactly.
 Smooth shapes (disc, annulus, unions, implicit sets) are exposed as
 predicates with bounding box, regularity radius and boundary normals, the
 metadata the digitization experiments and the transversality screen need.
-All but implicit sets also list their cells row by row as column runs,
-confirmed against the predicate's own float expression, for the
-continuum sweep of ``variogram``.
+Every set also lists its cells row by row as column runs for the continuum
+sweep of ``variogram``: discs and annuli in closed form, confirmed against
+the predicate's own float expression, unions by merging their members'
+runs, and implicit sets by reading them off the predicate.
 """
 
 from __future__ import annotations
@@ -219,6 +220,16 @@ def _centre(spec: dict) -> tuple[float, float]:
     return cx, cy
 
 
+def _box(value) -> tuple[float, float, float, float]:
+    try:
+        box = x0, x1, y0, y1 = tuple(float(v) for v in value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"bounding_box must be [x0, x1, y0, y1], got {value!r}") from exc
+    if not (all(map(math.isfinite, box)) and x0 <= x1 and y0 <= y1):
+        raise InvalidSpec(f"bounding_box needs finite x0 <= x1 and y0 <= y1, got {value!r}")
+    return box
+
+
 def make_shape(spec: dict) -> IndicatorSet:
     """Build a membership predicate with geometry metadata from a plain dict.
 
@@ -332,23 +343,22 @@ def make_shape(spec: dict) -> IndicatorSet:
                 best = min(members, key=lambda m: abs(m.signed_distance(x, y)))
                 return best.normal(x, y)
 
-        row_runs = None
-        if all(m.row_runs is not None for m in members):
-            def row_runs(xs, ys, members=members):
-                runs = [m.row_runs(xs, ys) for m in members]
-                return _merge_runs(np.concatenate([lo for lo, _ in runs], 1),
-                                   np.concatenate([hi for _, hi in runs], 1))
+        def row_runs(xs, ys, members=members):
+            runs = [m.row_runs(xs, ys) for m in members]
+            return _merge_runs(np.concatenate([lo for lo, _ in runs], 1),
+                               np.concatenate([hi for _, hi in runs], 1))
 
         return IndicatorSet(contains=contains, bounding_box=bbox,
                             regularity_radius=rho, normal=normal,
                             signed_distance=signed_distance, row_runs=row_runs)
 
     if kind == "implicit":
+        bbox = _box(spec.get("bounding_box"))
         g = spec.get("g")
         grad = spec.get("grad")
-        bbox = spec.get("bounding_box")
-        if g is None or bbox is None:
-            raise InvalidSpec("implicit shape needs 'g' and 'bounding_box'")
+        if not callable(g) or not (grad is None or callable(grad)):
+            raise InvalidSpec("implicit shape needs a callable 'g', and 'grad' "
+                              "callable when given")
 
         def contains(x, y, g=g):
             return np.asarray(g(x, y)) <= 0
@@ -364,7 +374,7 @@ def make_shape(spec: dict) -> IndicatorSet:
 
         rho = spec.get("rho")
         return IndicatorSet(contains=contains,
-                            bounding_box=tuple(float(v) for v in bbox),
+                            bounding_box=bbox,
                             regularity_radius=None if rho is None else float(rho),
                             normal=normal, signed_distance=None)
 

@@ -9,11 +9,11 @@ Two corner volumes of this kind, taken at the axis shifts of size eps and
 divided by eps^2, estimate the Euler characteristic; single-shift variograms
 divided by eps estimate directional perimeters.  The continuum versions are
 computed by midpoint counting on a fine sub-lattice with a row sweep that
-counts whole runs of cells: within one row a disc, annulus, union or
-window-clipped set is a few runs, which the shape lists directly
-(``IndicatorSet.row_runs``), so the cost grows with the rows, not the
-cells.  Sets without runs (implicit ones) are evaluated cell by cell and
-their rows turned into runs.  One sweep serves every requested shift
+counts whole runs of cells: every set lists its cells as a few runs per
+row (``IndicatorSet.row_runs``), so the counting grows with the rows, not
+the cells.  Discs, annuli, their unions and window clips give their runs
+in closed form; a set without one (an implicit set) has its runs read
+off its predicate cell by cell.  One sweep serves every requested shift
 combination, so asking for several variograms of the same set costs one
 sweep: ``directional_perimeters`` estimates Per_u for any list of
 directions at once, and every perimeter estimate, the CLI's included, is
@@ -91,20 +91,6 @@ class PerimeterEstimate:
         return list(zip(self.epsilons, self.values))
 
 
-def _integer_shift(arr: np.ndarray, kx: int, ky: int) -> np.ndarray:
-    # translate a boolean raster by whole cells, filling with background
-    if kx == 0 and ky == 0:
-        return arr
-    h, w = arr.shape
-    out = np.zeros_like(arr)
-    ys = slice(max(ky, 0), h + min(ky, 0))
-    xs = slice(max(kx, 0), w + min(kx, 0))
-    ys_src = slice(max(-ky, 0), h + min(-ky, 0))
-    xs_src = slice(max(-kx, 0), w + min(-kx, 0))
-    out[ys, xs] = arr[ys_src, xs_src]
-    return out
-
-
 def _cell_steps(shift: tuple[float, float], unit: float) -> tuple[int, int] | None:
     kx, ky = _whole_multiple(shift[0], unit), _whole_multiple(shift[1], unit)
     return None if kx is None or ky is None else (kx, ky)
@@ -125,54 +111,28 @@ def discrete_polyvariogram(grid: BitGrid, shifts: ShiftSpec) -> int:
     if None in steps:
         shift = shifts.all_shifts[steps.index(None)]
         raise NonLatticeShift(f"shift {shift} is not a multiple of epsilon={eps}")
-    pad_x = max(abs(k) for k, _ in steps)
-    pad_y = max(abs(k) for _, k in steps)
+    px = max(abs(k) for k, _ in steps)
+    py = max(abs(k) for _, k in steps)
     ny, nx = grid.bits.shape
-    canvas = np.zeros((ny + 2 * pad_y, nx + 2 * pad_x), dtype=bool)
-    canvas[pad_y:pad_y + ny, pad_x:pad_x + nx] = grid.bits
+    # every copy lives on the grid padded by (py, px); padding the bits
+    # twice as far makes each shifted copy a view of one array
+    big = np.zeros((ny + 4 * py, nx + 4 * px), dtype=bool)
+    big[2 * py:2 * py + ny, 2 * px:2 * px + nx] = grid.bits
+
+    def shifted(kx, ky):
+        return big[py - ky:py - ky + ny + 2 * py, px - kx:px - kx + nx + 2 * px]
 
     n_plus = len(shifts.plus_shifts)
-    acc = None
-    for idx, (kx, ky) in enumerate(steps):
-        shifted = _integer_shift(canvas, kx, ky)
-        term = shifted if idx < n_plus else ~shifted
-        acc = term.copy() if acc is None else acc & term
-    return int(acc.sum())
+    acc = shifted(*steps[0]).copy()
+    for k in steps[1:n_plus]:
+        acc &= shifted(*k)
+    for k in steps[n_plus:]:
+        acc &= ~shifted(*k)
+    return int(np.count_nonzero(acc))
 
 
-# the sweep counts this many rows at a time, and a dense evaluation holds
-# at most this many cells at once, so memory stays flat on fine meshes
+# the sweep counts this many rows at a time, so memory stays flat on fine meshes
 _BLOCK_ROWS = 1024
-_DENSE_CELLS = 1 << 20
-
-
-def _runs_of(inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # maximal runs of True in each row of a 2-D bool array
-    edges = np.diff(inside.astype(np.int8), axis=1, prepend=0, append=0)
-    rows, lo = np.nonzero(edges == 1)
-    hi = np.nonzero(edges == -1)[1]
-    per_row = np.bincount(rows, minlength=len(inside))
-    rank = np.arange(rows.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-    out = np.zeros((2, len(inside), max(1, per_row.max(initial=0))), dtype=np.intp)
-    out[0, rows, rank] = lo
-    out[1, rows, rank] = hi
-    return out[0], out[1]
-
-
-def _dense_runs(contains):
-    """``row_runs`` for a set without one: evaluate ``contains`` on every cell."""
-    def row_runs(xs, ys):
-        step = max(1, _DENSE_CELLS // xs.size)
-        parts = []
-        for chunk in np.split(ys, np.arange(step, ys.size, step)):
-            inside = np.asarray(contains(xs[None, :], chunk[:, None]), dtype=bool)
-            parts.append(_runs_of(np.broadcast_to(inside, (chunk.size, xs.size))))
-        k = max(lo.shape[1] for lo, _ in parts)
-
-        def joined(ends):
-            return np.concatenate([np.pad(a, ((0, 0), (0, k - a.shape[1]))) for a in ends])
-        return joined([lo for lo, _ in parts]), joined([hi for _, hi in parts])
-    return row_runs
 
 
 def _moved(runs, kx: int, ky: int, nx: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,79 +162,59 @@ def _count(plus: list, minus: list) -> int:
     return int(gaps[cover[:, :-1] == n].sum())
 
 
-class _RowSweep:
-    """Midpoint counts of several shift specs over one fine grid.
+def _sweep(indicator: IndicatorSet, specs: list[ShiftSpec], h: float,
+           domain: tuple[float, float, float, float] | None = None) -> list[int]:
+    """Midpoint counts of several shift specs over one fine grid of mesh ``h``.
 
     Every copy of the set is a list of column runs per row (see
     ``IndicatorSet.row_runs``), and each spec is counted by interval
-    arithmetic on those runs, so the cost grows with the rows and runs,
-    not with the cells.  A shift of whole cells (kx, ky) reads master row
-    j - ky moved by kx columns, off-grid cells reading as empty; any other
-    shift asks the set for its runs at the shifted midpoints.  Discs,
-    annuli, their unions and window clips give their runs directly; any
-    other set is evaluated cell by cell and its rows turned into runs, the
-    only per-cell work left.  The master runs of all rows take a few
-    integers per row, so no packed-row cache is needed; the specs are
-    counted a block of rows at a time.
+    arithmetic on those runs, a block of rows at a time.  A shift of whole
+    cells (kx, ky) reads master row j - ky moved by kx columns, off-grid
+    cells reading as empty; any other shift asks the set for its runs at
+    the shifted midpoints.  The default domain is the bounding box grown
+    by the largest shift magnitude, so that every row the sweep might read
+    outside it is genuinely empty.
     """
-
-    def __init__(self, indicator: IndicatorSet, domain: tuple[float, float, float, float],
-                 h: float):
-        x0, x1, y0, y1 = domain
-        if not (x1 > x0 and y1 > y0):
-            raise InvalidSpec(f"degenerate sweep domain {domain}")
-        if not 0 < h < math.inf:
-            raise InvalidSpec(f"quad_mesh must be positive and finite, got {h}")
-        self.row_runs = indicator.row_runs or _dense_runs(indicator.contains)
-        self.h = h
-        self.nx = int(round((x1 - x0) / h))
-        self.ny = int(round((y1 - y0) / h))
-        if self.nx < 1 or self.ny < 1:
-            raise InvalidSpec(f"quad_mesh {h} is coarser than the sweep domain {domain}")
-        self.xs = x0 + (np.arange(self.nx) + 0.5) * h
-        self.ys = y0 + (np.arange(self.ny) + 0.5) * h
-
-    def run(self, specs: list[ShiftSpec]) -> list[int]:
-        for spec in specs:
-            if not spec.plus_shifts:
-                raise InvalidSpec("at least one intersected copy is required; "
-                                  "a pure-complement volume is infinite")
-        steps = {s: _cell_steps(s, self.h) for spec in specs for s in spec.all_shifts}
-        master = self.row_runs(self.xs, self.ys)
-
-        def runs(s, rows):
-            if steps[s] is None:
-                return self.row_runs(self.xs - s[0], self.ys[rows] - s[1])
-            return _moved(master, *steps[s], self.nx, rows)
-
-        counts = [0] * len(specs)
-        for j in range(0, self.ny, _BLOCK_ROWS):
-            rows = np.arange(j, min(j + _BLOCK_ROWS, self.ny))
-            for k, spec in enumerate(specs):
-                counts[k] += _count([runs(s, rows) for s in spec.plus_shifts],
-                                    [runs(s, rows) for s in spec.minus_shifts])
-        return counts
-
-
-def _sweep_domain(indicator: IndicatorSet, specs: list[ShiftSpec]) -> tuple[float, float, float, float]:
-    # domain = bounding box grown by the largest shift magnitude, so that
-    # every row the sweep might read outside it is genuinely empty
-    x0, x1, y0, y1 = indicator.bounding_box
-    m = 0.0
+    if domain is None:
+        x0, x1, y0, y1 = indicator.bounding_box
+        m = max((abs(c) for spec in specs for s in spec.all_shifts for c in s), default=0.0)
+        domain = (x0 - m, x1 + m, y0 - m, y1 + m)
+    x0, x1, y0, y1 = domain
+    if not (x1 > x0 and y1 > y0):
+        raise InvalidSpec(f"degenerate sweep domain {domain}")
+    if not 0 < h < math.inf:
+        raise InvalidSpec(f"quad_mesh must be positive and finite, got {h}")
+    nx, ny = int(round((x1 - x0) / h)), int(round((y1 - y0) / h))
+    if nx < 1 or ny < 1:
+        raise InvalidSpec(f"quad_mesh {h} is coarser than the sweep domain {domain}")
     for spec in specs:
-        for sx, sy in spec.all_shifts:
-            m = max(m, abs(sx), abs(sy))
-    return (x0 - m, x1 + m, y0 - m, y1 + m)
+        if not spec.plus_shifts:
+            raise InvalidSpec("at least one intersected copy is required; "
+                              "a pure-complement volume is infinite")
+    xs = x0 + (np.arange(nx) + 0.5) * h
+    ys = y0 + (np.arange(ny) + 0.5) * h
+    steps = {s: _cell_steps(s, h) for spec in specs for s in spec.all_shifts}
+    master = indicator.row_runs(xs, ys)
+
+    def runs(s, rows):
+        if steps[s] is None:
+            return indicator.row_runs(xs - s[0], ys[rows] - s[1])
+        return _moved(master, *steps[s], nx, rows)
+
+    counts = [0] * len(specs)
+    for j in range(0, ny, _BLOCK_ROWS):
+        rows = np.arange(j, min(j + _BLOCK_ROWS, ny))
+        for k, spec in enumerate(specs):
+            counts[k] += _count([runs(s, rows) for s in spec.plus_shifts],
+                                [runs(s, rows) for s in spec.minus_shifts])
+    return counts
 
 
 def continuous_polyvariogram(indicator: IndicatorSet, shifts: ShiftSpec,
                              quad_mesh: float,
                              domain: tuple[float, float, float, float] | None = None) -> float:
     """Midpoint-rule volume of the shifted intersection; error O(h * perimeter)."""
-    if domain is None:
-        domain = _sweep_domain(indicator, [shifts])
-    sweep = _RowSweep(indicator, domain, quad_mesh)
-    (count,) = sweep.run([shifts])
+    (count,) = _sweep(indicator, [shifts], quad_mesh, domain)
     return count * quad_mesh * quad_mesh
 
 
@@ -294,9 +234,7 @@ def chi_bicovariogram(indicator: IndicatorSet, epsilon: float, quad_mesh: float)
     e = float(epsilon)
     if not 0 < e < math.inf:
         raise InvalidSpec(f"epsilon must be positive and finite, got {epsilon!r}")
-    specs = list(_corner_specs(e))
-    sweep = _RowSweep(indicator, _sweep_domain(indicator, specs), quad_mesh)
-    n_out, n_in = sweep.run(specs)
+    n_out, n_in = _sweep(indicator, list(_corner_specs(e)), quad_mesh)
     return (n_out - n_in) * quad_mesh * quad_mesh / (e * e)
 
 
@@ -362,8 +300,7 @@ def directional_perimeters(indicator: IndicatorSet, directions, epsilons,
     dirs = [(float(u[0]), float(u[1])) for u in directions]
     specs = [ShiftSpec(plus_shifts=[(0.0, 0.0)], minus_shifts=[(e * u[0], e * u[1])])
              for u in dirs for e in eps]
-    sweep = _RowSweep(indicator, _sweep_domain(indicator, specs), quad_mesh)
-    counts = iter(sweep.run(specs))
+    counts = iter(_sweep(indicator, specs, quad_mesh))
     h2 = quad_mesh * quad_mesh
     estimates = []
     for u in dirs:

@@ -504,3 +504,48 @@ def brute_erode(bits, r_cells: float):
                     break
             out[j, i] = keep
     return out
+
+
+def polyvariogram_by_loop(bits, plus, minus) -> int:
+    """Lattice points in every plus translate of the set and in no minus one.
+
+    ``bits`` holds the whole set, everything off the raster being
+    background; ``plus`` and ``minus`` are integer cell shifts (kx, ky), and
+    point (i, j) lies in the translate by (kx, ky) iff bit (i - kx, j - ky)
+    is set.  Each counted point lies in the first plus translate, so the loop
+    visits only the set bits moved by that shift.
+    """
+    bits = np.asarray(bits, dtype=bool)
+    ny, nx = bits.shape
+
+    def member(i, j, shift):
+        si, sj = i - shift[0], j - shift[1]
+        return 0 <= si < nx and 0 <= sj < ny and bool(bits[sj, si])
+
+    count = 0
+    for sj in range(ny):
+        for si in range(nx):
+            if not bits[sj, si]:
+                continue
+            i, j = si + plus[0][0], sj + plus[0][1]
+            if all(member(i, j, k) for k in plus[1:]) \
+                    and not any(member(i, j, k) for k in minus):
+                count += 1
+    return count
+
+
+def row_runs_by_loop(inside) -> list:
+    """Maximal runs of True in each row, as half-open (start, end) column pairs."""
+    out = []
+    for row in np.asarray(inside, dtype=bool):
+        runs, start = [], None
+        for i, v in enumerate(row):
+            if v and start is None:
+                start = i
+            elif not v and start is not None:
+                runs.append((start, i))
+                start = None
+        if start is not None:
+            runs.append((start, len(row)))
+        out.append(runs)
+    return out

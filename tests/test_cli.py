@@ -81,15 +81,15 @@ def test_perimeter_subcommand_on_disc(tmp_path):
 
 def test_perimeter_runs_one_sweep_with_library_values(tmp_path, monkeypatch):
     built = []
+    sweep = variogram._sweep
 
-    class CountingSweep(variogram._RowSweep):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+    def counting_sweep(*args):
+        built.append(args)
+        return sweep(*args)
 
     cfg = {"shape": {"type": "annulus", "center": [0, 0], "r_in": 0.2, "r_out": 0.5},
            "epsilons": [0.08, 0.04, 0.02], "quad_mesh": 2e-3, "directions": 12}
-    monkeypatch.setattr(variogram, "_RowSweep", CountingSweep)
+    monkeypatch.setattr(variogram, "_sweep", counting_sweep)
     code, out_dir, report = run_cli(tmp_path, "per", "perimeter", cfg)
     assert code == 0
     assert len(built) == 1
@@ -206,10 +206,20 @@ TRUNCATED = {"type": "rect_family",
         {"type": "disc", "center": [0, 0], "r": 1.0},
         {"type": "annulus", "center": [3, 0], "r_in": math.nan, "r_out": 1.0}]},
         "epsilon": 0.1}),
+    ("chi", {"shape": {"type": "implicit", "g": "x", "bounding_box": [0, 1, 0, 1]},
+             "epsilon": 0.1}),
+    ("chi", {"shape": {"type": "union", "members": [
+        {"type": "disc", "center": [0, 0], "r": 1.0},
+        {"type": "implicit", "g": "x", "bounding_box": [0, 1, 0, 1]}]}, "epsilon": 0.1}),
+    ("chi", {"shape": {"type": "implicit", "g": "x", "bounding_box": [0, 1]},
+             "epsilon": 0.1}),
+    ("chi", {"shape": {"type": "implicit", "g": "x", "bounding_box": [0, "nan", 0, 1]},
+             "epsilon": 0.1}),
 ], ids=["truncate-q-one", "truncate-q-above-one", "truncate-q-zero", "lambda-nan",
         "lambda-infinite", "densities-window-reversed", "disc-radius-nan",
         "disc-radius-infinite", "disc-centre-nan", "annulus-outer-radius-infinite",
-        "annulus-centre-infinite", "union-member-radius-nan"])
+        "annulus-centre-infinite", "union-member-radius-nan", "implicit-g-text",
+        "union-member-implicit-g-text", "implicit-box-two-numbers", "implicit-box-nan"])
 def test_degenerate_model_or_window_exits_one(tmp_path, capsys, subcommand, cfg):
     # these used to exit 2 from a numpy/math error, or report on a meaningless model
     code, _, report = run_cli(tmp_path, "degenerate", subcommand, cfg)

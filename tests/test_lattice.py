@@ -1,19 +1,26 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulergram import (
     BitGrid,
     Lattice,
     digitize,
     grid_volume,
+    lattice,
     lattice_covering,
     make_shape,
     read_pgm,
     write_pgm,
 )
+from eulergram.lattice import IndicatorSet, _runs_of
+
+from oracles import row_runs_by_loop
 
 
 def test_lattice_points_and_axes():
@@ -90,3 +97,34 @@ def test_pgm_roundtrip(tmp_path):
 
     back = read_pgm(path)
     assert back == grid
+
+
+@st.composite
+def run_rows(draw):
+    nx = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["random", "full", "empty", "one cell"]))
+        if kind == "random":
+            rows.append(draw(st.lists(st.booleans(), min_size=nx, max_size=nx)))
+        else:
+            at = draw(st.integers(0, nx - 1))
+            rows.append([kind == "full" or (kind == "one cell" and i == at) for i in range(nx)])
+    return np.array(rows, dtype=bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_rows(), st.integers(1, 40))
+def test_runs_of_matches_loop_oracle(inside, dense_cells):
+    # also through a set built without runs, evaluated a few cells at a time
+    expected = row_runs_by_loop(inside)
+    ny, nx = inside.shape
+    ind = IndicatorSet(contains=lambda x, y: inside[y.astype(int), x.astype(int)],
+                       bounding_box=(0.0, nx - 1.0, 0.0, ny - 1.0))
+    with mock.patch.object(lattice, "_DENSE_CELLS", dense_cells):
+        for lo, hi in (_runs_of(inside), ind.row_runs(np.arange(nx, dtype=float),
+                                                      np.arange(ny, dtype=float))):
+            assert lo.shape == hi.shape == (ny, max(1, max(map(len, expected))))
+            assert (lo <= hi).all()
+            assert [[(int(a), int(b)) for a, b in zip(row_lo, row_hi) if a < b]
+                    for row_lo, row_hi in zip(lo, hi)] == expected

@@ -66,8 +66,7 @@ def hand_realization(germs, domain):
     x0, x1, y0, y1 = domain
     return Realization(rects=np.array([r for r, _ in rows], dtype=float).reshape(-1, 4),
                        marks=np.array([m for _, m in rows], dtype=float),
-                       count=len(germs), domain=domain,
-                       padded_domain=(x0 - 1, x1 + 1, y0 - 1, y1 + 1),
+                       count=len(germs), padded_domain=(x0 - 1, x1 + 1, y0 - 1, y1 + 1),
                        expected_count=float((x1 - x0 + 2) * (y1 - y0 + 2)))
 
 

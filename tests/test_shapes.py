@@ -150,6 +150,13 @@ def test_shape_spec_validation():
         make_shape({"type": "warp", "center": [0, 0]})
     with pytest.raises(InvalidSpec):
         make_shape({"type": "implicit", "g": lambda x, y: x})
+    for bad in ({"g": None}, {"g": "x"}, {"grad": "x"}, {"bounding_box": [0, 1]},
+                {"bounding_box": [0, "nan", 0, 1]}, {"bounding_box": [0, 1, 0, math.inf]},
+                {"bounding_box": [1, 0, 0, 1]}, {"bounding_box": [0, 1, 1, 0]},
+                {"bounding_box": 5}, {"bounding_box": "abcd"}):
+        with pytest.raises(InvalidSpec):
+            make_shape({"type": "implicit", "g": lambda x, y: x, "bounding_box": [0, 1, 0, 1],
+                        **bad})
     with pytest.raises(InvalidSpec):
         make_shape({"type": "union", "members": [5]})
     for bad in ({"type": "disc", "center": [0, 0], "r": math.nan},

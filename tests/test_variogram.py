@@ -29,10 +29,10 @@ from eulergram import (
     perimeter_variational,
 )
 from eulergram.cli import _clip_to_window, _polyrect
-from eulergram.variogram import _circle, _circle_mean, _RowSweep, _sweep_domain
+from eulergram.variogram import _circle, _circle_mean, _sweep
 
 from gridgen import admissible_random_bits
-from oracles import midpoint_shift_counts
+from oracles import midpoint_shift_counts, polyvariogram_by_loop
 
 
 def grid_from(bits, epsilon=1.0):
@@ -103,6 +103,30 @@ def test_plus_order_is_irrelevant():
     a = ShiftSpec(plus_shifts=[(0.0, 0.0), (1.0, 0.0)], minus_shifts=[(0.0, 1.0), (1.0, 1.0)])
     b = ShiftSpec(plus_shifts=[(1.0, 0.0), (0.0, 0.0)], minus_shifts=[(1.0, 1.0), (0.0, 1.0)])
     assert discrete_polyvariogram(g, a) == discrete_polyvariogram(g, b)
+
+
+@st.composite
+def discrete_cases(draw):
+    ny, nx = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    bits = np.array(draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny)),
+                    dtype=bool).reshape(ny, nx)
+    # shifts reach past the grid on either axis, kx and ky drawn apart
+    shift = st.tuples(st.integers(-10, 10), st.integers(-10, 10))
+    plus = draw(st.lists(shift, min_size=1, max_size=3))
+    minus = draw(st.lists(shift, max_size=3))
+    return bits, draw(st.sampled_from([1.0, 0.5, 0.1])), plus, minus
+
+
+@settings(max_examples=300, deadline=None)
+@given(discrete_cases())
+@example((np.array([[True, True, False], [False, True, True]]), 0.1,
+          [(0, 0), (4, -1)], [(-1, 3), (2, 0), (0, -9)]))
+def test_discrete_polyvariogram_matches_loop_oracle(case):
+    bits, eps, plus, minus = case
+    spec = ShiftSpec(plus_shifts=[(kx * eps, ky * eps) for kx, ky in plus],
+                     minus_shifts=[(kx * eps, ky * eps) for kx, ky in minus])
+    assert discrete_polyvariogram(grid_from(bits, epsilon=eps), spec) == \
+        polyvariogram_by_loop(bits, plus, minus)
 
 
 def test_non_lattice_shift_rejected():
@@ -188,10 +212,14 @@ def test_row_sweep_matches_whole_grid_oracle(case):
     members, h, raw_specs, crop = case
     shape = make_shape({"type": "union", "members": members})
     specs = [ShiftSpec(plus_shifts=plus, minus_shifts=minus) for plus, minus in raw_specs]
-    x0, x1, y0, y1 = _sweep_domain(shape, specs)
+    # the default domain: the bounding box grown by the largest shift magnitude
+    m = max(abs(c) for sp in specs for s in sp.all_shifts for c in s)
+    x0, x1, y0, y1 = shape.bounding_box
+    x0, x1, y0, y1 = x0 - m, x1 + m, y0 - m, y1 + m
     cx, cy = crop * (x1 - x0), crop * (y1 - y0)
     domain = (x0 + cx, x1 - cx, y0 + cy, y1 - cy)
-    assert _RowSweep(shape, domain, h).run(specs) == midpoint_shift_counts(
+    got = _sweep(shape, specs, h) if crop == 0.0 else _sweep(shape, specs, h, domain)
+    assert got == midpoint_shift_counts(
         shape.contains, domain, h, [(sp.plus_shifts, sp.minus_shifts) for sp in specs])
 
 
@@ -208,25 +236,31 @@ def run_sweep_cases(draw):
         return -1.5 + (k + draw(st.sampled_from([0.0, 0.5]))) * h
 
     def member():
-        center = [on_mesh(1.0, 2.0), on_mesh(1.0, 2.0)]
+        cx, cy = on_mesh(1.0, 2.0), on_mesh(1.0, 2.0)
         if draw(st.booleans()):
             r = draw(st.integers(2, 12)) * h
         else:
             r = draw(st.floats(0.05, 0.35))
-        if draw(st.booleans()):
-            return {"type": "disc", "center": center, "r": r}
-        return {"type": "annulus", "center": center,
-                "r_in": r * draw(st.sampled_from([0.25, 0.5, 0.75])), "r_out": r}
+        kind = draw(st.sampled_from(["disc", "annulus", "implicit"]))
+        if kind == "disc":
+            spec = {"type": "disc", "center": [cx, cy], "r": r}
+        elif kind == "annulus":
+            spec = {"type": "annulus", "center": [cx, cy],
+                    "r_in": r * draw(st.sampled_from([0.25, 0.5, 0.75])), "r_out": r}
+        else:
+            # a disc known only by its predicate: its runs are read off cell by cell
+            spec = {"type": "implicit",
+                    "g": lambda x, y: (x - cx) ** 2 + (y - cy) ** 2 - r ** 2,
+                    "bounding_box": [cx - r, cx + r, cy - r, cy + r]}
+        return spec, cx, cy, r
 
     members = [member() for _ in range(draw(st.integers(1, 3)))]
     if len(members) == 2 and draw(st.booleans()):
         # a second disc touching or overlapping the first one
-        a = members[0]
-        r = a.get("r", a.get("r_out"))
+        _, cx, cy, r = members[0]
         gap = draw(st.sampled_from([0.0, -h, -0.5 * r]))
-        members[1] = {"type": "disc", "center": [a["center"][0] + 2 * r + gap, a["center"][1]],
-                      "r": r}
-    shape = make_shape({"type": "union", "members": members})
+        members[1] = ({"type": "disc", "center": [cx + 2 * r + gap, cy], "r": r}, None, None, r)
+    shape = make_shape({"type": "union", "members": [m[0] for m in members]})
 
     if draw(st.booleans()):
         rects = []
@@ -238,7 +272,7 @@ def run_sweep_cases(draw):
         except (ConfigInvalid, CornerClash):
             assume(False)
     if draw(st.integers(0, 4)) == 0:
-        # no row runs: the sweep reads dense rows
+        # built without row runs: the whole set's runs are read off cell by cell
         shape = dataclasses.replace(shape, row_runs=None)
 
     def coord():
@@ -257,7 +291,7 @@ def run_sweep_cases(draw):
 def test_run_sweep_matches_whole_grid_oracle(case):
     shape, domain, h, raw_specs = case
     specs = [ShiftSpec(plus_shifts=plus, minus_shifts=minus) for plus, minus in raw_specs]
-    assert _RowSweep(shape, domain, h).run(specs) == midpoint_shift_counts(
+    assert _sweep(shape, specs, h, domain) == midpoint_shift_counts(
         shape.contains, domain, h, raw_specs)
 
 
@@ -296,7 +330,7 @@ def test_chi_bicovariogram_rejects_bad_epsilon():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_nonfinite_shift_size_rejected_before_sweeping(bad, monkeypatch):
     # NaN passes "<= 0"; it must be named as a shift size, not reach a sweep
-    monkeypatch.setattr("eulergram.variogram._RowSweep", None)
+    monkeypatch.setattr("eulergram.variogram._sweep", None)
     with pytest.raises(InvalidSpec, match="epsilon"):
         chi_bicovariogram(disc(), bad, quad_mesh=1e-2)
     with pytest.raises(InvalidSpec, match="shift size"):
