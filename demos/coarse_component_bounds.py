@@ -18,8 +18,9 @@ bits[:24, :] = bits[-24:, :] = bits[:, :24] = bits[:, -24:] = False
 truth = BitGrid(lattice=Lattice(epsilon=1.0, origin=(0.0, 0.0), nx=160, ny=160),
                 bits=bits)
 
-for eps in (4.0, 8.0, 16.0):
-    rep = verify_bounds(truth, eps)
+# one call checks every mesh, sharing the work that does not depend on it
+meshes = (4.0, 8.0, 16.0)
+for eps, rep in zip(meshes, verify_bounds(truth, meshes)):
     print("mesh %4.0f: digitized components %d <= %d"
           " (2 x %d interior pairs + %d truth components), holds %s"
           % (eps, rep.num_components_digitized, rep.bound_rhs,
@@ -29,7 +30,7 @@ for eps in (4.0, 8.0, 16.0):
 
 # restricting to a window brings boundary pairs and window corners into play
 window = PolyRectangle(rects=((40.0, 120.0, 40.0, 120.0),))
-rep = verify_bounds(truth, 8.0, window)
+rep, = verify_bounds(truth, [8.0], window)
 print("windowed, mesh 8: %d <= %d with %d boundary pairs and %d corners, holds %s"
       % (rep.num_components_digitized, rep.bound_rhs, rep.n_boundary,
          rep.corners, rep.holds))

@@ -232,8 +232,7 @@ def _run_bounds(cfg: dict, out_dir: Path, timestamp: bool) -> None:
               "chi_abs", "chi_bound_rhs", "chi_holds")
     rows = []
     all_hold = True
-    for eps in epsilons:
-        rep = verify_bounds(grid, eps, window)
+    for eps, rep in zip(epsilons, verify_bounds(grid, epsilons, window)):
         all_hold &= rep.holds and rep.chi_holds
         rows.append((eps, rep.n_interior, rep.n_boundary, rep.corners,
                      rep.num_components_digitized, rep.num_components_truth,

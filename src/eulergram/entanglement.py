@@ -26,12 +26,18 @@ single 3-D ``ndimage.label`` whose structure is 8-connected within a square
 and empty across squares.  Boundary candidates are consecutive members of
 each coarse row and column, with a cumulative count of blocking points
 between them, tested against every maximal window edge in one broadcast.
+
+What does not depend on the coarse mesh is built once per truth:
+``verify_bounds`` takes a list of meshes and hands both detectors the
+same prepared truth and complement, whose prefix sums and distance
+transform are each computed on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -93,6 +99,31 @@ def _subdivision(truth: BitGrid, coarse_epsilon: float) -> int:
     return k
 
 
+@dataclass(frozen=True, eq=False)
+class _Truth:
+    """A truth grid with the arrays both detectors read at every coarse mesh, each built once."""
+
+    lattice: Lattice
+    bits: np.ndarray
+
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        # int32 prefix sums hold the set count of any grid under 2**31 cells
+        ny, nx = self.bits.shape
+        pref = np.zeros((ny + 1, nx + 1), dtype=np.int32)
+        np.cumsum(np.cumsum(self.bits, axis=0, dtype=np.int32), axis=1, out=pref[1:, 1:])
+        return pref
+
+    @cached_property
+    def distance(self) -> np.ndarray:
+        """Distance from every cell to the set, in cells."""
+        return ndimage.distance_transform_edt(~self.bits)
+
+
+def _prepared(truth) -> _Truth:
+    return truth if isinstance(truth, _Truth) else _Truth(truth.lattice, truth.bits)
+
+
 def _pair_tuples(ends: np.ndarray) -> tuple:
     """(n, 2, 2) endpoint coordinates as pairs of Python-float points."""
     return tuple(zip(map(tuple, ends[:, 0].tolist()), map(tuple, ends[:, 1].tolist())))
@@ -111,6 +142,7 @@ def detect_interior_pairs(truth: BitGrid, coarse_epsilon: float,
     Pairs come in raster order of x, the east neighbour before the north one.
     """
     k = _subdivision(truth, coarse_epsilon)
+    truth = _prepared(truth)
     bits = truth.bits
     ny, nx = bits.shape
     lat = truth.lattice
@@ -128,10 +160,8 @@ def detect_interior_pairs(truth: BitGrid, coarse_epsilon: float,
     # screens, cheapest first, each narrowing the candidate indices c
     c = np.flatnonzero(~bits[j0, i0] & ~bits[j1, i1]
                        & (ja >= 0) & (ia >= 0) & (jb < ny) & (ib < nx))
-    # an empty box leaves two border arcs, never one component; int32 prefix
-    # sums hold the set count of any grid under 2**31 cells
-    pref = np.zeros((ny + 1, nx + 1), dtype=np.int32)
-    np.cumsum(np.cumsum(bits, axis=0, dtype=np.int32), axis=1, out=pref[1:, 1:])
+    # an empty box leaves two border arcs, never one component
+    pref = truth.prefix
     a, b, A, B = ja[c], ia[c], jb[c] + 1, ib[c] + 1
     c = c[pref[A, B] - pref[a, B] - pref[A, b] + pref[a, b] > 0]
     ends = np.stack([lat.origin[0] + lat.epsilon * np.stack([i0[c], i1[c]], 1),
@@ -192,12 +222,13 @@ def detect_boundary_pairs(truth: BitGrid, coarse_epsilon: float,
     so the fine-grid surrogate can only over-report).  Pairs come sorted.
     """
     k = _subdivision(truth, coarse_epsilon)
+    truth = _prepared(truth)
     bits = truth.bits
     lat = truth.lattice
     h = lat.epsilon
 
     # distance from every coarse point to the set, in length units
-    dist = ndimage.distance_transform_edt(~bits)[::k, ::k] * h
+    dist = truth.distance[::k, ::k] * h
     near = dist <= coarse_epsilon + h / math.sqrt(2.0)
     xy = np.stack(np.meshgrid(lat.origin[0] + h * np.arange(0, lat.nx, k),
                               lat.origin[1] + h * np.arange(0, lat.ny, k)), 2)
@@ -242,9 +273,15 @@ def _count8(bits: np.ndarray) -> int:
     return int(n)
 
 
-def verify_bounds(truth: BitGrid, coarse_epsilon: float,
-                  window: PolyRectangle | None = None) -> BoundReport:
-    """Check the digitized-component and Euler-characteristic bounds.
+def verify_bounds(truth: BitGrid, coarse_epsilons,
+                  window: PolyRectangle | None = None) -> list[BoundReport]:
+    """Check the digitized-component and Euler-characteristic bounds at each coarse mesh.
+
+    Returns one report per mesh of ``coarse_epsilons``, in the given
+    order; every mesh must be an integer multiple >= 4 of the truth mesh,
+    and all are checked before any work starts.  What does not depend on
+    the mesh (the window mask, truth component counts, prefix sums and
+    distance transforms) is computed once for all of them.
 
     Without a window: #components(coarse set) <= 2 * #interior pairs +
     #components(truth), and the chi bound is evaluated against the truth
@@ -256,7 +293,7 @@ def verify_bounds(truth: BitGrid, coarse_epsilon: float,
     counts use 8-connectivity (continuum stand-in); the coarse digitization
     uses the lattice convention of 4-connected set and complement.
     """
-    k = _subdivision(truth, coarse_epsilon)
+    ks = [_subdivision(truth, eps) for eps in coarse_epsilons]
     lat = truth.lattice
 
     frame = window
@@ -267,44 +304,47 @@ def verify_bounds(truth: BitGrid, coarse_epsilon: float,
         frame = PolyRectangle(rects=((x0, x1, y0, y1),))
     w_mask = frame.contains(lat.xs()[None, :], lat.ys()[:, None])
     corners = len(corner_points(frame))
-
     n_truth = _count8(truth.bits & w_mask)
+    n_truth_c = _count8(~truth.bits & w_mask)
+    side, comp_side = _Truth(lat, truth.bits), _Truth(lat, ~truth.bits)
 
-    comp_truth = BitGrid(lattice=lat, bits=~truth.bits)
-    n_int_f = len(detect_interior_pairs(truth, coarse_epsilon, window=frame))
-    n_int_fc = len(detect_interior_pairs(comp_truth, coarse_epsilon, window=frame))
-    nb_f = len(detect_boundary_pairs(truth, coarse_epsilon, frame))
-    nb_fc = len(detect_boundary_pairs(comp_truth, coarse_epsilon, frame))
+    reports = []
+    for coarse_epsilon, k in zip(coarse_epsilons, ks):
+        n_int_f = len(detect_interior_pairs(side, coarse_epsilon, window=frame))
+        n_int_fc = len(detect_interior_pairs(comp_side, coarse_epsilon, window=frame))
+        nb_f = len(detect_boundary_pairs(side, coarse_epsilon, frame))
+        nb_fc = len(detect_boundary_pairs(comp_side, coarse_epsilon, frame))
 
-    coarse = _coarse_grid(truth, k, w_mask)
-    n_digitized = _count8(coarse.bits)
-    # subsampling can land set bits on the coarse border; an empty ring
-    # changes neither component count, and restores the labeling margin
-    ring = Lattice(epsilon=coarse.lattice.epsilon,
-                   origin=(coarse.lattice.origin[0] - coarse.lattice.epsilon,
-                           coarse.lattice.origin[1] - coarse.lattice.epsilon),
-                   nx=coarse.lattice.nx + 2, ny=coarse.lattice.ny + 2)
-    coarse = BitGrid(lattice=ring, bits=np.pad(coarse.bits, 1))
+        coarse = _coarse_grid(truth, k, w_mask)
+        n_digitized = _count8(coarse.bits)
+        # subsampling can land set bits on the coarse border; an empty ring
+        # changes neither component count, and restores the labeling margin
+        ring = Lattice(epsilon=coarse.lattice.epsilon,
+                       origin=(coarse.lattice.origin[0] - coarse.lattice.epsilon,
+                               coarse.lattice.origin[1] - coarse.lattice.epsilon),
+                       nx=coarse.lattice.nx + 2, ny=coarse.lattice.ny + 2)
+        coarse = BitGrid(lattice=ring, bits=np.pad(coarse.bits, 1))
 
-    if window is not None:
-        bound_rhs = 2 * n_int_f + 2 * nb_f + n_truth + 2 * corners
-    else:
-        bound_rhs = 2 * n_int_f + n_truth
+        if window is not None:
+            bound_rhs = 2 * n_int_f + 2 * nb_f + n_truth + 2 * corners
+        else:
+            bound_rhs = 2 * n_int_f + n_truth
 
-    labeling = label_components(coarse)
-    chi = labeling.num_set_components - labeling.num_complement_bounded_components
-    chi_rhs = (3 * corners + 2 * max(n_int_f, n_int_fc) + 2 * max(nb_f, nb_fc)
-               + max(n_truth, _count8(~truth.bits & w_mask)))
+        labeling = label_components(coarse)
+        chi = labeling.num_set_components - labeling.num_complement_bounded_components
+        chi_rhs = (3 * corners + 2 * max(n_int_f, n_int_fc) + 2 * max(nb_f, nb_fc)
+                   + max(n_truth, n_truth_c))
 
-    return BoundReport(
-        num_components_digitized=n_digitized,
-        num_components_truth=n_truth,
-        n_interior=n_int_f,
-        n_boundary=nb_f,
-        corners=corners,
-        bound_rhs=bound_rhs,
-        holds=n_digitized <= bound_rhs,
-        chi_abs=abs(chi),
-        chi_bound_rhs=chi_rhs,
-        chi_holds=abs(chi) <= chi_rhs,
-    )
+        reports.append(BoundReport(
+            num_components_digitized=n_digitized,
+            num_components_truth=n_truth,
+            n_interior=n_int_f,
+            n_boundary=nb_f,
+            corners=corners,
+            bound_rhs=bound_rhs,
+            holds=n_digitized <= bound_rhs,
+            chi_abs=abs(chi),
+            chi_bound_rhs=chi_rhs,
+            chi_holds=abs(chi) <= chi_rhs,
+        ))
+    return reports

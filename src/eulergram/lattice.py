@@ -10,9 +10,12 @@ boolean algebra on these arrays plays the role of word-wise bit fiddling.
 
 Digitization samples the indicator predicate at every lattice point, so
 whether boundary points belong to the set is decided by the predicate
-itself (closed sets answer True on their boundary).  Shifted sampling
-re-evaluates the predicate at the shifted points; nothing is ever padded
-or interpolated.
+itself (closed sets answer True on their boundary).  The predicate is
+called once on the two broadcast axes, a ``(1, nx)`` row of x values and
+an ``(ny, 1)`` column of y values, so a disc squares 1-D differences and
+only its sum and comparison are full-grid.  Shifted sampling re-evaluates
+the predicate at the shifted points; nothing is ever padded or
+interpolated.
 """
 
 from __future__ import annotations
@@ -94,8 +97,9 @@ class IndicatorSet:
                                 tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
-        if self.row_runs is None:
-            object.__setattr__(self, "row_runs", _dense_runs(self.contains))
+        runs = self.row_runs
+        if runs is None or (isinstance(runs, _DenseRuns) and runs.contains is not self.contains):
+            object.__setattr__(self, "row_runs", _DenseRuns(self.contains))
 
 
 # a dense evaluation holds at most this many cells at once, so memory stays
@@ -119,20 +123,27 @@ def _runs_of(inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out[0], out[1]
 
 
-def _dense_runs(contains):
-    """``row_runs`` read off ``contains``, evaluated on every cell a block of rows at a time."""
-    def row_runs(xs, ys):
+@dataclass(frozen=True)
+class _DenseRuns:
+    """``row_runs`` read off ``contains``, evaluated on every cell a block of rows at a time.
+
+    It keeps the predicate it reads, so a set whose ``contains`` is
+    replaced reads its runs off the new one.
+    """
+
+    contains: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def __call__(self, xs, ys):
         step = max(1, _DENSE_CELLS // xs.size)
         parts = []
         for chunk in np.split(ys, np.arange(step, ys.size, step)):
-            inside = np.asarray(contains(xs[None, :], chunk[:, None]), dtype=bool)
+            inside = np.asarray(self.contains(xs[None, :], chunk[:, None]), dtype=bool)
             parts.append(_runs_of(np.broadcast_to(inside, (chunk.size, xs.size))))
         k = max(lo.shape[1] for lo, _ in parts)
 
         def joined(ends):
             return np.concatenate([np.pad(a, ((0, 0), (0, k - a.shape[1]))) for a in ends])
         return joined([lo for lo, _ in parts]), joined([hi for _, hi in parts])
-    return row_runs
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,9 +213,8 @@ def digitize(
     """
     xs = lattice.xs() + offset[0]
     ys = lattice.ys() + offset[1]
-    gx, gy = np.broadcast_arrays(xs[None, :], ys[:, None])
-    mask = np.asarray(indicator.contains(gx, gy), dtype=bool)
-    return BitGrid(lattice, mask)
+    mask = np.asarray(indicator.contains(xs[None, :], ys[:, None]), dtype=bool)
+    return BitGrid(lattice, np.broadcast_to(mask, (lattice.ny, lattice.nx)))
 
 
 def _whole_multiple(value: float, unit: float) -> Optional[int]:

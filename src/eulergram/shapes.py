@@ -373,9 +373,16 @@ def make_shape(spec: dict) -> IndicatorSet:
                 return (gx / n, gy / n)
 
         rho = spec.get("rho")
+        if rho is not None:
+            try:
+                rho = float(rho)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidSpec(f"rho must be a number, got {spec['rho']!r}") from exc
+            if not 0 < rho < math.inf:
+                raise InvalidSpec(f"rho must be positive and finite, got {rho}")
         return IndicatorSet(contains=contains,
                             bounding_box=bbox,
-                            regularity_radius=None if rho is None else float(rho),
+                            regularity_radius=rho,
                             normal=normal, signed_distance=None)
 
     raise InvalidSpec(f"unknown shape type {kind!r}")

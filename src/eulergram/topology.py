@@ -21,7 +21,8 @@ that margin rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -61,15 +62,32 @@ class ComponentLabeling:
     """4-connected component labels for one side of a grid.
 
     ``labels`` is 0 on cells outside the requested side; components are
-    numbered 1..k in first-seen row-major order.  Both summary counts are
-    always populated regardless of which side was labeled; the bounded
-    complement count excludes the single component reachable from the
-    grid border.
+    numbered 1..k in first-seen row-major order.  It is computed lazily,
+    on first access, from the raw labeling of the requested side, which
+    is all the labeling keeps: the counts alone need no relabel.  Both
+    summary counts are always populated regardless of which side was
+    labeled; the bounded complement count excludes the single component
+    reachable from the grid border.
     """
 
-    labels: np.ndarray
     num_set_components: int
     num_complement_bounded_components: int
+    # ndimage labels of the set, or of the complement inside a True frame
+    _raw: np.ndarray = field(repr=False)
+    _which: str
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        if self._which == "set":
+            return _first_seen_relabel(self._raw, self.num_set_components)
+        n_bounded = self.num_complement_bounded_components
+        inner = self._raw[1:-1, 1:-1].copy()
+        inner[inner == self._raw[0, 0]] = 0
+        # compact to 1..n_bounded before ordering
+        kept = np.unique(inner[inner > 0])
+        remap = np.zeros(n_bounded + 2, dtype=inner.dtype)
+        remap[kept] = np.arange(1, len(kept) + 1)
+        return _first_seen_relabel(remap[inner], n_bounded)
 
 
 def _require_margin(bits: np.ndarray) -> None:
@@ -195,24 +213,11 @@ def label_components(grid: BitGrid, which: str = "set") -> ComponentLabeling:
     set_raw, n_set = ndimage.label(bits, structure=_CROSS)
     # complement labeled with a one-cell True frame so everything touching
     # the border collapses into a single unbounded component
-    framed = np.pad(~bits, 1, constant_values=True)
-    comp_raw, n_comp = ndimage.label(framed, structure=_CROSS)
-    unbounded = comp_raw[0, 0]
-    n_bounded = n_comp - 1
-
-    if which == "set":
-        labels = _first_seen_relabel(set_raw, n_set)
-    else:
-        inner = comp_raw[1:-1, 1:-1].copy()
-        inner[inner == unbounded] = 0
-        # compact to 1..n_bounded before ordering
-        kept = np.unique(inner[inner > 0])
-        remap = np.zeros(n_comp + 1, dtype=inner.dtype)
-        remap[kept] = np.arange(1, len(kept) + 1)
-        labels = _first_seen_relabel(remap[inner], n_bounded)
-
+    comp_raw, n_comp = ndimage.label(np.pad(~bits, 1, constant_values=True),
+                                     structure=_CROSS)
     return ComponentLabeling(
-        labels=labels,
         num_set_components=int(n_set),
-        num_complement_bounded_components=int(n_bounded),
+        num_complement_bounded_components=int(n_comp) - 1,
+        _raw=set_raw if which == "set" else comp_raw,
+        _which=which,
     )

@@ -44,6 +44,38 @@ def bfs_component_count(bits, connectivity: int = 4) -> int:
                         queue.append((nj, ni))
     return count
 
+def first_seen_labels(bits) -> np.ndarray:
+    """4-connected components of True cells, numbered 1..k in row-major first-seen order."""
+    bits = np.asarray(bits, dtype=bool)
+    ny, nx = bits.shape
+    labels = np.zeros((ny, nx), dtype=int)
+    count = 0
+    for j in range(ny):
+        for i in range(nx):
+            if not bits[j, i] or labels[j, i]:
+                continue
+            count += 1
+            labels[j, i] = count
+            queue = deque([(j, i)])
+            while queue:
+                cj, ci = queue.popleft()
+                for nj, ni in ((cj + 1, ci), (cj - 1, ci), (cj, ci + 1), (cj, ci - 1)):
+                    if 0 <= nj < ny and 0 <= ni < nx and bits[nj, ni] and not labels[nj, ni]:
+                        labels[nj, ni] = count
+                        queue.append((nj, ni))
+    return labels
+
+
+def first_seen_hole_labels(bits) -> np.ndarray:
+    """Bounded 4-connected complement components, numbered 1..k in first-seen order.
+
+    In a True frame around the complement the border-reachable sea is seen
+    first and gets label 1; every hole keeps its order, one number lower.
+    """
+    framed = first_seen_labels(np.pad(~np.asarray(bits, dtype=bool), 1, constant_values=True))
+    return np.maximum(framed[1:-1, 1:-1] - 1, 0)
+
+
 def bounded_hole_count(bits) -> int:
     """4-connected complement components not reachable from the border."""
     bits = np.asarray(bits, dtype=bool)
@@ -532,6 +564,42 @@ def polyvariogram_by_loop(bits, plus, minus) -> int:
                     and not any(member(i, j, k) for k in minus):
                 count += 1
     return count
+
+
+def digitize_by_broadcast(indicator, lattice, offset=(0.0, 0.0)) -> np.ndarray:
+    """Gauss digitization bits: the predicate asked once per lattice point.
+
+    Both coordinates are full ``(ny, nx)`` arrays, so every point's x and
+    y are formed as the lattice formula gives them, with no broadcasting
+    left to the predicate.
+    """
+    xs = lattice.origin[0] + lattice.epsilon * np.arange(lattice.nx) + offset[0]
+    ys = lattice.origin[1] + lattice.epsilon * np.arange(lattice.ny) + offset[1]
+    gx, gy = np.broadcast_arrays(xs[None, :], ys[:, None])
+    return np.asarray(indicator.contains(gx, gy), dtype=bool)
+
+
+class LevelIndicator:
+    """Pointwise f >= level inside a rectangular window, for digitization.
+
+    A duck-typed indicator: it has ``contains`` and ``bounding_box`` and no
+    row runs.  ``real`` needs ``rects`` (m, 4) and ``marks`` (m,); f is
+    the sum of the marks of the closed rectangles covering a point.
+    """
+
+    def __init__(self, real, level, window):
+        self.real = real
+        self.level = level
+        self.window = window
+        self.bounding_box = window
+
+    def contains(self, xs, ys):
+        f = np.zeros(np.broadcast(xs, ys).shape)
+        for (x0, x1, y0, y1), mark in zip(self.real.rects, self.real.marks):
+            f += mark * ((xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1))
+        wx0, wx1, wy0, wy1 = self.window
+        inside = (xs >= wx0) & (xs <= wx1) & (ys >= wy0) & (ys <= wy1)
+        return (f >= self.level) & inside
 
 
 def row_runs_by_loop(inside) -> list:

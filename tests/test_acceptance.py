@@ -212,6 +212,7 @@ def test_criterion_6_component_bound_stress():
     lat = Lattice(epsilon=1.0, origin=(0.0, 0.0), nx=160, ny=160)
     window = PolyRectangle(rects=((40.0, 120.0, 40.0, 120.0),))
     yy, xx = np.mgrid[0:160, 0:160]
+    meshes = (4.0, 8.0, 16.0)
     checks = 0
     for trial in range(500):
         if trial % 2 == 0:
@@ -224,9 +225,8 @@ def test_criterion_6_component_bound_stress():
         else:
             bits = smooth_blob_bits(rng, 160, 160, margin=24, scale=6.0, fill=0.35)
         g = BitGrid(lattice=lat, bits=bits)
-        for eps in (4.0, 8.0, 16.0):
-            for win in (None, window):
-                rep = verify_bounds(g, eps, win)
+        for win in (None, window):
+            for eps, rep in zip(meshes, verify_bounds(g, meshes, win)):
                 assert rep.holds, "trial %d eps %s win %s" % (trial, eps, win)
                 assert rep.chi_holds, "trial %d eps %s win %s" % (trial, eps, win)
                 checks += 1

@@ -64,8 +64,10 @@ def test_mesh_mismatch():
         detect_interior_pairs(g, coarse_epsilon=8.5)
     with pytest.raises(MeshMismatch):
         detect_interior_pairs(g, coarse_epsilon=2.0)
-    with pytest.raises(MeshMismatch):
-        verify_bounds(g, coarse_epsilon=3.0)
+    # every mesh is checked before any work, so a bad one anywhere in the list raises
+    for meshes in ([3.0], [8.0, 3.0], [8.0, 8.5]):
+        with pytest.raises(MeshMismatch):
+            verify_bounds(g, meshes)
 
 
 # --------------------------------------------------------------- boundary
@@ -112,7 +114,7 @@ def test_disc_bound_is_tight():
     d = make_shape({"type": "disc", "center": [0.5, 0.5], "r": 0.5})
     h = 1.0 / 64.0
     g = digitize(d, lattice_covering(d.bounding_box, h, margin=10))
-    rep = verify_bounds(g, coarse_epsilon=8 * h)
+    rep, = verify_bounds(g, [8 * h])
     assert rep.num_components_digitized == 1
     assert rep.num_components_truth == 1
     assert rep.n_interior == 0
@@ -126,7 +128,7 @@ def test_split_u_shape_bound():
     bits[8:33, 8:10] = True
     bits[8:33, 24:26] = True
     bits[9:12, 8:26] = True
-    rep = verify_bounds(fine_grid(bits), coarse_epsilon=8.0)
+    rep, = verify_bounds(fine_grid(bits), [8.0])
     assert rep.num_components_truth == 1
     assert rep.num_components_digitized == 2
     assert rep.n_interior >= 1
@@ -173,7 +175,7 @@ def test_random_disc_unions_never_violate_bounds():
             cx, cy = rng.uniform(24, 105, size=2)
             r = rng.uniform(3.0, 12.0)
             bits |= (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
-        rep = verify_bounds(fine_grid(bits), coarse_epsilon=8.0)
+        rep, = verify_bounds(fine_grid(bits), [8.0])
         assert rep.holds and rep.chi_holds
 
 
@@ -187,9 +189,27 @@ def test_windowed_bounds_on_random_unions():
             cx, cy = rng.uniform(16, 113, size=2)
             r = rng.uniform(3.0, 12.0)
             bits |= (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
-        rep = verify_bounds(fine_grid(bits), coarse_epsilon=8.0, window=w)
+        rep, = verify_bounds(fine_grid(bits), [8.0], window=w)
         assert rep.corners == 4
         assert rep.holds and rep.chi_holds
+
+
+@pytest.mark.parametrize("window", [None, PolyRectangle(rects=[(20.0, 100.0, 20.0, 100.0)])])
+def test_one_call_per_truth_matches_one_call_per_mesh(window):
+    # the shared per-truth arrays give the reports of separate calls, in order
+    rng = np.random.default_rng(61)
+    yy, xx = np.ogrid[:129, :129]
+    for _ in range(6):
+        bits = np.zeros((129, 129), dtype=bool)
+        for _ in range(int(rng.integers(3, 14))):
+            cx, cy = rng.uniform(16, 113, size=2)
+            r = rng.uniform(1.0, 12.0)
+            bits |= (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+        g = fine_grid(bits)
+        meshes = [16.0, 4.0, 8.0, 5.0]
+        assert verify_bounds(g, meshes, window) == [
+            verify_bounds(g, [eps], window)[0] for eps in meshes]
+    assert verify_bounds(g, [], window) == []
 
 
 # ------------------------------------------------------------------ oracles

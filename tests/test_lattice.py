@@ -1,14 +1,17 @@
 import json
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eulergram import (
     BitGrid,
+    ConfigInvalid,
+    CornerClash,
     Lattice,
     digitize,
     grid_volume,
@@ -18,9 +21,10 @@ from eulergram import (
     read_pgm,
     write_pgm,
 )
+from eulergram.cli import _clip_to_window, _polyrect
 from eulergram.lattice import IndicatorSet, _runs_of
 
-from oracles import row_runs_by_loop
+from oracles import LevelIndicator, digitize_by_broadcast, row_runs_by_loop
 
 
 def test_lattice_points_and_axes():
@@ -68,6 +72,73 @@ def test_digitize_commutes_with_set_algebra():
     assert digitize(union, lat) == (ga | gb)
     assert (~ga).bits.tolist() == (~ga.bits).tolist()
     assert ((ga & gb).bits == (ga.bits & gb.bits)).all()
+
+
+@st.composite
+def digitize_cases(draw):
+    eps = draw(st.sampled_from([0.05, 0.1, 0.125, 0.3, 1.0 / 3.0]))
+
+    def on_mesh(lo, hi):
+        # a lattice point of epsilon * Z^2, or half way between two
+        return (draw(st.integers(lo, hi)) + draw(st.sampled_from([0.0, 0.5]))) * eps
+
+    def radius():
+        # a whole number of meshes about a lattice point makes rows and
+        # columns tangent to the circle
+        if draw(st.booleans()):
+            return draw(st.integers(1, 8)) * eps
+        return draw(st.floats(0.05, 1.0))
+
+    def member():
+        cx, cy, r = on_mesh(-4, 4), on_mesh(-4, 4), radius()
+        kind = draw(st.sampled_from(["disc", "annulus", "implicit"]))
+        if kind == "disc":
+            return {"type": "disc", "center": [cx, cy], "r": r}
+        if kind == "annulus":
+            return {"type": "annulus", "center": [cx, cy],
+                    "r_in": r * draw(st.sampled_from([0.25, 0.5, 0.75])), "r_out": r}
+        return {"type": "implicit", "g": lambda x, y: (x - cx) ** 2 + (y - cy) ** 2 - r ** 2,
+                "bounding_box": [cx - r, cx + r, cy - r, cy + r]}
+
+    kind = draw(st.sampled_from(["shape", "clip", "half plane", "level"]))
+    if kind in ("shape", "clip"):
+        specs = [member() for _ in range(draw(st.integers(1, 3)))]
+        shape = make_shape(specs[0] if len(specs) == 1 else {"type": "union", "members": specs})
+        if kind == "clip":
+            rects = []
+            for _ in range(draw(st.integers(1, 2))):
+                x0, y0 = on_mesh(-4, 2), on_mesh(-4, 2)
+                rects.append([x0, x0 + radius(), y0, y0 + radius()])
+            try:
+                shape = _clip_to_window(shape, _polyrect({"rects": rects}))
+            except (ConfigInvalid, CornerClash):
+                assume(False)
+    elif kind == "half plane":
+        # a predicate that answers with the x axis's shape only
+        a = on_mesh(-4, 4)
+        shape = make_shape({"type": "implicit", "g": lambda x, y: np.asarray(x) - a,
+                            "bounding_box": [a - 1.0, a, -1.0, 1.0]})
+    else:
+        rects = []
+        for _ in range(draw(st.integers(1, 4))):
+            x0, y0 = on_mesh(-4, 2), on_mesh(-4, 2)
+            rects.append([x0, x0 + radius(), y0, y0 + radius()])
+        real = SimpleNamespace(rects=np.array(rects),
+                               marks=[draw(st.sampled_from([1.0, 0.5, 2.0])) for _ in rects])
+        window = (on_mesh(-4, 0), on_mesh(1, 4), on_mesh(-4, 0), on_mesh(1, 4))
+        shape = LevelIndicator(real, draw(st.sampled_from([0.5, 1.0, 1.5])), window)
+    lat = lattice_covering(shape.bounding_box, eps, margin=draw(st.integers(0, 2)))
+    shift = st.sampled_from([0.0, 0.5 * eps, eps / 3.0, 1e-12, -0.25 * eps])
+    return shape, lat, (draw(shift), draw(shift))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digitize_cases())
+def test_digitize_matches_broadcast_oracle(case):
+    shape, lat, offset = case
+    grid = digitize(shape, lat, offset)
+    assert grid.bits.shape == (lat.ny, lat.nx)
+    assert np.array_equal(grid.bits, digitize_by_broadcast(shape, lat, offset))
 
 
 def test_bitgrid_rejects_shape_mismatch():

@@ -35,6 +35,7 @@ from eulergram import (
 )
 from eulergram.randomsets import _stamped_field
 from oracles import (
+    LevelIndicator,
     bfs_component_count,
     bounded_hole_count,
     poisson_cdf,
@@ -575,24 +576,6 @@ def test_closed_form_inputs_keep_their_bits():
         "6.276785003246712"
 
 
-class _LevelIndicator:
-    """Pointwise f >= level inside a rectangular window, for digitization."""
-
-    def __init__(self, real, level, window):
-        self.real = real
-        self.level = level
-        self.window = window
-        self.bounding_box = window
-
-    def contains(self, xs, ys):
-        f = np.zeros(np.broadcast(xs, ys).shape)
-        for (x0, x1, y0, y1), mark in zip(self.real.rects, self.real.marks):
-            f += mark * ((xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1))
-        wx0, wx1, wy0, wy1 = self.window
-        inside = (xs >= wx0) & (xs <= wx1) & (ys >= wy0) & (ys <= wy1)
-        return (f >= self.level) & inside
-
-
 def test_exact_chi_matches_fine_digitization():
     """Arrangement route vs lattice route on random fields.
 
@@ -618,7 +601,7 @@ def test_exact_chi_matches_fine_digitization():
                 skipped += 1
                 continue
             h = min(5e-3, gap / 2.2)
-            grid = digitize(_LevelIndicator(real, level, window),
+            grid = digitize(LevelIndicator(real, level, window),
                             lattice_covering(window, h, margin=2))
             assert chi_local(grid) == level_set_chi_exact(real, level, window_rect)
             checked += 1

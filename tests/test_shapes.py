@@ -153,7 +153,8 @@ def test_shape_spec_validation():
     for bad in ({"g": None}, {"g": "x"}, {"grad": "x"}, {"bounding_box": [0, 1]},
                 {"bounding_box": [0, "nan", 0, 1]}, {"bounding_box": [0, 1, 0, math.inf]},
                 {"bounding_box": [1, 0, 0, 1]}, {"bounding_box": [0, 1, 1, 0]},
-                {"bounding_box": 5}, {"bounding_box": "abcd"}):
+                {"bounding_box": 5}, {"bounding_box": "abcd"},
+                {"rho": "x"}, {"rho": -1.0}, {"rho": math.nan}):
         with pytest.raises(InvalidSpec):
             make_shape({"type": "implicit", "g": lambda x, y: x, "bounding_box": [0, 1, 0, 1],
                         **bad})

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from eulergram import (
     config_counts,
     label_components,
 )
+from eulergram import topology
 from eulergram.topology import _cell_features
 
 from gridgen import admissible_random_bits
@@ -21,6 +24,8 @@ from oracles import (
     bfs_component_count,
     bounded_hole_count,
     chi_by_components,
+    first_seen_hole_labels,
+    first_seen_labels,
     scan_cell_measures,
     scan_chi_vef,
     scan_config_counts,
@@ -121,6 +126,28 @@ def test_labels_first_seen_order():
     lab = label_components(g, which="set").labels
     # row-major first encounter fixes the numbering
     assert lab[1, 2] == 1 and lab[2, 5] == 2 and lab[3, 1] == 3
+
+
+def test_labels_match_first_seen_oracle_on_both_sides():
+    rng = np.random.default_rng(43)
+    holes = 0
+    for _ in range(30):
+        bits = np.zeros((14, 17), dtype=bool)
+        bits[1:-1, 1:-1] = rng.random((12, 15)) < 0.6
+        g = BitGrid(lattice=Lattice(1.0, (0, 0), 17, 14), bits=bits)
+        with mock.patch.object(topology, "_first_seen_relabel",
+                               wraps=topology._first_seen_relabel) as relabel:
+            labs = {which: label_components(g, which) for which in ("set", "complement")}
+            assert relabel.call_count == 0  # the counts need no relabel
+            for which, oracle in (("set", first_seen_labels),
+                                  ("complement", first_seen_hole_labels)):
+                lab = labs[which]
+                assert lab.labels.dtype == np.int32
+                assert lab.labels.tolist() == oracle(bits).tolist()
+                assert lab.labels is lab.labels  # built once
+        assert relabel.call_count == 2
+        holes += labs["set"].num_complement_bounded_components
+    assert holes > 0
 
 
 def test_invalid_which_rejected():

@@ -295,6 +295,26 @@ def test_run_sweep_matches_whole_grid_oracle(case):
         shape.contains, domain, h, raw_specs)
 
 
+def test_replaced_predicate_drives_the_sweep():
+    # a set built without runs reads them off its predicate, so a copy with
+    # a wrapped predicate (as a tracer makes) must read them off the wrapper
+    disc = make_shape({"type": "implicit", "g": lambda x, y: x ** 2 + y ** 2 - 0.36,
+                       "bounding_box": [-0.6, 0.6, -0.6, 0.6]})
+    points = []
+
+    def traced(x, y):
+        points.append(np.broadcast(x, y).size)
+        return disc.contains(x, y)
+
+    specs = [ShiftSpec(), ShiftSpec(plus_shifts=[(0.0, 0.0), (0.1, 0.0)])]
+    expected = _sweep(disc, specs, 0.01)
+    assert _sweep(dataclasses.replace(disc, contains=traced), specs, 0.01) == expected
+    assert sum(points) >= 120 * 120
+    # runs given in closed form do not depend on the predicate and are kept
+    ball = make_shape({"type": "disc", "center": [0.0, 0.0], "r": 0.6})
+    assert dataclasses.replace(ball, contains=traced).row_runs is ball.row_runs
+
+
 # ---------------------------------------------------------------- chi routes
 
 
