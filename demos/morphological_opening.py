@@ -15,8 +15,8 @@ disc = make_shape({"type": "disc", "center": [0, 0], "r": 0.5})
 grid = digitize(disc, lattice_covering(disc.bounding_box, h, margin=105))
 print("disc radius 0.5 at mesh %g: %d pixels set" % (h, int(grid.bits.sum())))
 
-eroded = morph(grid, 0.2, "erode").grid
-opened = morph(eroded, 0.2, "dilate").grid
+eroded = morph(grid, 0.2, "erode")
+opened = morph(eroded, 0.2, "dilate")
 print("after erosion by 0.2: %d pixels" % int(eroded.bits.sum()))
 print("after re-dilation:    %d pixels" % int(opened.bits.sum()))
 
@@ -34,5 +34,5 @@ print("a full two-pixel band around the circle holds about %.0f pixels;"
       " the residue uses %d" % (band, int(diff.sum())))
 
 # a structuring radius larger than the disc wipes it out entirely
-gone = morph(grid, 0.6, "erode").grid
+gone = morph(grid, 0.6, "erode")
 print("erosion by 0.6 leaves %d pixels" % int(gone.bits.sum()))

@@ -17,7 +17,6 @@ from .errors import (
     InvalidSpec,
     MarginViolation,
     MeshMismatch,
-    NoNormalAvailable,
     NonLatticeShift,
     NotAdmissible,
     NotBooleanRegime,
@@ -56,10 +55,7 @@ from .variogram import (
     perimeter_variational,
 )
 from .shapes import (
-    MorphologyResult,
     PolyRectangle,
-    TransversalityReport,
-    check_transversality,
     corner_points,
     make_shape,
     morph,

@@ -71,6 +71,12 @@ def _positives(values) -> list[float]:
     return [_positive(v) for v in values]
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
 def _whole(value) -> int:
     if isinstance(value, bool) or int(value) != float(value):
         raise ValueError(f"must be a whole number, got {value!r}")
@@ -139,6 +145,7 @@ def _write_report(out_dir: Path, subcommand: str, resolved: dict, seed,
 def _run_chi(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     resolved = {"margin": 2, "dump_grid": False, **cfg}
     epsilon = _read(resolved, "epsilon", _positive)
+    dump_grid = _read(resolved, "dump_grid", _flag)
     grid = _digitize_at(_read(resolved, "shape", make_shape), epsilon,
                         margin=_read(resolved, "margin", _nonnegative))
     counts = config_counts(grid)
@@ -157,7 +164,7 @@ def _run_chi(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     }
     _write_report(out_dir, "chi", resolved, resolved.get("seed"), timestamp,
                   results, {})
-    if resolved["dump_grid"]:
+    if dump_grid:
         write_pgm(grid, out_dir / "grid.pgm")
 
 

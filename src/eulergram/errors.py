@@ -1,5 +1,21 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "EulergramError",
+    "MarginViolation",
+    "NotAdmissible",
+    "NonLatticeShift",
+    "CornerClash",
+    "InvalidSpec",
+    "RadiusTooSmall",
+    "MeshMismatch",
+    "UnboundedGrain",
+    "DegenerateArrangement",
+    "UnsupportedMarkLaw",
+    "NotBooleanRegime",
+    "ConfigInvalid",
+]
+
 
 class EulergramError(Exception):
     """Base class for all package errors."""
@@ -36,10 +52,6 @@ class InvalidSpec(EulergramError):
 
 class RadiusTooSmall(EulergramError):
     """Structuring radius below the lattice spacing."""
-
-
-class NoNormalAvailable(EulergramError):
-    """The indicator set does not expose an outward normal."""
 
 
 class MeshMismatch(EulergramError):

@@ -71,10 +71,8 @@ class IndicatorSet:
     ``contains`` must accept broadcastable numpy arrays ``(x, y)`` and
     return a bool array of the broadcast shape.  ``bounding_box`` is
     ``(x0, x1, y0, y1)`` with the set contained in the closed box.
-    ``regularity_radius`` is the rolling-ball radius when known,
-    ``normal`` maps boundary-adjacent points to outward unit normals and
-    ``signed_distance`` (negative inside) is exposed by constructors that
-    can provide it; all three default to unavailable.
+    ``regularity_radius`` is the rolling-ball radius when known and
+    ``None`` otherwise.
 
     ``row_runs(xs, ys)`` lists the set's cells row by row: ``xs`` are
     ascending, evenly spaced column coordinates and ``ys`` the row
@@ -91,8 +89,6 @@ class IndicatorSet:
     contains: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bounding_box: tuple[float, float, float, float]
     regularity_radius: Optional[float] = None
-    normal: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    signed_distance: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     row_runs: Optional[Callable[[np.ndarray, np.ndarray],
                                 tuple[np.ndarray, np.ndarray]]] = None
 

@@ -59,6 +59,7 @@ __all__ = [
     "boolean_mean_chi",
     "mc_mean_chi",
     "estimate_stationary_densities",
+    "stationary_density_closed_form",
 ]
 
 _TAIL_TOL = 1e-12
@@ -178,6 +179,8 @@ class GrainMixture:
 
 def _scalar_law(cfg: dict):
     # RectFamily checks the law it is given
+    if not isinstance(cfg, dict):
+        raise InvalidSpec(f"an edge law is an object, got {cfg!r}")
     dist = cfg.get("dist")
     if dist == "uniform":
         return ("uniform", float(cfg["low"]), float(cfg["high"]))
@@ -626,8 +629,8 @@ def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
     if not 0 < e < math.inf:
         raise InvalidSpec(f"epsilon must be positive and finite, got {epsilon}")
     wx0, wx1, wy0, wy1 = (float(v) for v in window)
-    if not (wx1 > wx0 and wy1 > wy0):
-        raise InvalidSpec(f"window {tuple(window)} needs x0 < x1 and y0 < y1")
+    if not (all(map(math.isfinite, (wx0, wx1, wy0, wy1))) and wx1 > wx0 and wy1 > wy0):
+        raise InvalidSpec(f"window {tuple(window)} needs finite x0 < x1 and y0 < y1")
     # shifted membership looks up to epsilon beyond the window
     reals = _realizations(model, (wx0 - e, wx1 + e, wy0 - e, wy1 + e), replicates, seed)
     min_edge = model.grain_dist.min_edge()

@@ -9,12 +9,12 @@ lattice Euler characteristic then yields chi, the directional perimeters
 and the corner census exactly.
 
 Smooth shapes (disc, annulus, unions, implicit sets) are exposed as
-predicates with bounding box, regularity radius and boundary normals, the
-metadata the digitization experiments and the transversality screen need.
-Every set also lists its cells row by row as column runs for the continuum
-sweep of ``variogram``: discs and annuli in closed form, confirmed against
-the predicate's own float expression, unions by merging their members'
-runs, and implicit sets by reading them off the predicate.
+predicates with bounding box and regularity radius, the metadata the
+digitization experiments need.  Every set also lists its cells row by row
+as column runs for the continuum sweep of ``variogram``: discs and annuli
+in closed form, confirmed against the predicate's own float expression,
+unions by merging their members' runs, and implicit sets by reading them
+off the predicate.
 """
 
 from __future__ import annotations
@@ -26,19 +26,16 @@ from functools import cached_property
 import numpy as np
 from scipy import ndimage
 
-from .errors import CornerClash, InvalidSpec, NoNormalAvailable, RadiusTooSmall
+from .errors import CornerClash, InvalidSpec, RadiusTooSmall
 from .lattice import BitGrid, IndicatorSet
 from .topology import _cell_features, _windows
 
 __all__ = [
     "PolyRectangle",
-    "MorphologyResult",
-    "TransversalityReport",
     "polyrect_features",
     "corner_points",
     "make_shape",
     "morph",
-    "check_transversality",
 ]
 
 
@@ -52,8 +49,8 @@ class PolyRectangle:
         norm = []
         for r in self.rects:
             x0, x1, y0, y1 = (float(v) for v in r)
-            if not (x1 > x0 and y1 > y0):
-                raise InvalidSpec(f"degenerate rectangle {r!r}")
+            if not (all(map(math.isfinite, (x0, x1, y0, y1))) and x1 > x0 and y1 > y0):
+                raise InvalidSpec(f"rectangle {r!r} needs finite x0 < x1 and y0 < y1")
             norm.append((x0, x1, y0, y1))
         if not norm:
             raise InvalidSpec("a polyrectangle needs at least one rectangle")
@@ -124,16 +121,6 @@ def corner_points(w: PolyRectangle) -> list[tuple[float, float]]:
     s = sw.astype(np.int8) + se + nw + ne
     jj, ii = np.nonzero((s == 1) | (s == 3))
     return [(float(xs[i]), float(ys[j])) for j, i in zip(jj, ii)]
-
-
-def _boundary_segments(w: PolyRectangle):
-    """Yield (p0, p1, normal) over the arrangement's boundary edges."""
-    xs, ys, occ = w._arrangement
-    sw, se, nw, _ = _windows(occ)
-    for j, i in zip(*np.nonzero(se[1:] ^ sw[1:])):
-        yield (xs[i], ys[j]), (xs[i], ys[j + 1]), (1.0, 0.0)
-    for j, i in zip(*np.nonzero(nw[:, 1:] ^ sw[:, 1:])):
-        yield (xs[i], ys[j]), (xs[i + 1], ys[j]), (0.0, 1.0)
 
 
 # ------------------------------------------------------------- row runs
@@ -236,9 +223,9 @@ def make_shape(spec: dict) -> IndicatorSet:
     Supported kinds: {"type": "disc", "center": [x, y], "r": r},
     {"type": "annulus", "center": [x, y], "r_in": a, "r_out": b},
     {"type": "union", "members": [spec, ...]} and
-    {"type": "implicit", "g": callable, "grad": callable,
-     "bounding_box": [x0, x1, y0, y1], "rho": optional}.  The set is
-    {g <= 0} for implicit specs; g must accept numpy arrays.
+    {"type": "implicit", "g": callable, "bounding_box": [x0, x1, y0, y1],
+     "rho": optional}.  The set is {g <= 0} for implicit specs; g must
+    accept numpy arrays.
     """
     if not isinstance(spec, dict):
         raise InvalidSpec(f"a shape spec is an object, got {spec!r}")
@@ -256,18 +243,10 @@ def make_shape(spec: dict) -> IndicatorSet:
             lo, hi = _ball_run(xs, ys, cx, cy, r * r, np.less_equal)
             return lo[:, None], hi[:, None]
 
-        def normal(x, y, cx=cx, cy=cy):
-            d = math.hypot(x - cx, y - cy)
-            if d == 0:
-                return (1.0, 0.0)
-            return ((x - cx) / d, (y - cy) / d)
-
         return IndicatorSet(
             contains=contains,
             bounding_box=(cx - r, cx + r, cy - r, cy + r),
             regularity_radius=r,
-            normal=normal,
-            signed_distance=lambda x, y: math.hypot(x - cx, y - cy) - r,
             row_runs=row_runs,
         )
 
@@ -293,24 +272,10 @@ def make_shape(spec: dict) -> IndicatorSet:
             hole_lo, hole_hi = np.where(hole, hole_lo, lo), np.where(hole, hole_hi, lo)
             return np.stack([lo, hole_hi], 1), np.stack([hole_lo, hi], 1)
 
-        def normal(x, y, cx=cx, cy=cy, a=r_in, b=r_out):
-            d = math.hypot(x - cx, y - cy)
-            if d == 0:
-                return (1.0, 0.0)
-            u = ((x - cx) / d, (y - cy) / d)
-            # outward normal of the set: radial on the outer circle,
-            # anti-radial on the inner one; split at the midline
-            if d >= 0.5 * (a + b):
-                return u
-            return (-u[0], -u[1])
-
         return IndicatorSet(
             contains=contains,
             bounding_box=(cx - r_out, cx + r_out, cy - r_out, cy + r_out),
             regularity_radius=min(r_in, r_out - r_in),
-            normal=normal,
-            signed_distance=lambda x, y: max(
-                r_in - math.hypot(x - cx, y - cy), math.hypot(x - cx, y - cy) - r_out),
             row_runs=row_runs,
         )
 
@@ -331,46 +296,22 @@ def make_shape(spec: dict) -> IndicatorSet:
         rhos = [m.regularity_radius for m in members]
         rho = None if any(r is None for r in rhos) else min(rhos)
 
-        sd_members = [m.signed_distance for m in members]
-        signed_distance = None
-        normal = None
-        if all(sd is not None for sd in sd_members):
-            def signed_distance(x, y, sd_members=sd_members):
-                return min(sd(x, y) for sd in sd_members)
-        if all(m.normal is not None and m.signed_distance is not None for m in members):
-            def normal(x, y, members=members):
-                # boundary of a gapped union: delegate to the nearest member
-                best = min(members, key=lambda m: abs(m.signed_distance(x, y)))
-                return best.normal(x, y)
-
         def row_runs(xs, ys, members=members):
             runs = [m.row_runs(xs, ys) for m in members]
             return _merge_runs(np.concatenate([lo for lo, _ in runs], 1),
                                np.concatenate([hi for _, hi in runs], 1))
 
         return IndicatorSet(contains=contains, bounding_box=bbox,
-                            regularity_radius=rho, normal=normal,
-                            signed_distance=signed_distance, row_runs=row_runs)
+                            regularity_radius=rho, row_runs=row_runs)
 
     if kind == "implicit":
         bbox = _box(spec.get("bounding_box"))
         g = spec.get("g")
-        grad = spec.get("grad")
-        if not callable(g) or not (grad is None or callable(grad)):
-            raise InvalidSpec("implicit shape needs a callable 'g', and 'grad' "
-                              "callable when given")
+        if not callable(g):
+            raise InvalidSpec("implicit shape needs a callable 'g'")
 
         def contains(x, y, g=g):
             return np.asarray(g(x, y)) <= 0
-
-        normal = None
-        if grad is not None:
-            def normal(x, y, grad=grad):
-                gx, gy = grad(x, y)
-                n = math.hypot(gx, gy)
-                if n == 0:
-                    return (1.0, 0.0)
-                return (gx / n, gy / n)
 
         rho = spec.get("rho")
         if rho is not None:
@@ -380,19 +321,9 @@ def make_shape(spec: dict) -> IndicatorSet:
                 raise InvalidSpec(f"rho must be a number, got {spec['rho']!r}") from exc
             if not 0 < rho < math.inf:
                 raise InvalidSpec(f"rho must be positive and finite, got {rho}")
-        return IndicatorSet(contains=contains,
-                            bounding_box=bbox,
-                            regularity_radius=rho,
-                            normal=normal, signed_distance=None)
+        return IndicatorSet(contains=contains, bounding_box=bbox, regularity_radius=rho)
 
     raise InvalidSpec(f"unknown shape type {kind!r}")
-
-
-@dataclass(frozen=True)
-class MorphologyResult:
-    grid: BitGrid
-    radius: float
-    op: str
 
 
 def _ball_mask(dist: np.ndarray, r_cells: float) -> np.ndarray:
@@ -403,12 +334,13 @@ def _ball_mask(dist: np.ndarray, r_cells: float) -> np.ndarray:
     return d2 <= r_cells * r_cells * (1.0 + 1e-12) + 1e-9
 
 
-def morph(grid: BitGrid, radius: float, op: str) -> MorphologyResult:
+def morph(grid: BitGrid, radius: float, op: str) -> BitGrid:
     """Dilate or erode by a closed Euclidean ball, exactly on the lattice.
 
-    Erosion is the complement of dilating the complement; the complement
-    is padded out far enough that everything beyond the grid counts as
-    background, which keeps the duality bit-exact.
+    Returns a new grid on the same lattice.  Erosion is the complement of
+    dilating the complement; the complement is padded out far enough that
+    everything beyond the grid counts as background, which keeps the
+    duality bit-exact.
     """
     eps = grid.lattice.epsilon
     if radius < eps:
@@ -427,82 +359,4 @@ def morph(grid: BitGrid, radius: float, op: str) -> MorphologyResult:
         grown = _ball_mask(dist, r_cells)
         bits = ~grown[pad:-pad, pad:-pad]
 
-    return MorphologyResult(grid=BitGrid(lattice=grid.lattice, bits=bits),
-                            radius=float(radius), op=op)
-
-
-@dataclass(frozen=True)
-class TransversalityReport:
-    passed: bool
-    min_angle: float | None
-    crossings: tuple[tuple[float, float, float], ...]  # (x, y, angle to nearest +-n_W)
-    corner_hits: tuple[tuple[float, float], ...]
-
-
-def _bisect_crossing(contains, p0, p1, t0, t1, iters=60):
-    v0 = bool(contains(np.array(p0[0] + t0 * (p1[0] - p0[0])),
-                       np.array(p0[1] + t0 * (p1[1] - p0[1]))))
-    for _ in range(iters):
-        tm = 0.5 * (t0 + t1)
-        vm = bool(contains(np.array(p0[0] + tm * (p1[0] - p0[0])),
-                           np.array(p0[1] + tm * (p1[1] - p0[1]))))
-        if vm == v0:
-            t0 = tm
-        else:
-            t1 = tm
-    tm = 0.5 * (t0 + t1)
-    return (p0[0] + tm * (p1[0] - p0[0]), p0[1] + tm * (p1[1] - p0[1]))
-
-
-def check_transversality(indicator: IndicatorSet, w: PolyRectangle,
-                         angle_tol: float = 1e-3,
-                         n_samples: int = 256) -> TransversalityReport:
-    """Screen the set boundary's crossings of the window boundary.
-
-    Samples each window edge, bisects every sign change of the membership
-    predicate to a crossing point, and measures the angle between the set
-    normal there and the edge normal (folded to [0, pi/2]).  Passes iff
-    every crossing angle exceeds angle_tol and no window corner sits on
-    the set boundary.  A numerical screen for degenerate fixtures, not a
-    proof: tangencies that never flip the predicate between samples are
-    invisible to it.
-    """
-    if indicator.normal is None:
-        raise NoNormalAvailable("shape provides no boundary normal")
-
-    segments = list(_boundary_segments(w))
-    total_len = sum(math.hypot(p1[0] - p0[0], p1[1] - p0[1]) for p0, p1, _ in segments)
-    crossings = []
-    for p0, p1, n_w in segments:
-        seg_len = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
-        m = max(2, int(round(n_samples * seg_len / total_len)))
-        ts = (np.arange(m) + 0.5) / m
-        px = p0[0] + ts * (p1[0] - p0[0])
-        py = p0[1] + ts * (p1[1] - p0[1])
-        vals = np.asarray(indicator.contains(px, py), dtype=bool)
-        for k in np.flatnonzero(vals[1:] != vals[:-1]):
-            cx, cy = _bisect_crossing(indicator.contains, p0, p1, ts[k], ts[k + 1])
-            nf = indicator.normal(cx, cy)
-            dot = abs(nf[0] * n_w[0] + nf[1] * n_w[1])
-            angle = math.acos(min(1.0, dot))
-            crossings.append((float(cx), float(cy), float(angle)))
-
-    # corner-on-boundary screen at the sampling resolution
-    tol = total_len / max(n_samples, 1)
-    corner_hits = []
-    for cx, cy in corner_points(w):
-        if indicator.signed_distance is not None:
-            on_boundary = abs(indicator.signed_distance(cx, cy)) < tol
-        else:
-            angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-            ring = np.asarray(indicator.contains(cx + tol * np.cos(angles),
-                                                 cy + tol * np.sin(angles)), dtype=bool)
-            on_boundary = ring.any() and not ring.all()
-        if on_boundary:
-            corner_hits.append((cx, cy))
-
-    min_angle = min((a for _, _, a in crossings), default=None)
-    passed = (min_angle is None or min_angle > angle_tol) and not corner_hits
-    return TransversalityReport(passed=passed, min_angle=min_angle,
-                                crossings=tuple(crossings),
-                                corner_hits=tuple(corner_hits))
+    return BitGrid(lattice=grid.lattice, bits=bits)

@@ -306,7 +306,7 @@ def test_criterion_9_opening_residue():
     r = 0.2
     disc = make_shape({"type": "disc", "center": [0, 0], "r": 0.5})
     g = digitize(disc, lattice_covering(disc.bounding_box, h, margin=105))
-    opened = morph(morph(g, r, "erode").grid, r, "dilate").grid
+    opened = morph(morph(g, r, "erode"), r, "dilate")
 
     assert not (opened.bits & ~g.bits).any()  # opening never adds pixels
     diff = g.bits ^ opened.bits

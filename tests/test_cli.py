@@ -215,11 +215,18 @@ TRUNCATED = {"type": "rect_family",
              "epsilon": 0.1}),
     ("chi", {"shape": {"type": "implicit", "g": "x", "bounding_box": [0, "nan", 0, 1]},
              "epsilon": 0.1}),
+    ("shotnoise", {**SHOT_CFG, "window": {"rects": [[0, math.inf, 0, 5]]}}),
+    ("densities", {"model": SHOT_CFG["model"], "window": [0, math.inf, 0, 5],
+                   "epsilon": 0.05, "replicates": 8, "seed": 1}),
+    ("shotnoise", {**SHOT_CFG, "model": {**SHOT_CFG["model"], "grains": {
+        **TRUNCATED, "a": [1]}}}),
 ], ids=["truncate-q-one", "truncate-q-above-one", "truncate-q-zero", "lambda-nan",
         "lambda-infinite", "densities-window-reversed", "disc-radius-nan",
         "disc-radius-infinite", "disc-centre-nan", "annulus-outer-radius-infinite",
         "annulus-centre-infinite", "union-member-radius-nan", "implicit-g-text",
-        "union-member-implicit-g-text", "implicit-box-two-numbers", "implicit-box-nan"])
+        "union-member-implicit-g-text", "implicit-box-two-numbers", "implicit-box-nan",
+        "shotnoise-window-infinite", "densities-window-infinite",
+        "rect-family-law-not-object"])
 def test_degenerate_model_or_window_exits_one(tmp_path, capsys, subcommand, cfg):
     # these used to exit 2 from a numpy/math error, or report on a meaningless model
     code, _, report = run_cli(tmp_path, "degenerate", subcommand, cfg)
@@ -253,6 +260,19 @@ def test_malformed_model_reports_config_error(tmp_path, capsys, subcommand, mode
     assert err["error"] == "ConfigInvalid"
     assert missing in err["message"]
     assert err["context"]["subcommand"] == subcommand
+
+
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_dump_grid_must_be_a_boolean(tmp_path, capsys, value):
+    cfg = {"shape": {"type": "disc", "center": [0, 0], "r": 1.0},
+           "epsilon": 0.1, "dump_grid": value}
+    code, out_dir, report = run_cli(tmp_path, "dump", "chi", cfg)
+    assert code == 1
+    assert report is None
+    assert not (out_dir / "grid.pgm").exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    assert "dump_grid" in err["message"]
 
 
 def test_module_error_surfaces_with_name(tmp_path, capsys):

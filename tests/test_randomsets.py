@@ -765,7 +765,8 @@ def test_density_estimator_guards():
                                           window=(0.0, 2.0, 0.0, 2.0),
                                           replicates=4, seed=0)
     for window in ((6.0, 0.0, 0.0, 6.0), (0.0, 6.0, 6.0, 0.0),
-                   (0.0, 0.0, 0.0, 6.0), (0.0, 6.0, 2.0, 2.0)):
+                   (0.0, 0.0, 0.0, 6.0), (0.0, 6.0, 2.0, 2.0),
+                   (0.0, math.inf, 0.0, 6.0), (-math.inf, 6.0, 0.0, 6.0)):
         with pytest.raises(InvalidSpec):
             estimate_stationary_densities(model, epsilon=0.02, window=window,
                                           replicates=4, seed=0)

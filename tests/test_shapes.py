@@ -10,10 +10,8 @@ from eulergram import (
     CornerClash,
     InvalidSpec,
     Lattice,
-    NoNormalAvailable,
     PolyRectangle,
     RadiusTooSmall,
-    check_transversality,
     chi_local,
     digitize,
     lattice_covering,
@@ -74,8 +72,10 @@ def test_corner_clash_rejected():
 
 
 def test_degenerate_rectangles_rejected():
-    with pytest.raises(InvalidSpec):
-        PolyRectangle(rects=[(0.0, 0.0, 0.0, 1.0)])
+    for bad in ((0.0, 0.0, 0.0, 1.0), (0.0, math.inf, 0.0, 1.0),
+                (-math.inf, 1.0, 0.0, 1.0), (0.0, 1.0, math.nan, 1.0)):
+        with pytest.raises(InvalidSpec):
+            PolyRectangle(rects=[bad])
     with pytest.raises(InvalidSpec):
         PolyRectangle(rects=[])
 
@@ -150,7 +150,7 @@ def test_shape_spec_validation():
         make_shape({"type": "warp", "center": [0, 0]})
     with pytest.raises(InvalidSpec):
         make_shape({"type": "implicit", "g": lambda x, y: x})
-    for bad in ({"g": None}, {"g": "x"}, {"grad": "x"}, {"bounding_box": [0, 1]},
+    for bad in ({"g": None}, {"g": "x"}, {"bounding_box": [0, 1]},
                 {"bounding_box": [0, "nan", 0, 1]}, {"bounding_box": [0, 1, 0, math.inf]},
                 {"bounding_box": [1, 0, 0, 1]}, {"bounding_box": [0, 1, 1, 0]},
                 {"bounding_box": 5}, {"bounding_box": "abcd"},
@@ -238,15 +238,15 @@ def test_single_bit_dilation_is_digital_disc():
     bits = np.zeros((7, 7), dtype=bool)
     bits[3, 3] = True
     out = morph(lattice_grid(bits), radius=2.0, op="dilate")
-    assert out.grid.count == 13
-    js, iis = np.nonzero(out.grid.bits)
+    assert out.count == 13
+    js, iis = np.nonzero(out.bits)
     assert (((js - 3) ** 2 + (iis - 3) ** 2) <= 4).all()
 
 
 def test_erode_empty_grid():
     g = lattice_grid(np.zeros((6, 6), dtype=bool))
     out = morph(g, radius=2.0, op="erode")
-    assert out.grid.count == 0
+    assert out.count == 0
 
 
 def test_radius_below_mesh_rejected():
@@ -263,8 +263,8 @@ def test_dilate_grows_erode_shrinks():
         bits = np.zeros((14, 14), dtype=bool)
         bits[4:-4, 4:-4] = rng.random((6, 6)) < 0.5
         g = lattice_grid(bits)
-        grown = morph(g, 1.5, "dilate").grid.bits
-        shrunk = morph(g, 1.5, "erode").grid.bits
+        grown = morph(g, 1.5, "dilate").bits
+        shrunk = morph(g, 1.5, "erode").bits
         assert (grown | bits).sum() == grown.sum()   # never clears
         assert (shrunk & bits).sum() == shrunk.sum()  # never sets
 
@@ -276,10 +276,10 @@ def test_morph_monotonicity():
         small[4:-4, 4:-4] = rng.random((6, 6)) < 0.4
         big = small | np.roll(small, 1, axis=1)
         a, b = lattice_grid(small), lattice_grid(big)
-        assert not (morph(a, 2.0, "dilate").grid.bits
-                    & ~morph(b, 2.0, "dilate").grid.bits).any()
-        assert not (morph(a, 2.0, "erode").grid.bits
-                    & ~morph(b, 2.0, "erode").grid.bits).any()
+        assert not (morph(a, 2.0, "dilate").bits
+                    & ~morph(b, 2.0, "dilate").bits).any()
+        assert not (morph(a, 2.0, "erode").bits
+                    & ~morph(b, 2.0, "erode").bits).any()
 
 
 def test_erode_dilate_duality_bit_exact():
@@ -288,8 +288,8 @@ def test_erode_dilate_duality_bit_exact():
         bits = np.zeros((20, 20), dtype=bool)
         bits[6:-6, 6:-6] = rng.random((8, 8)) < 0.5
         g = lattice_grid(bits)
-        eroded = morph(g, 3.2, "erode").grid.bits
-        grown_comp = morph(lattice_grid(~bits), 3.2, "dilate").grid.bits
+        eroded = morph(g, 3.2, "erode").bits
+        grown_comp = morph(lattice_grid(~bits), 3.2, "dilate").bits
         assert (eroded == ~grown_comp).all()
 
 
@@ -299,9 +299,9 @@ def test_morph_matches_brute_force():
         bits = np.zeros((12, 12), dtype=bool)
         bits[4:-4, 4:-4] = rng.random((4, 4)) < 0.6
         g = lattice_grid(bits)
-        assert (morph(g, radius, "dilate").grid.bits
+        assert (morph(g, radius, "dilate").bits
                 == brute_dilate(bits, radius)).all()
-        assert (morph(g, radius, "erode").grid.bits
+        assert (morph(g, radius, "erode").bits
                 == brute_erode(bits, radius)).all()
 
 
@@ -310,12 +310,12 @@ def test_closing_stays_in_boundary_band():
     d = make_shape({"type": "disc", "center": [0.0, 0.0], "r": 0.5})
     g = digitize(d, lattice_covering(d.bounding_box, eps, margin=4))
     r = 4 * eps
-    closed = morph(morph(g, r, "dilate").grid, r, "erode").grid
+    closed = morph(morph(g, r, "dilate"), r, "erode")
     diff = closed.bits ^ g.bits
     assert int(diff.sum()) <= 4 * math.pi / eps
     # every differing bit hugs the boundary: band between erosion and dilation
-    inner = morph(g, 2 * eps, "erode").grid.bits
-    outer = morph(g, 2 * eps, "dilate").grid.bits
+    inner = morph(g, 2 * eps, "erode").bits
+    outer = morph(g, 2 * eps, "dilate").bits
     assert not (diff & ~(outer & ~inner)).any()
 
 
@@ -324,58 +324,8 @@ def test_opening_stays_in_boundary_band():
     d = make_shape({"type": "disc", "center": [0.0, 0.0], "r": 0.5})
     g = digitize(d, lattice_covering(d.bounding_box, eps, margin=4))
     r = 4 * eps
-    opened = morph(morph(g, r, "erode").grid, r, "dilate").grid
+    opened = morph(morph(g, r, "erode"), r, "dilate")
     diff = opened.bits ^ g.bits
-    inner = morph(g, 2 * eps, "erode").grid.bits
-    outer = morph(g, 2 * eps, "dilate").grid.bits
+    inner = morph(g, 2 * eps, "erode").bits
+    outer = morph(g, 2 * eps, "dilate").bits
     assert not (diff & ~(outer & ~inner)).any()
-
-
-# ------------------------------------------------------------ transversality
-
-
-def window(x0, x1, y0, y1):
-    return PolyRectangle(rects=[(x0, x1, y0, y1)])
-
-
-def test_transversal_crossing_angle():
-    d = make_shape({"type": "disc", "center": [0.0, 0.0], "r": 1.0})
-    rep = check_transversality(d, window(-2.0, 0.5, -2.0, 2.0))
-    assert rep.passed
-    assert rep.min_angle == pytest.approx(math.acos(0.5), abs=1e-6)
-    assert len(rep.crossings) == 2
-
-
-def test_tangent_edge_fails():
-    d = make_shape({"type": "disc", "center": [0.0, 0.0], "r": 1.0})
-    rep = check_transversality(d, window(-1.0, 2.0, -2.0, 2.0))
-    assert not rep.passed
-
-
-def test_near_tangent_crossing_fails_with_loose_tolerance():
-    d = make_shape({"type": "disc", "center": [0.0, 0.0], "r": 1.0})
-    rep = check_transversality(d, window(-0.999, 2.0, -2.0, 2.0),
-                               angle_tol=0.05)
-    assert not rep.passed
-    assert rep.min_angle < 0.05
-
-
-def test_disjoint_window_passes_vacuously():
-    d = make_shape({"type": "disc", "center": [0.0, 0.0], "r": 1.0})
-    rep = check_transversality(d, window(2.0, 3.0, 2.0, 3.0))
-    assert rep.passed
-    assert rep.min_angle is None and not rep.crossings
-
-
-def test_corner_on_boundary_fails():
-    d = make_shape({"type": "disc", "center": [0.0, 0.0], "r": 1.0})
-    rep = check_transversality(d, window(0.0, 1.0, 0.0, 2.0))
-    assert not rep.passed
-    assert (1.0, 0.0) in rep.corner_hits
-
-
-def test_predicate_only_shape_has_no_normal():
-    s = make_shape({"type": "implicit", "g": lambda x, y: np.asarray(x) - 0.5,
-                    "bounding_box": [-1.0, 1.0, -1.0, 1.0]})
-    with pytest.raises(NoNormalAvailable):
-        check_transversality(s, window(0.0, 1.0, -1.0, 1.0))
