@@ -15,7 +15,10 @@ Ground truth is a fine BitGrid at mesh h with the coarse mesh an integer
 multiple k*h (k >= 4).  Connectivity inside the test squares is taken
 8-connected at mesh h, which can only over-report pairs: continuum paths may
 pass between diagonal pixels, so erring this way keeps every verified upper
-bound sound.
+bound sound.  Component counts, of the windowed truth and of its coarse
+digitization alike, are 8-connected too; only the coarse Euler
+characteristic uses the lattice convention, 4-connected set components
+minus 4-connected bounded holes.
 
 Both detectors screen all candidates as arrays.  Interior candidates (each
 coarse point with its east and north neighbour) pass four boolean masks:
@@ -289,9 +292,10 @@ def verify_bounds(truth: BitGrid, coarse_epsilons,
     when the set keeps its margin).  With a window the windowed forms are
     used: the right side gains 2 * #boundary pairs + 2 * #window corners,
     interior pairs are restricted to the window dilated by the coarse mesh,
-    and truth components are counted on the windowed set.  True component
-    counts use 8-connectivity (continuum stand-in); the coarse digitization
-    uses the lattice convention of 4-connected set and complement.
+    and truth components are counted on the windowed set.  Both component
+    counts, of the truth and of the coarse digitization, use 8-connectivity
+    (continuum stand-in); only the coarse chi uses the lattice convention of
+    4-connected set and complement.
     """
     ks = [_subdivision(truth, eps) for eps in coarse_epsilons]
     lat = truth.lattice
@@ -317,13 +321,6 @@ def verify_bounds(truth: BitGrid, coarse_epsilons,
 
         coarse = _coarse_grid(truth, k, w_mask)
         n_digitized = _count8(coarse.bits)
-        # subsampling can land set bits on the coarse border; an empty ring
-        # changes neither component count, and restores the labeling margin
-        ring = Lattice(epsilon=coarse.lattice.epsilon,
-                       origin=(coarse.lattice.origin[0] - coarse.lattice.epsilon,
-                               coarse.lattice.origin[1] - coarse.lattice.epsilon),
-                       nx=coarse.lattice.nx + 2, ny=coarse.lattice.ny + 2)
-        coarse = BitGrid(lattice=ring, bits=np.pad(coarse.bits, 1))
 
         if window is not None:
             bound_rhs = 2 * n_int_f + 2 * nb_f + n_truth + 2 * corners

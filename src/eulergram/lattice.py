@@ -164,35 +164,10 @@ class BitGrid:
     def count(self) -> int:
         return int(np.count_nonzero(self.bits))
 
-    def complement(self) -> "BitGrid":
-        return BitGrid(self.lattice, ~self.bits)
-
-    def __invert__(self) -> "BitGrid":
-        return self.complement()
-
-    def _check_same_lattice(self, other: "BitGrid") -> None:
-        if self.lattice != other.lattice:
-            raise ValueError("bit grids live on different lattices")
-
-    def __and__(self, other: "BitGrid") -> "BitGrid":
-        self._check_same_lattice(other)
-        return BitGrid(self.lattice, self.bits & other.bits)
-
-    def __or__(self, other: "BitGrid") -> "BitGrid":
-        self._check_same_lattice(other)
-        return BitGrid(self.lattice, self.bits | other.bits)
-
-    def __xor__(self, other: "BitGrid") -> "BitGrid":
-        self._check_same_lattice(other)
-        return BitGrid(self.lattice, self.bits ^ other.bits)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitGrid):
             return NotImplemented
         return self.lattice == other.lattice and bool(np.array_equal(self.bits, other.bits))
-
-    def __hash__(self):
-        return hash((self.lattice, self.bits.tobytes()))
 
 
 def digitize(

@@ -4,7 +4,7 @@ Three independent routes to chi of a bounded lattice set M:
 
 * local 2x2 configuration counting (corner bookkeeping),
 * the V - E + F identity on the pixel complex,
-* connected-component labeling (set components minus bounded holes).
+* connected-component counting (set components minus bounded holes).
 
 On admissible grids (no X-configurations) all three agree; the window
 counters also expose the X-configuration counts so callers can detect a
@@ -21,8 +21,7 @@ that margin rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -59,35 +58,16 @@ class ConfigCounts:
 
 @dataclass(frozen=True)
 class ComponentLabeling:
-    """4-connected component labels for one side of a grid.
+    """Counts of the 4-connected components on both sides of a grid.
 
-    ``labels`` is 0 on cells outside the requested side; components are
-    numbered 1..k in first-seen row-major order.  It is computed lazily,
-    on first access, from the raw labeling of the requested side, which
-    is all the labeling keeps: the counts alone need no relabel.  Both
-    summary counts are always populated regardless of which side was
-    labeled; the bounded complement count excludes the single component
-    reachable from the grid border.
+    ``num_set_components`` counts the set's components;
+    ``num_complement_bounded_components`` counts the complement's bounded
+    ones (holes), excluding the single component reachable from the grid
+    border.
     """
 
     num_set_components: int
     num_complement_bounded_components: int
-    # ndimage labels of the set, or of the complement inside a True frame
-    _raw: np.ndarray = field(repr=False)
-    _which: str
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        if self._which == "set":
-            return _first_seen_relabel(self._raw, self.num_set_components)
-        n_bounded = self.num_complement_bounded_components
-        inner = self._raw[1:-1, 1:-1].copy()
-        inner[inner == self._raw[0, 0]] = 0
-        # compact to 1..n_bounded before ordering
-        kept = np.unique(inner[inner > 0])
-        remap = np.zeros(n_bounded + 2, dtype=inner.dtype)
-        remap[kept] = np.arange(1, len(kept) + 1)
-        return _first_seen_relabel(remap[inner], n_bounded)
 
 
 def _require_margin(bits: np.ndarray) -> None:
@@ -179,45 +159,19 @@ def chi_vef(grid: BitGrid) -> int:
     return int(np.count_nonzero(bits) - e + f)
 
 
-def _first_seen_relabel(raw: np.ndarray, count: int) -> np.ndarray:
-    # Renumber nonzero labels 1..count by order of first appearance in a
-    # row-major scan, so identical grids always get identical labelings.
-    if count == 0:
-        return raw
-    flat = raw.ravel()
-    first = np.full(count + 1, flat.size, dtype=np.int64)
-    idx = np.flatnonzero(flat)
-    # reversed assignment leaves the smallest index in place
-    first[flat[idx[::-1]]] = idx[::-1]
-    order = np.argsort(first[1:], kind="stable")
-    remap = np.zeros(count + 1, dtype=raw.dtype)
-    remap[1 + order] = np.arange(1, count + 1)
-    return remap[raw]
-
-
-def label_components(grid: BitGrid, which: str = "set") -> ComponentLabeling:
-    """Label 4-connected components of the set or of its complement.
+def label_components(grid: BitGrid) -> ComponentLabeling:
+    """Count 4-connected components of the set and bounded ones of its complement.
 
     The complement's unbounded component is the one reachable from the
-    grid border; it is excluded from the bounded count and labeled 0 in a
-    complement labeling, so labels > 0 mark holes.  A complement labeling
-    demands the empty one-cell margin (the border flood must represent
-    off-grid space); a set labeling has no such requirement.
+    grid border, so cells off the grid count as complement and no margin
+    is needed: set bits may touch the border.
     """
-    if which not in ("set", "complement"):
-        raise ValueError(f"which must be 'set' or 'complement', got {which!r}")
     bits = grid.bits
-    if which == "complement":
-        _require_margin(bits)
-
-    set_raw, n_set = ndimage.label(bits, structure=_CROSS)
+    _, n_set = ndimage.label(bits, structure=_CROSS)
     # complement labeled with a one-cell True frame so everything touching
     # the border collapses into a single unbounded component
-    comp_raw, n_comp = ndimage.label(np.pad(~bits, 1, constant_values=True),
-                                     structure=_CROSS)
+    _, n_comp = ndimage.label(np.pad(~bits, 1, constant_values=True), structure=_CROSS)
     return ComponentLabeling(
         num_set_components=int(n_set),
         num_complement_bounded_components=int(n_comp) - 1,
-        _raw=set_raw if which == "set" else comp_raw,
-        _which=which,
     )

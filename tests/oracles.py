@@ -44,37 +44,6 @@ def bfs_component_count(bits, connectivity: int = 4) -> int:
                         queue.append((nj, ni))
     return count
 
-def first_seen_labels(bits) -> np.ndarray:
-    """4-connected components of True cells, numbered 1..k in row-major first-seen order."""
-    bits = np.asarray(bits, dtype=bool)
-    ny, nx = bits.shape
-    labels = np.zeros((ny, nx), dtype=int)
-    count = 0
-    for j in range(ny):
-        for i in range(nx):
-            if not bits[j, i] or labels[j, i]:
-                continue
-            count += 1
-            labels[j, i] = count
-            queue = deque([(j, i)])
-            while queue:
-                cj, ci = queue.popleft()
-                for nj, ni in ((cj + 1, ci), (cj - 1, ci), (cj, ci + 1), (cj, ci - 1)):
-                    if 0 <= nj < ny and 0 <= ni < nx and bits[nj, ni] and not labels[nj, ni]:
-                        labels[nj, ni] = count
-                        queue.append((nj, ni))
-    return labels
-
-
-def first_seen_hole_labels(bits) -> np.ndarray:
-    """Bounded 4-connected complement components, numbered 1..k in first-seen order.
-
-    In a True frame around the complement the border-reachable sea is seen
-    first and gets label 1; every hole keeps its order, one number lower.
-    """
-    framed = first_seen_labels(np.pad(~np.asarray(bits, dtype=bool), 1, constant_values=True))
-    return np.maximum(framed[1:-1, 1:-1] - 1, 0)
-
 
 def bounded_hole_count(bits) -> int:
     """4-connected complement components not reachable from the border."""

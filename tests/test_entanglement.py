@@ -13,7 +13,12 @@ from eulergram import (
     make_shape,
     verify_bounds,
 )
-from oracles import boundary_pairs_by_loop, interior_pairs_by_loop
+from oracles import (
+    bfs_component_count,
+    boundary_pairs_by_loop,
+    bounded_hole_count,
+    interior_pairs_by_loop,
+)
 
 
 def fine_grid(bits, h=1.0):
@@ -166,32 +171,60 @@ def test_interior_pairs_hug_the_set():
                 assert dist[int(y), int(x)] <= eps + np.sqrt(2.0)
 
 
+def random_disc_union(rng, lo, hi, n=129):
+    yy, xx = np.ogrid[:n, :n]
+    bits = np.zeros((n, n), dtype=bool)
+    for _ in range(int(rng.integers(3, 14))):
+        cx, cy = rng.uniform(lo, hi, size=2)
+        r = rng.uniform(3.0, 12.0)
+        bits |= (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+    return bits
+
+
+def counts_match_oracles(rep, truth, k):
+    """Check a report's counts on the windowed truth against BFS counts.
+
+    Returns whether the coarse subsample has set bits on its border.
+    """
+    sub = truth[::k, ::k]
+    assert rep.num_components_truth == bfs_component_count(truth, 8)
+    assert rep.num_components_digitized == bfs_component_count(sub, 8)
+    assert rep.chi_abs == abs(bfs_component_count(sub, 4) - bounded_hole_count(sub))
+    return bool(sub[[0, -1]].any() or sub[:, [0, -1]].any())
+
+
 def test_random_disc_unions_never_violate_bounds():
     rng = np.random.default_rng(53)
-    yy, xx = np.ogrid[:129, :129]
     for _ in range(50):
-        bits = np.zeros((129, 129), dtype=bool)
-        for _ in range(int(rng.integers(3, 14))):
-            cx, cy = rng.uniform(24, 105, size=2)
-            r = rng.uniform(3.0, 12.0)
-            bits |= (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+        bits = random_disc_union(rng, 24, 105)
         rep, = verify_bounds(fine_grid(bits), [8.0])
         assert rep.holds and rep.chi_holds
+        assert not counts_match_oracles(rep, bits, 8)
+
+
+def test_counts_on_coarse_grids_with_set_on_the_border():
+    # centres reach the lattice edge, so the subsample's border carries set
+    # bits; the bounds assume a margin, so only the counts are checked
+    rng = np.random.default_rng(67)
+    border = 0
+    for _ in range(40):
+        bits = random_disc_union(rng, 0, 128)
+        rep, = verify_bounds(fine_grid(bits), [8.0])
+        border += counts_match_oracles(rep, bits, 8)
+    assert border >= 20
 
 
 def test_windowed_bounds_on_random_unions():
     rng = np.random.default_rng(59)
     w = PolyRectangle(rects=[(20.0, 100.0, 20.0, 100.0)])
     yy, xx = np.ogrid[:129, :129]
+    inside = (xx >= 20) & (xx <= 100) & (yy >= 20) & (yy <= 100)
     for _ in range(20):
-        bits = np.zeros((129, 129), dtype=bool)
-        for _ in range(int(rng.integers(3, 14))):
-            cx, cy = rng.uniform(16, 113, size=2)
-            r = rng.uniform(3.0, 12.0)
-            bits |= (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+        bits = random_disc_union(rng, 16, 113)
         rep, = verify_bounds(fine_grid(bits), [8.0], window=w)
         assert rep.corners == 4
         assert rep.holds and rep.chi_holds
+        counts_match_oracles(rep, bits & inside, 8)
 
 
 @pytest.mark.parametrize("window", [None, PolyRectangle(rects=[(20.0, 100.0, 20.0, 100.0)])])

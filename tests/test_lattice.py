@@ -69,9 +69,7 @@ def test_digitize_commutes_with_set_algebra():
     union = make_shape({"type": "union", "members": [
         {"type": "disc", "center": [0.0, 0.0], "r": 1.0},
         {"type": "disc", "center": [0.8, 0.0], "r": 0.7}]})
-    assert digitize(union, lat) == (ga | gb)
-    assert (~ga).bits.tolist() == (~ga.bits).tolist()
-    assert ((ga & gb).bits == (ga.bits & gb.bits)).all()
+    assert (digitize(union, lat).bits == (ga.bits | gb.bits)).all()
 
 
 @st.composite

@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +14,6 @@ from eulergram import (
     config_counts,
     label_components,
 )
-from eulergram import topology
 from eulergram.topology import _cell_features
 
 from gridgen import admissible_random_bits
@@ -24,8 +21,6 @@ from oracles import (
     bfs_component_count,
     bounded_hole_count,
     chi_by_components,
-    first_seen_hole_labels,
-    first_seen_labels,
     scan_cell_measures,
     scan_chi_vef,
     scan_config_counts,
@@ -95,64 +90,19 @@ def test_margin_violation():
     g = grid_of(["#..", "...", "..."])
     with pytest.raises(MarginViolation):
         config_counts(g)
-    with pytest.raises(MarginViolation):
-        label_components(g, which="complement")
-    # a set labeling has no margin requirement
-    assert label_components(g, which="set").num_set_components == 1
+    # component counting has no margin requirement
+    assert label_components(g).num_set_components == 1
 
 
 def test_label_components_ring():
-    lab = label_components(RING, which="set")
+    lab = label_components(RING)
     assert lab.num_set_components == 1
     assert lab.num_complement_bounded_components == 1
-    comp = label_components(RING, which="complement")
-    assert comp.labels.max() == 1
-    assert comp.labels[2, 2] == 1  # the enclosed center
 
 
 def test_label_components_empty():
     g = grid_of(["...", "...", "..."])
-    assert label_components(g, which="set").num_set_components == 0
-
-
-def test_labels_first_seen_order():
-    g = grid_of([
-        ".......",
-        "..##...",
-        ".....#.",
-        ".#.....",
-        ".......",
-    ])
-    lab = label_components(g, which="set").labels
-    # row-major first encounter fixes the numbering
-    assert lab[1, 2] == 1 and lab[2, 5] == 2 and lab[3, 1] == 3
-
-
-def test_labels_match_first_seen_oracle_on_both_sides():
-    rng = np.random.default_rng(43)
-    holes = 0
-    for _ in range(30):
-        bits = np.zeros((14, 17), dtype=bool)
-        bits[1:-1, 1:-1] = rng.random((12, 15)) < 0.6
-        g = BitGrid(lattice=Lattice(1.0, (0, 0), 17, 14), bits=bits)
-        with mock.patch.object(topology, "_first_seen_relabel",
-                               wraps=topology._first_seen_relabel) as relabel:
-            labs = {which: label_components(g, which) for which in ("set", "complement")}
-            assert relabel.call_count == 0  # the counts need no relabel
-            for which, oracle in (("set", first_seen_labels),
-                                  ("complement", first_seen_hole_labels)):
-                lab = labs[which]
-                assert lab.labels.dtype == np.int32
-                assert lab.labels.tolist() == oracle(bits).tolist()
-                assert lab.labels is lab.labels  # built once
-        assert relabel.call_count == 2
-        holes += labs["set"].num_complement_bounded_components
-    assert holes > 0
-
-
-def test_invalid_which_rejected():
-    with pytest.raises(ValueError):
-        label_components(RING, which="holes")
+    assert label_components(g).num_set_components == 0
 
 
 def test_counts_match_oracle_on_random_grids():
@@ -171,6 +121,16 @@ def test_counts_match_oracle_on_random_grids():
         lab = label_components(g)
         assert lab.num_set_components == bfs_component_count(bits, 4)
         assert lab.num_complement_bounded_components == bounded_hole_count(bits)
+    # no margin: set bits on the border, where config_counts would refuse
+    touching = 0
+    for _ in range(60):
+        ny, nx = rng.integers(1, 10, size=2)
+        bits = rng.random((ny, nx)) < 0.6
+        touching += bool(bits[[0, -1]].any() or bits[:, [0, -1]].any())
+        lab = label_components(BitGrid(lattice=Lattice(1.0, (0, 0), nx, ny), bits=bits))
+        assert lab.num_set_components == bfs_component_count(bits, 4)
+        assert lab.num_complement_bounded_components == bounded_hole_count(bits)
+    assert touching > 50
 
 
 def test_three_routes_agree_on_admissible_random_grids():
