@@ -101,20 +101,24 @@ def _polyrect(spec) -> PolyRectangle:
     return PolyRectangle(rects=tuple(_rect(r) for r in spec["rects"]))
 
 
-def _clip_to_window(ind: IndicatorSet, w: PolyRectangle) -> IndicatorSet:
+def _window_box(ind: IndicatorSet, w: PolyRectangle) -> tuple[float, float, float, float]:
+    """The intersection of the set's and the window's bounding boxes; ConfigInvalid if empty."""
     bx0, bx1, by0, by1 = ind.bounding_box
     wx0, wx1, wy0, wy1 = w.bounding_box
     box = (max(bx0, wx0), min(bx1, wx1), max(by0, wy0), min(by1, wy1))
     if box[0] > box[1] or box[2] > box[3]:
         raise ConfigInvalid(f"window misses the shape's bounding box {ind.bounding_box}")
+    return box
 
+
+def _clip_to_window(ind: IndicatorSet, w: PolyRectangle) -> IndicatorSet:
     def contains(x, y):
         return ind.contains(x, y) & w.contains(x, y)
 
     def row_runs(xs, ys):
         return _intersect_runs(ind.row_runs(xs, ys), w.row_runs(xs, ys))
 
-    return IndicatorSet(contains=contains, bounding_box=box, row_runs=row_runs)
+    return IndicatorSet(contains=contains, bounding_box=_window_box(ind, w), row_runs=row_runs)
 
 
 def _digitize_at(ind: IndicatorSet, epsilon: float, margin: int = 2):
@@ -233,6 +237,8 @@ def _run_bounds(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     h = _read(resolved, "h", _positive)
     epsilons = _read(resolved, "epsilons", _positives)
     window = _read(resolved, "window", _polyrect) if "window" in resolved else None
+    if window is not None:
+        _window_box(ind, window)
     grid = _digitize_at(ind, h, margin=_read(resolved, "margin", _nonnegative))
     header = ("epsilon", "n_interior", "n_boundary", "corners",
               "components_digitized", "components_truth", "bound_rhs", "holds",

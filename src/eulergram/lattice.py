@@ -13,9 +13,10 @@ whether boundary points belong to the set is decided by the predicate
 itself (closed sets answer True on their boundary).  The predicate is
 called once on the two broadcast axes, a ``(1, nx)`` row of x values and
 an ``(ny, 1)`` column of y values, so a disc squares 1-D differences and
-only its sum and comparison are full-grid.  Shifted sampling re-evaluates
-the predicate at the shifted points; nothing is ever padded or
-interpolated.
+only its sum and comparison are full-grid.  A union evaluates each member
+on its bounding box's block of the axes only, so each member costs its
+own box rather than the whole grid.  Shifted sampling re-evaluates the
+predicate at the shifted points; nothing is ever padded or interpolated.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+
+from .errors import InvalidSpec
 
 __all__ = [
     "Lattice",
@@ -70,7 +73,8 @@ class IndicatorSet:
 
     ``contains`` must accept broadcastable numpy arrays ``(x, y)`` and
     return a bool array of the broadcast shape.  ``bounding_box`` is
-    ``(x0, x1, y0, y1)`` with the set contained in the closed box.
+    ``(x0, x1, y0, y1)`` with the set contained in the closed box; a union
+    relies on it, evaluating each member only where its box can hold points.
     ``regularity_radius`` is the rolling-ball radius when known and
     ``None`` otherwise.
 
@@ -180,8 +184,11 @@ def digitize(
     Bit ``(i, j)`` is set iff the predicate holds at
     ``origin + epsilon*(i, j) + offset``.  Points of the set falling
     outside the lattice window are silently truncated; size the lattice
-    with :func:`lattice_covering` to avoid that.
+    with :func:`lattice_covering` to avoid that.  A lattice of more than
+    2**31 points raises :class:`InvalidSpec` before anything is allocated.
     """
+    if lattice.nx * lattice.ny > 1 << 31:  # refused before any allocation
+        raise InvalidSpec(f"a {lattice.ny} x {lattice.nx} lattice has more than 2**31 points")
     xs = lattice.xs() + offset[0]
     ys = lattice.ys() + offset[1]
     mask = np.asarray(indicator.contains(xs[None, :], ys[:, None]), dtype=bool)
@@ -210,6 +217,10 @@ def lattice_covering(
     x0, x1, y0, y1 = bounding_box
     if not (x1 >= x0 and y1 >= y0):
         raise ValueError("malformed bounding box")
+    wx, wy = (x1 - x0) / epsilon, (y1 - y0) / epsilon
+    if max(wx, wy) > 1 << 31:
+        raise InvalidSpec(f"epsilon {epsilon} spans {bounding_box} with a {wy:.3g} x {wx:.3g} "
+                          "lattice; an axis holds at most 2**31 points")
     i0 = int(np.floor(x0 / epsilon)) - margin
     i1 = int(np.ceil(x1 / epsilon)) + margin
     j0 = int(np.floor(y0 / epsilon)) - margin

@@ -200,6 +200,38 @@ def _ball_run(xs, ys, cx, cy, r2, within):
     return lo, hi
 
 
+def _box_block(x, y, box):
+    """The block of the broadcast ``(x, y)`` that can hold points of ``box``, or None.
+
+    Returns ``(block, xb, yb)``: ``block`` slices each axis of the
+    broadcast shape to the index range where the inputs varying along it
+    fall inside the box's ranges (the smallest block when each axis varies
+    in one input only, as for the axes ``digitize`` passes), and ``xb``,
+    ``yb`` are the inputs cut to it, an axis an input broadcasts over
+    staying whole.  The box is widened by a relative 1e-9 first, which
+    covers the rounding of an edge such as ``cx + r``: no point beyond the
+    widened box passes a disc's or an annulus's ``_d2`` test.
+    """
+    pad = 1e-9 * max(map(abs, box))
+    shape = np.broadcast(x, y).shape
+    lo, hi = [0] * len(shape), list(shape)
+    for a, a0, a1 in ((x, box[0], box[1]), (y, box[2], box[3])):
+        hits = np.atleast_1d((a >= a0 - pad) & (a <= a1 + pad)).nonzero()
+        if not hits[0].size:
+            return None
+        for k, n, at in zip(range(len(shape) - a.ndim, len(shape)), a.shape, hits):
+            if n > 1:
+                lo[k], hi[k] = max(lo[k], at.min()), min(hi[k], at.max() + 1)
+    if any(i >= j for i, j in zip(lo, hi)):
+        return None
+    block = tuple(map(slice, lo, hi))
+
+    def cut(a):
+        own = zip(block[len(block) - a.ndim:], a.shape)
+        return a[tuple(b if n > 1 else slice(None) for b, n in own)]
+    return block, cut(x), cut(y)
+
+
 def _centre(spec: dict) -> tuple[float, float]:
     cx, cy = (float(v) for v in spec["center"])
     if not (math.isfinite(cx) and math.isfinite(cy)):
@@ -284,10 +316,16 @@ def make_shape(spec: dict) -> IndicatorSet:
         if not members:
             raise InvalidSpec("union needs at least one member")
 
+        # a member is evaluated only on its box's block of the inputs, so a
+        # union relies on every member's bounding_box holding the member
         def contains(x, y, members=members):
-            out = np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape, dtype=bool)
+            x, y = np.asarray(x), np.asarray(y)
+            out = np.zeros(np.broadcast(x, y).shape, dtype=bool)
             for m in members:
-                out |= m.contains(x, y)
+                part = _box_block(x, y, m.bounding_box)
+                if part is not None:
+                    block, xb, yb = part
+                    out[block] |= m.contains(xb, yb)
             return out
 
         boxes = [m.bounding_box for m in members]

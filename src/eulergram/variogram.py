@@ -184,7 +184,11 @@ def _sweep(indicator: IndicatorSet, specs: list[ShiftSpec], h: float,
         raise InvalidSpec(f"degenerate sweep domain {domain}")
     if not 0 < h < math.inf:
         raise InvalidSpec(f"quad_mesh must be positive and finite, got {h}")
-    nx, ny = int(round((x1 - x0) / h)), int(round((y1 - y0) / h))
+    wx, wy = (x1 - x0) / h, (y1 - y0) / h
+    if max(wx, wy) > 1 << 31:  # refused before any allocation
+        raise InvalidSpec(f"quad_mesh {h} gives a {wy:.3g} x {wx:.3g} sweep grid; "
+                          "an axis holds at most 2**31 cells")
+    nx, ny = int(round(wx)), int(round(wy))
     if nx < 1 or ny < 1:
         raise InvalidSpec(f"quad_mesh {h} is coarser than the sweep domain {domain}")
     for spec in specs:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -347,6 +348,8 @@ SWEEP_CFG = {"shape": HALF_DISC, "epsilons": [0.2, 0.1, 0.05], "quad_mesh": 1e-2
     ("sweep", {**SWEEP_CFG, "quad_mesh": math.nan}),
     ("sweep", {**SWEEP_CFG, "quad_mesh": math.inf}),
     ("sweep", {**SWEEP_CFG, "window": {"rects": [[5, 6, 5, 6]]}}),
+    ("bounds", {"truth": DISC, "h": 0.05, "epsilons": [0.2],
+                "window": {"rects": [[5, 6, 5, 6]]}}),
     ("chi", {"shape": DISC, "epsilon": 0.1, "margin": -100}),
     ("sweep", {**SWEEP_CFG, "margin": -100}),
     ("bounds", {"truth": DISC, "h": 0.05, "epsilons": [0.2], "margin": -3}),
@@ -365,6 +368,7 @@ SWEEP_CFG = {"shape": HALF_DISC, "epsilons": [0.2, 0.1, 0.05], "quad_mesh": 1e-2
         "chi-epsilon-negative", "chi-epsilon-infinite", "sweep-epsilons-scalar",
         "bounds-epsilons-scalar", "perimeter-quad-mesh-nan", "perimeter-quad-mesh-infinite",
         "sweep-quad-mesh-nan", "sweep-quad-mesh-infinite", "sweep-window-misses-shape",
+        "bounds-window-misses-truth",
         "chi-margin-negative", "sweep-margin-negative", "bounds-margin-negative",
         "chi-margin-fraction", "perimeter-directions-fraction", "perimeter-directions-bool",
         "shotnoise-replicates-fraction", "densities-replicates-bool",
@@ -391,6 +395,29 @@ def test_mesh_coarser_than_shape_exits_one(tmp_path, capsys, subcommand, cfg):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InvalidSpec"
     assert "coarser" in err["message"]
+
+
+@pytest.mark.parametrize("subcommand,cfg", [
+    ("chi", {"shape": DISC, "epsilon": 1e-6}),
+    ("sweep", {"shape": DISC, "epsilons": [1e-300]}),
+    ("bounds", {"truth": DISC, "h": 1e-300, "epsilons": [4e-300]}),
+    ("sweep", {**SWEEP_CFG, "quad_mesh": 1e-300}),
+], ids=["chi-epsilon", "sweep-epsilon", "bounds-h", "sweep-quad-mesh"])
+def test_mesh_too_fine_to_allocate_exits_one(tmp_path, capsys, subcommand, cfg):
+    # these used to exit 2 from a MemoryError (29.1 TiB for the chi grid) or
+    # numpy's "Maximum allowed size exceeded"; now nothing grid-sized is allocated
+    tracemalloc.start()
+    try:
+        code, _, report = run_cli(tmp_path, "fine", subcommand, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert report is None
+    assert peak < 1 << 20
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidSpec"
+    assert "2**31" in err["message"] and " x " in err["message"]
 
 
 def test_unexpected_exception_exits_two(tmp_path, capsys, monkeypatch):

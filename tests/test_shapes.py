@@ -139,6 +139,75 @@ def test_union_metadata():
     assert bool(u.contains(2.5, 0.0)) is False
 
 
+@st.composite
+def union_contains_cases(draw):
+    # dyadic meshes keep centre +- radius and the tangent rows and columns
+    # exact lattice values; 0.1 rounds them
+    h = draw(st.sampled_from([0.125, 0.25, 0.1]))
+    nx, ny = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    x0, y0 = h * draw(st.integers(-8, 8)), h * draw(st.integers(-8, 8))
+    xs, ys = x0 + h * np.arange(nx), y0 + h * np.arange(ny)
+    members = []
+    # centres up to 12 cells beyond the axes, so members lie partly or wholly outside
+    for _ in range(draw(st.integers(1, 5))):
+        cx = x0 + h * draw(st.integers(-12, nx + 12))
+        cy = y0 + h * draw(st.integers(-12, ny + 12))
+        a, b = sorted(draw(st.lists(st.integers(1, 9), min_size=2, max_size=2, unique=True)))
+        if draw(st.booleans()):
+            members.append(("disc", cx, cy, h * b))
+        else:
+            members.append(("annulus", cx, cy, h * a, h * b))
+    # lattice points, then each member's four tangent points and their
+    # neighbours one float step away along either axis
+    pts = [(draw(st.sampled_from(xs)), draw(st.sampled_from(ys)))
+           for _ in range(draw(st.integers(0, 20)))]
+    for _, cx, cy, *radii in members:
+        r = radii[-1]
+        for ex, ey in ((cx - r, cy), (cx + r, cy), (cx, cy - r), (cx, cy + r)):
+            pts += [(ex, ey), (np.nextafter(ex, -np.inf), ey), (np.nextafter(ex, np.inf), ey),
+                    (ex, np.nextafter(ey, -np.inf)), (ex, np.nextafter(ey, np.inf))]
+    px, py = np.array(pts).T
+    return xs, ys, px, py, members
+
+
+def union_oracle(members, x, y):
+    """OR of the members' plain float tests, written out here."""
+    out = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+    for kind, cx, cy, *radii in members:
+        d2 = (x - cx) ** 2 + (y - cy) ** 2
+        if kind == "disc":
+            out |= d2 <= radii[0] * radii[0]
+        else:
+            out |= (d2 >= radii[0] * radii[0]) & (d2 <= radii[1] * radii[1])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(union_contains_cases())
+def test_union_contains_matches_its_members_pointwise(case):
+    xs, ys, px, py, members = case
+    specs = [{"type": "disc", "center": [cx, cy], "r": r[0]} if kind == "disc" else
+             {"type": "annulus", "center": [cx, cy], "r_in": r[0], "r_out": r[1]}
+             for kind, cx, cy, *r in members]
+    u = make_shape({"type": "union", "members": specs})
+    gx, gy = np.meshgrid(xs, ys)
+    n = len(px) // 2 * 2
+    inputs = [(xs[None, :], ys[:, None]),  # the axes digitize passes
+              (xs, ys[:, None]),
+              (gx, gy),
+              (px[:n].reshape(2, -1), py[:n].reshape(2, -1)),  # scattered, not a grid
+              (px, py),
+              (px[::-1].reshape(-1, 1), py),
+              (float(xs[0]), float(ys[-1])),
+              (float(xs[-1]), ys)]
+    inputs += [(float(x), float(y)) for x, y in zip(px, py)]
+    for x, y in inputs:
+        want = union_oracle(members, np.asarray(x), np.asarray(y))
+        got = u.contains(x, y)
+        assert got.dtype == bool and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_shape_spec_validation():
     with pytest.raises(InvalidSpec):
         make_shape({"type": "disc", "center": [0, 0], "r": 0.0})
