@@ -70,13 +70,13 @@ from .entanglement import (
 )
 from .randomsets import (
     AtomicMarks,
-    ExponentialMarks,
+    Exponential,
     GrainMixture,
     Realization,
     RectFamily,
     ShotNoiseModel,
     StationaryDensities,
-    UniformMarks,
+    Uniform,
     boolean_mean_chi,
     estimate_stationary_densities,
     level_set_chi_exact,

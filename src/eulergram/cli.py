@@ -305,7 +305,7 @@ def _run_densities(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     except UnsupportedMarkLaw:
         reference = None
     results = {
-        "epsilon": d.epsilon_used,
+        "epsilon": epsilon,
         "chi_bar": d.chi_bar, "chi_stderr": d.chi_stderr,
         "per_bar_u1": d.per_bar_u1, "per_u1_stderr": d.per_u1_stderr,
         "per_bar_u2": d.per_bar_u2, "per_u2_stderr": d.per_u2_stderr,

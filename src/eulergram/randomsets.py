@@ -9,6 +9,11 @@ arrangement spanned by the germ rectangle edges, so chi, perimeters and
 areas come from integer/float cell bookkeeping rather than digitization.
 A realization holds its germs as arrays: translated grain rectangles and marks.
 
+Each probability law is one class with ``sample``, ``mean`` and, for the
+scalar laws, ``bound``: marks follow ``AtomicMarks``, ``Uniform`` or
+``Exponential``, and the random rectangles of ``RectFamily`` draw their
+edges from the same ``Uniform`` and ``Exponential`` classes.
+
 The closed-form mean of chi(F intersect V) is evaluated from the grain
 moments and the law of f(0), which for atomic marks is a compound Poisson
 sum computed by truncated convolution.  Counting corners of F (chi of a
@@ -45,8 +50,8 @@ from .topology import _cell_features
 
 __all__ = [
     "AtomicMarks",
-    "ExponentialMarks",
-    "UniformMarks",
+    "Uniform",
+    "Exponential",
     "GrainMixture",
     "RectFamily",
     "ShotNoiseModel",
@@ -65,7 +70,7 @@ __all__ = [
 _TAIL_TOL = 1e-12
 
 
-# ---------------------------------------------------------------- mark laws
+# ------------------------------------------------------- mark and edge laws
 
 @dataclass(frozen=True)
 class AtomicMarks:
@@ -97,29 +102,15 @@ class AtomicMarks:
 
 
 @dataclass(frozen=True)
-class ExponentialMarks:
-    scale: float
+class Uniform:
+    """Uniform law on [low, high], 0 <= low < high < inf: a mark law or an edge law."""
 
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise InvalidSpec("exponential mark scale must be positive")
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.maximum(rng.exponential(self.scale, size=n), 1e-300)
-
-    @property
-    def mean(self) -> float:
-        return self.scale
-
-
-@dataclass(frozen=True)
-class UniformMarks:
     low: float
     high: float
 
     def __post_init__(self):
-        if not (0 <= self.low < self.high):
-            raise InvalidSpec("uniform marks need 0 <= low < high")
+        if not 0 <= self.low < self.high < math.inf:
+            raise InvalidSpec(f"uniform law needs 0 <= low < high < inf, got {self!r}")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.low, self.high, size=n)
@@ -127,6 +118,45 @@ class UniformMarks:
     @property
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
+
+    @property
+    def bound(self) -> float:
+        return self.high
+
+
+@dataclass(frozen=True)
+class Exponential:
+    """Exponential law of mean ``scale``: a mark law or an edge law.
+
+    With ``truncate_q`` the draws are clamped at that quantile, and ``mean``
+    and ``bound`` are those of the clamped law; without it the law has no
+    almost-sure bound (``bound`` is None).  Draws never fall below 1e-300,
+    so no mark or edge is zero.
+    """
+
+    scale: float
+    truncate_q: float | None = None
+
+    def __post_init__(self):
+        if not 0 < self.scale < math.inf:
+            raise InvalidSpec(f"exponential law needs a positive finite scale, got {self!r}")
+        if self.truncate_q is not None and not 0 < self.truncate_q < 1:
+            raise InvalidSpec(f"exponential law needs 0 < truncate_q < 1, got {self!r}")
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        vals = rng.exponential(self.scale, size=n)
+        if self.truncate_q is not None:
+            vals = np.minimum(vals, self.bound)
+        return np.maximum(vals, 1e-300)
+
+    @property
+    def mean(self) -> float:
+        # E min(X, b) = scale * q when b is the q-quantile of X ~ Exp(scale)
+        return self.scale if self.truncate_q is None else self.scale * self.truncate_q
+
+    @property
+    def bound(self) -> float | None:
+        return None if self.truncate_q is None else -self.scale * math.log1p(-self.truncate_q)
 
 
 # ------------------------------------------------------- grain distributions
@@ -177,94 +207,56 @@ class GrainMixture:
         return table[shift[owner] + np.arange(owner.size)], owner
 
 
-def _scalar_law(cfg: dict):
-    # RectFamily checks the law it is given
+def _scalar_law(cfg: dict) -> Uniform | Exponential:
+    # RectFamily checks what an edge needs beyond the law's own checks
     if not isinstance(cfg, dict):
         raise InvalidSpec(f"an edge law is an object, got {cfg!r}")
     dist = cfg.get("dist")
     if dist == "uniform":
-        return ("uniform", float(cfg["low"]), float(cfg["high"]))
+        return Uniform(float(cfg["low"]), float(cfg["high"]))
     if dist == "exponential":
         q = cfg.get("truncate_q")
-        return ("exponential", float(cfg["scale"]), None if q is None else float(q))
+        return Exponential(float(cfg["scale"]), None if q is None else float(q))
     raise InvalidSpec(f"unknown edge law {dist!r}")
 
 
 @dataclass(frozen=True)
 class RectFamily:
-    """Random rectangles [0,A] x [0,B] with independent edge laws.
+    """Random rectangles [0, A] x [0, B] with independent edge laws.
 
-    Each law is ('uniform', low, high) or ('exponential', scale, truncate_q);
-    an exponential law has no almost-sure bound, so sampling demands a
-    truncation quantile to derive the germ-domain padding (recorded on the
-    realization).  Sampling clamps the edge at that quantile, and the
-    moments are those of the clamped law.
+    Each edge law is a :class:`Uniform` with low > 0 or an :class:`Exponential`.
+    Sampling pads the germ domain by the laws' bounds, so an exponential
+    edge needs ``truncate_q``; the moments are those of the laws as sampled.
     """
 
-    a_law: tuple
-    b_law: tuple
+    a_law: Uniform | Exponential
+    b_law: Uniform | Exponential
 
     def __post_init__(self):
         for law in (self.a_law, self.b_law):
-            if law[0] == "uniform":
-                if not 0 < law[1] < law[2] < math.inf:
-                    raise InvalidSpec(f"uniform edge law needs 0 < low < high, got {law!r}")
-            elif law[0] == "exponential":
-                if not 0 < law[1] < math.inf:
-                    raise InvalidSpec(f"exponential edge law needs positive scale, got {law!r}")
-                if law[2] is not None and not 0 < law[2] < 1:
-                    raise InvalidSpec(
-                        f"exponential edge law needs 0 < truncate_q < 1, got {law!r}")
-            else:
+            if not isinstance(law, (Uniform, Exponential)):
                 raise InvalidSpec(f"unknown edge law {law!r}")
+            if isinstance(law, Uniform) and law.low <= 0:
+                raise InvalidSpec(f"uniform edge law needs 0 < low, got {law!r}")
 
     def moments(self) -> dict:
-        ea, eb = self._mean(self.a_law), self._mean(self.b_law)
+        ea, eb = self.a_law.mean, self.b_law.mean
         return {"chi": 1.0, "per1": 2.0 * eb, "per2": 2.0 * ea, "vol": ea * eb}
 
-    @staticmethod
-    def _mean(law) -> float:
-        if law[0] == "uniform":
-            return 0.5 * (law[1] + law[2])
-        # E min(X, b) = scale * q when b is the q-quantile of X ~ Exp(scale)
-        return law[1] if law[2] is None else law[1] * law[2]
-
-    @staticmethod
-    def _bound(law) -> float | None:
-        if law[0] == "uniform":
-            return law[2]
-        if law[2] is not None:
-            return -law[1] * math.log1p(-law[2])
-        return None
-
     def extent(self) -> tuple[float, float, float, float]:
-        ba, bb = self._bound(self.a_law), self._bound(self.b_law)
-        if ba is None or bb is None:
+        if self.a_law.bound is None or self.b_law.bound is None:
             raise UnboundedGrain(
                 "edge law has unbounded support; set truncate_q to pad the germ domain")
-        return (0.0, ba, 0.0, bb)
+        return (0.0, self.a_law.bound, 0.0, self.b_law.bound)
 
     def min_edge(self) -> float:
-        return min(self._mean(self.a_law), self._mean(self.b_law))
-
-    def truncation_note(self) -> str | None:
-        notes = []
-        for name, law in (("A", self.a_law), ("B", self.b_law)):
-            if law[0] == "exponential" and law[2] is not None:
-                notes.append(f"{name} truncated at quantile {law[2]}")
-        return "; ".join(notes) or None
+        return min(self.a_law.mean, self.b_law.mean)
 
     def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Rectangles [0, A] x [0, B] of n drawn grains, (n, 4), with each row's germ."""
-        def draw(law):
-            if law[0] == "uniform":
-                return rng.uniform(law[1], law[2], size=n)
-            vals = rng.exponential(law[1], size=n)
-            bound = self._bound(law)
-            return np.maximum(vals if bound is None else np.minimum(vals, bound), 1e-300)
-
-        aa, bb = draw(self.a_law), draw(self.b_law)
-        return np.stack([np.zeros(n), aa, np.zeros(n), bb], 1), np.arange(n)
+        zeros = np.zeros(n)
+        return (np.stack([zeros, self.a_law.sample(rng, n), zeros, self.b_law.sample(rng, n)], 1),
+                np.arange(n))
 
 
 # ------------------------------------------------------------------- model
@@ -273,7 +265,7 @@ class RectFamily:
 class ShotNoiseModel:
     intensity: float
     grain_dist: GrainMixture | RectFamily
-    mark_dist: AtomicMarks | ExponentialMarks | UniformMarks
+    mark_dist: AtomicMarks | Uniform | Exponential
     level: float
 
     def __post_init__(self):
@@ -310,9 +302,9 @@ class ShotNoiseModel:
         if isinstance(marks, dict):
             kind = marks.get("type")
             if kind == "exponential":
-                mark_dist = ExponentialMarks(scale=float(marks["scale"]))
+                mark_dist = Exponential(float(marks["scale"]))
             elif kind == "uniform":
-                mark_dist = UniformMarks(low=float(marks["low"]), high=float(marks["high"]))
+                mark_dist = Uniform(float(marks["low"]), float(marks["high"]))
             else:
                 raise InvalidSpec(f"unknown mark law {kind!r}")
         else:
@@ -333,7 +325,6 @@ class Realization:
     count: int
     padded_domain: tuple[float, float, float, float]
     expected_count: float
-    truncation: str | None = None
 
 
 def sample_realization(model: ShotNoiseModel, domain, seed: int) -> Realization:
@@ -345,6 +336,8 @@ def sample_realization(model: ShotNoiseModel, domain, seed: int) -> Realization:
     so the field restricted to the domain has exactly the law of the
     infinite-plane process.  Deterministic given the seed: germ count,
     then locations, then grains, then marks are drawn in that fixed order.
+    An expected germ count that is not finite or exceeds 2**31 raises
+    :class:`InvalidSpec` before anything is drawn.
     """
     x0, x1, y0, y1 = (float(v) for v in domain)
     ex0, ex1, ey0, ey1 = model.grain_dist.extent()
@@ -352,6 +345,8 @@ def sample_realization(model: ShotNoiseModel, domain, seed: int) -> Realization:
     px0, px1 = x0 - pad_x, x1 + pad_x
     py0, py1 = y0 - pad_y, y1 + pad_y
     mean = model.intensity * (px1 - px0) * (py1 - py0)
+    if not mean <= 1 << 31:  # refused before numpy tries to draw or hold the germs
+        raise InvalidSpec(f"expected germ count {mean:.3g} is not finite or exceeds 2**31")
 
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(mean)) if mean > 0 else 0
@@ -359,12 +354,9 @@ def sample_realization(model: ShotNoiseModel, domain, seed: int) -> Realization:
     ys = rng.uniform(py0, py1, size=n)
     grains, owner = model.grain_dist.sample(rng, n)
     marks = model.mark_dist.sample(rng, n)
-
-    trunc = (model.grain_dist.truncation_note()
-             if isinstance(model.grain_dist, RectFamily) else None)
     return Realization(rects=grains + np.stack([xs, xs, ys, ys], 1)[owner],
                        marks=marks[owner], count=n, padded_domain=(px0, px1, py0, py1),
-                       expected_count=mean, truncation=trunc)
+                       expected_count=mean)
 
 
 # ------------------------------------------------- exact level-set geometry
@@ -608,7 +600,6 @@ class StationaryDensities:
     per_bar_u1: float
     per_bar_u2: float
     vol_bar: float
-    epsilon_used: float
     chi_stderr: float
     per_u1_stderr: float
     per_u2_stderr: float
@@ -666,6 +657,5 @@ def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
     return StationaryDensities(
         chi_bar=chi["mean"], per_bar_u1=per1["mean"],
         per_bar_u2=per2["mean"], vol_bar=vol["mean"],
-        epsilon_used=e,
         chi_stderr=chi["stderr"], per_u1_stderr=per1["stderr"],
         per_u2_stderr=per2["stderr"], vol_stderr=vol["stderr"])

@@ -215,10 +215,9 @@ def _sweep(indicator: IndicatorSet, specs: list[ShiftSpec], h: float,
 
 
 def continuous_polyvariogram(indicator: IndicatorSet, shifts: ShiftSpec,
-                             quad_mesh: float,
-                             domain: tuple[float, float, float, float] | None = None) -> float:
+                             quad_mesh: float) -> float:
     """Midpoint-rule volume of the shifted intersection; error O(h * perimeter)."""
-    (count,) = _sweep(indicator, [shifts], quad_mesh, domain)
+    (count,) = _sweep(indicator, [shifts], quad_mesh)
     return count * quad_mesh * quad_mesh
 
 
@@ -281,8 +280,8 @@ def _validate_epsilons(epsilons) -> tuple[float, ...]:
 
 def _circle(n: int) -> list[tuple[float, float]]:
     # n equally spaced unit directions, starting at exactly (1, 0)
-    if n < 4:
-        raise InvalidSpec("need at least 4 directions")
+    if not 4 <= n <= 1 << 16:  # refused before the direction list is built
+        raise InvalidSpec("need at least 4 and at most 2**16 directions")
     thetas = 2.0 * math.pi * np.arange(n) / n
     return [(math.cos(t), math.sin(t)) for t in thetas]
 

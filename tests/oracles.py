@@ -177,15 +177,21 @@ def realization_by_loop(model, domain, seed):
     translated by the germ, each row carrying the germ's mark.  Grains are
     a mixture of fixed polyrectangles (``components``, ``probs``) or random
     rectangles [0, A] x [0, B] with bounded edge laws (``a_law``,
-    ``b_law``); marks are atomic.  The germ region pads the domain by the
-    largest grain coordinate magnitude on each axis.
+    ``b_law``); marks are atomic (``values``, ``probs``) or follow a scalar
+    law.  A scalar law is uniform (``low``, ``high``) or exponential
+    (``scale``, ``truncate_q``): exponential draws are clamped at the
+    ``truncate_q`` quantile when it is set, and below at 1e-300.  The germ
+    region pads the domain by the largest grain coordinate magnitude on
+    each axis.  Only the laws' attributes are read, never their methods.
     """
     grains, mark_law = model.grain_dist, model.mark_dist
     mixture = hasattr(grains, "components")
 
     def cap(law):
-        kind, p1, p2 = law
-        return p2 if kind == "uniform" else -p1 * math.log1p(-p2)
+        if hasattr(law, "low"):
+            return law.high
+        q = law.truncate_q
+        return math.inf if q is None else -law.scale * math.log1p(-q)
 
     if mixture:
         shapes = [list(w.rects) for w in grains.components]
@@ -201,19 +207,22 @@ def realization_by_loop(model, domain, seed):
     n = int(rng.poisson(mean)) if mean > 0 else 0
     xs = rng.uniform(px0, px1, size=n)
     ys = rng.uniform(py0, py1, size=n)
+
+    def draws(law):
+        if hasattr(law, "low"):
+            return list(rng.uniform(law.low, law.high, size=n))
+        return [max(min(v, cap(law)), 1e-300) for v in rng.exponential(law.scale, size=n)]
+
     if mixture:
         picks = [0] * n if len(shapes) == 1 else \
             rng.choice(len(shapes), size=n, p=np.array(grains.probs))
         germ_rects = [shapes[k] for k in picks]
     else:
-        def edges(law):
-            if law[0] == "uniform":
-                return list(rng.uniform(law[1], law[2], size=n))
-            return [max(min(v, cap(law)), 1e-300) for v in rng.exponential(law[1], size=n)]
-
-        aa, bb = edges(grains.a_law), edges(grains.b_law)
+        aa, bb = draws(grains.a_law), draws(grains.b_law)
         germ_rects = [[(0.0, a, 0.0, b)] for a, b in zip(aa, bb)]
-    if len(mark_law.values) == 1:
+    if not hasattr(mark_law, "values"):
+        marks = draws(mark_law)
+    elif len(mark_law.values) == 1:
         marks = [mark_law.values[0]] * n
     else:
         marks = rng.choice(np.array(mark_law.values), size=n, p=np.array(mark_law.probs))

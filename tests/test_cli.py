@@ -406,9 +406,15 @@ def test_mesh_coarser_than_shape_exits_one(tmp_path, capsys, subcommand, cfg):
 def test_mesh_too_fine_to_allocate_exits_one(tmp_path, capsys, subcommand, cfg):
     # these used to exit 2 from a MemoryError (29.1 TiB for the chi grid) or
     # numpy's "Maximum allowed size exceeded"; now nothing grid-sized is allocated
+    message = refused_before_allocating(tmp_path, capsys, subcommand, cfg)
+    assert "2**31" in message and " x " in message
+
+
+def refused_before_allocating(tmp_path, capsys, subcommand, cfg) -> str:
+    """The message of a run that exits 1 with InvalidSpec, tracing under 1 MiB at peak."""
     tracemalloc.start()
     try:
-        code, _, report = run_cli(tmp_path, "fine", subcommand, cfg)
+        code, _, report = run_cli(tmp_path, "huge", subcommand, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -417,7 +423,34 @@ def test_mesh_too_fine_to_allocate_exits_one(tmp_path, capsys, subcommand, cfg):
     assert peak < 1 << 20
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InvalidSpec"
-    assert "2**31" in err["message"] and " x " in err["message"]
+    return err["message"]
+
+
+def _model(**changes) -> dict:
+    return {**SHOT_CFG["model"], **changes}
+
+
+@pytest.mark.parametrize("subcommand,cfg", [
+    ("shotnoise", {**SHOT_CFG, "model": _model(intensity=1e300)}),
+    ("densities", {**DENS_CFG, "model": _model(intensity=1e300)}),
+    ("shotnoise", {**SHOT_CFG, "model": _model(intensity=1e13)}),
+    ("shotnoise", {**SHOT_CFG, "model": _model(grains=[{"rects": [[0, 1e300, 0, 1]],
+                                                        "p": 1.0}])}),
+], ids=["shotnoise-intensity", "densities-intensity", "shotnoise-intensity-1e13",
+        "shotnoise-grain-extent"])
+def test_germ_count_too_large_to_draw_exits_one(tmp_path, capsys, subcommand, cfg):
+    # these used to exit 2 from numpy's "lam value too large" or a MemoryError
+    # (10.2 PiB at intensity 1e13); now the count is refused before any draw
+    message = refused_before_allocating(tmp_path, capsys, subcommand, cfg)
+    assert "germ count" in message and "2**31" in message
+
+
+@pytest.mark.parametrize("directions", [1e300, (1 << 16) + 1])
+def test_directions_too_many_to_build_exits_one(tmp_path, capsys, directions):
+    # 1e300 used to exit 2 with numpy's "Maximum allowed size exceeded"
+    message = refused_before_allocating(tmp_path, capsys, "perimeter",
+                                        {**PER_CFG, "directions": directions})
+    assert "2**16 directions" in message
 
 
 def test_unexpected_exception_exits_two(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from eulergram import (
     AtomicMarks,
     DegenerateArrangement,
-    ExponentialMarks,
+    Exponential,
     GrainMixture,
     InvalidSpec,
     NotBooleanRegime,
@@ -18,7 +19,7 @@ from eulergram import (
     RectFamily,
     ShotNoiseModel,
     UnboundedGrain,
-    UniformMarks,
+    Uniform,
     UnsupportedMarkLaw,
     boolean_mean_chi,
     chi_local,
@@ -213,7 +214,7 @@ def test_boolean_guards():
 
 
 def test_non_atomic_marks_rejected_by_closed_form():
-    for marks in (ExponentialMarks(scale=1.0), UniformMarks(low=0.5, high=1.5)):
+    for marks in (Exponential(scale=1.0), Uniform(low=0.5, high=1.5)):
         model = ShotNoiseModel(intensity=1.0,
                                grain_dist=GrainMixture(components=(UNIT_SQUARE,), probs=(1.0,)),
                                mark_dist=marks, level=0.75)
@@ -234,9 +235,9 @@ def test_spec_validation():
     with pytest.raises(InvalidSpec):
         GrainMixture(components=(UNIT_SQUARE,), probs=(0.8,))
     with pytest.raises(InvalidSpec):
-        ExponentialMarks(scale=0.0)
+        Exponential(scale=0.0)
     with pytest.raises(InvalidSpec):
-        UniformMarks(low=-0.1, high=1.0)
+        Uniform(low=-0.1, high=1.0)
     with pytest.raises(InvalidSpec):
         square_model(0.5, intensity=-1.0)
     with pytest.raises(InvalidSpec):
@@ -262,8 +263,11 @@ def test_from_config_layouts_and_errors():
         "marks": {"type": "uniform", "low": 0.5, "high": 1.5},
         "lambda": 0.75})
     assert isinstance(fam.grain_dist, RectFamily)
-    assert fam.grain_dist.a_law == ("uniform", 0.5, 1.5)
-    assert isinstance(fam.mark_dist, UniformMarks)
+    assert fam.grain_dist.a_law == Uniform(0.5, 1.5)
+    assert fam.grain_dist.b_law == Exponential(1.0, 0.99)
+    assert fam.mark_dist == Uniform(0.5, 1.5)
+    expo = ShotNoiseModel.from_config({**cfg, "marks": {"type": "exponential", "scale": 2.0}})
+    assert expo.mark_dist == Exponential(2.0)
 
     with pytest.raises(InvalidSpec):
         ShotNoiseModel.from_config({**cfg, "grains": {"type": "disc_family"}})
@@ -292,50 +296,46 @@ def test_grain_mixture_moments():
 
 
 @pytest.mark.parametrize("law", [
-    ("exponential", 1.0, 1.0),       # math domain error in the padding bound
-    ("exponential", 1.0, 0.0),       # zero-width grains
-    ("exponential", 1.0, math.nan),  # NaN extent
-    ("exponential", 0.0, 0.5),
-    ("uniform", 1.0, 0.5),           # low above high
-    ("uniform", 0.5, math.inf),
-    ("gamma", 1.0, 2.0),
+    partial(Exponential, 1.0, 1.0),       # math domain error in the padding bound
+    partial(Exponential, 1.0, 0.0),       # zero-width grains
+    partial(Exponential, 1.0, math.nan),  # NaN extent
+    partial(Exponential, 0.0, 0.5),
+    partial(Uniform, 1.0, 0.5),           # low above high
+    partial(Uniform, 0.5, math.inf),
+    partial(tuple, ("gamma", 1.0, 2.0)),  # not a law object
+    partial(Uniform, 0.0, 1.0),           # a valid mark law, but edges may be zero
 ])
 def test_rect_family_rejects_bad_laws_when_built_directly(law):
-    good = ("uniform", 0.5, 1.5)
+    good = Uniform(0.5, 1.5)
     with pytest.raises(InvalidSpec):
-        RectFamily(a_law=law, b_law=good)
+        RectFamily(a_law=law(), b_law=good)
     with pytest.raises(InvalidSpec):
-        RectFamily(a_law=good, b_law=law)
+        RectFamily(a_law=good, b_law=law())
 
 
 def test_rect_family_moments_and_truncation():
-    fam = RectFamily(a_law=("uniform", 0.5, 1.5), b_law=("uniform", 0.5, 1.5))
+    fam = RectFamily(a_law=Uniform(0.5, 1.5), b_law=Uniform(0.5, 1.5))
     m = fam.moments()
     assert m == {"chi": 1.0, "per1": 2.0, "per2": 2.0, "vol": 1.0}
     assert fam.extent() == (0.0, 1.5, 0.0, 1.5)
 
-    unbounded = RectFamily(a_law=("exponential", 1.0, None),
-                           b_law=("uniform", 0.5, 1.5))
+    unbounded = RectFamily(a_law=Exponential(1.0), b_law=Uniform(0.5, 1.5))
     with pytest.raises(UnboundedGrain):
         unbounded.extent()
 
-    trunc = RectFamily(a_law=("exponential", 1.0, 0.99),
-                       b_law=("uniform", 0.5, 1.5))
+    trunc = RectFamily(a_law=Exponential(1.0, 0.99), b_law=Uniform(0.5, 1.5))
     bound = -math.log1p(-0.99)
     assert trunc.extent()[1] == pytest.approx(bound)
-    assert "0.99" in trunc.truncation_note()
     model = ShotNoiseModel(intensity=1.0, grain_dist=trunc,
                            mark_dist=AtomicMarks(values=(1.0,), probs=(1.0,)),
                            level=0.5)
     real = sample_realization(model, (0.0, 5.0, 0.0, 5.0), seed=3)
-    assert real.truncation is not None
     assert real.count > 0
     assert np.all(real.rects[:, 1] - real.rects[:, 0] <= bound + 1e-12)
 
     # the moments describe the clamped law that is sampled: E min(X, b) =
     # scale * q, half the untruncated mean at q = 0.5
-    clamped = RectFamily(a_law=("exponential", 1.0, 0.5),
-                         b_law=("exponential", 2.0, 0.9))
+    clamped = RectFamily(a_law=Exponential(1.0, 0.5), b_law=Exponential(2.0, 0.9))
     rects, owner = clamped.sample(np.random.default_rng(11), 4000)
     assert np.array_equal(owner, np.arange(4000))
     a, b = rects[:, 1], rects[:, 3]
@@ -378,10 +378,18 @@ LAYOUT_MODELS = {
         level=2.5),
     "truncated-exponential": ShotNoiseModel(
         intensity=1.0,
-        grain_dist=RectFamily(a_law=("exponential", 1.0, 0.99),
-                              b_law=("uniform", 0.5, 1.5)),
+        grain_dist=RectFamily(a_law=Exponential(1.0, 0.99), b_law=Uniform(0.5, 1.5)),
         mark_dist=AtomicMarks(values=(1.0,), probs=(1.0,)),
         level=0.5),
+    # the same two laws as marks: exponential marks are clamped below only
+    "exponential-marks": ShotNoiseModel(
+        intensity=3.0,
+        grain_dist=GrainMixture(components=(UNIT_SQUARE, TEE), probs=(0.5, 0.5)),
+        mark_dist=Exponential(scale=1.0), level=1.5),
+    "uniform-marks": ShotNoiseModel(
+        intensity=1.0,
+        grain_dist=RectFamily(a_law=Uniform(0.5, 1.5), b_law=Exponential(2.0, 0.9)),
+        mark_dist=Uniform(low=0.0, high=2.0), level=1.0),
     "intensity-zero": square_model(1.5, intensity=0.0),
 }
 
@@ -742,7 +750,6 @@ def test_density_estimator_at_rate_one_anchor():
     est = estimate_stationary_densities(model, epsilon=0.02,
                                         window=(0.0, 6.0, 0.0, 6.0),
                                         replicates=60, seed=5)
-    assert est.epsilon_used == 0.02
     assert 0.0 <= est.vol_bar <= 1.0
     assert abs(est.chi_bar - E1) <= 4 * est.chi_stderr
     assert abs(est.vol_bar - (1 - 2 * E1)) <= 4 * est.vol_stderr

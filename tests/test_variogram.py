@@ -468,6 +468,9 @@ def test_epsilon_sequence_validation():
         estimate_perimeter(disc(), (0, 0), (0.1, 0.05, 0.02), quad_mesh=1e-3)
     with pytest.raises(InvalidSpec):
         perimeter_variational(disc(), EPS, quad_mesh=1e-3, n_directions=3)
+    with pytest.raises(InvalidSpec):
+        perimeter_variational(disc(), EPS, quad_mesh=1e-3, n_directions=(1 << 16) + 1)
+    assert len(_circle(1 << 16)) == 1 << 16
 
 
 def test_sandwich_inequality_on_fixtures():
