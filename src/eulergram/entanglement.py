@@ -29,11 +29,15 @@ single 3-D ``ndimage.label`` whose structure is 8-connected within a square
 and empty across squares.  Boundary candidates are consecutive members of
 each coarse row and column, with a cumulative count of blocking points
 between them, tested against every maximal window edge in one broadcast.
+Whether an intermediate coarse point lies near the set is read from one
+integer column pass per side (the vertical distance from every cell to the
+nearest set cell of its column), combined over the few columns within the
+coarse mesh of that point only.
 
 What does not depend on the coarse mesh is built once per truth:
 ``verify_bounds`` takes a list of meshes and hands both detectors the
-same prepared truth and complement, whose prefix sums and distance
-transform are each computed on first use.
+same prepared truth and complement, whose prefix sums and column
+distances are each computed on first use.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from scipy import ndimage
 from .errors import MeshMismatch
 from .lattice import BitGrid, Lattice, _whole_multiple
 from .shapes import PolyRectangle, corner_points
-from .topology import _windows, label_components
+from .topology import label_components
 
 __all__ = [
     "PairSet",
@@ -114,13 +118,51 @@ class _Truth:
         # int32 prefix sums hold the set count of any grid under 2**31 cells
         ny, nx = self.bits.shape
         pref = np.zeros((ny + 1, nx + 1), dtype=np.int32)
-        np.cumsum(np.cumsum(self.bits, axis=0, dtype=np.int32), axis=1, out=pref[1:, 1:])
+        np.cumsum(self.bits, axis=0, dtype=np.int32, out=pref[1:, 1:])
+        np.cumsum(pref[1:, 1:], axis=1, out=pref[1:, 1:])
         return pref
 
     @cached_property
-    def distance(self) -> np.ndarray:
-        """Distance from every cell to the set, in cells."""
-        return ndimage.distance_transform_edt(~self.bits)
+    def column_gap(self) -> np.ndarray:
+        """Vertical distance, in cells, from every cell to the nearest set cell of its column.
+
+        A column without set cells reads the dtype's maximum, beyond the
+        reach of any coarse mesh under 2**31 cells.
+        """
+        bits = self.bits
+        ny = bits.shape[0]
+        # a missing set cell on one side sits ny rows off, so gaps stay under 2 * ny
+        rows = np.arange(ny, dtype=np.int32 if ny < 1 << 30 else np.int64)[:, None]
+        gap = np.where(bits, rows, -ny)
+        np.maximum.accumulate(gap, axis=0, out=gap)  # last set row at or above
+        np.subtract(rows, gap, out=gap)
+        below = np.where(bits[::-1], rows, -ny)  # the same on the flipped grid
+        np.maximum.accumulate(below, axis=0, out=below)
+        np.subtract(rows, below, out=below)
+        np.minimum(gap, below[::-1], out=gap)
+        gap[:, ~bits.any(axis=0)] = np.iinfo(gap.dtype).max
+        return gap
+
+    def near(self, k: int, thr: float) -> np.ndarray:
+        """Whether each coarse point ``[::k, ::k]`` lies within ``thr`` of the set.
+
+        The distance is Euclidean, from the cell to the nearest set cell, as
+        a full-grid distance transform gives it.  Only the columns within
+        R = int(thr / h) + 1 of a coarse point can hold a set cell that near.
+        Squares are summed in floats, exact below 2**53 and never wrapping.
+        """
+        h = self.lattice.epsilon
+        nx = self.bits.shape[1]
+        span = min(int(thr / h) + 1, nx - 1)
+        gap = self.column_gap[::k]
+        cols = np.arange(0, nx, k)
+        d2 = np.full((gap.shape[0], cols.size), np.inf)
+        for t in range(-span, span + 1):
+            # an offset past the grid reads the border column, which its own
+            # smaller offset already counts
+            g = gap[:, np.clip(cols + t, 0, nx - 1)].astype(float)
+            np.minimum(d2, g * g + t * t, out=d2)
+        return np.sqrt(d2) * h <= thr
 
 
 def _prepared(truth) -> _Truth:
@@ -195,24 +237,6 @@ def detect_interior_pairs(truth: BitGrid, coarse_epsilon: float,
     return PairSet(pairs=_pair_tuples(ends[keep]), kind="interior")
 
 
-def _maximal_edges(w: PolyRectangle) -> np.ndarray:
-    """Boundary edges merged into maximal axis-aligned segments.
-
-    Rows are (vertical, fixed coordinate, lo, hi): a run of boundary edges
-    of the window's arrangement along one grid line is one segment.
-    """
-    xs, ys, occ = w._arrangement
-    sw, se, nw, _ = _windows(occ)
-    rows = []
-    for vertical, edge, fixed, run in ((1.0, (se[1:] ^ sw[1:]).T, xs, ys),
-                                       (0.0, nw[:, 1:] ^ sw[:, 1:], ys, xs)):
-        step = np.diff(np.pad(edge, ((0, 0), (1, 1))).astype(np.int8), axis=1)
-        line, lo = np.nonzero(step == 1)
-        _, hi = np.nonzero(step == -1)
-        rows.append(np.stack([np.full(len(line), vertical), fixed[line], run[lo], run[hi]], 1))
-    return np.concatenate(rows)
-
-
 def detect_boundary_pairs(truth: BitGrid, coarse_epsilon: float,
                           window: PolyRectangle) -> PairSet:
     """Sampled set points flanking un-sampled set along a window edge.
@@ -230,9 +254,7 @@ def detect_boundary_pairs(truth: BitGrid, coarse_epsilon: float,
     lat = truth.lattice
     h = lat.epsilon
 
-    # distance from every coarse point to the set, in length units
-    dist = truth.distance[::k, ::k] * h
-    near = dist <= coarse_epsilon + h / math.sqrt(2.0)
+    near = truth.near(k, coarse_epsilon + h / math.sqrt(2.0))
     xy = np.stack(np.meshgrid(lat.origin[0] + h * np.arange(0, lat.nx, k),
                               lat.origin[1] + h * np.arange(0, lat.ny, k)), 2)
     in_f = bits[::k, ::k]
@@ -252,7 +274,7 @@ def detect_boundary_pairs(truth: BitGrid, coarse_epsilon: float,
     ends = np.concatenate(cand)
 
     # both ends within the coarse mesh of one maximal edge, all (pair, edge) at once
-    vertical, fixed, lo, hi = _maximal_edges(window).T
+    vertical, fixed, lo, hi = window._maximal_edges.T
     x, y = ends[..., :1], ends[..., 1:]
     along = np.where(vertical, y, x)
     perp = np.where(vertical, x, y) - fixed
@@ -283,8 +305,8 @@ def verify_bounds(truth: BitGrid, coarse_epsilons,
     Returns one report per mesh of ``coarse_epsilons``, in the given
     order; every mesh must be an integer multiple >= 4 of the truth mesh,
     and all are checked before any work starts.  What does not depend on
-    the mesh (the window mask, truth component counts, prefix sums and
-    distance transforms) is computed once for all of them.
+    the mesh (the window mask, truth component counts, prefix sums and the
+    per-side column distances) is computed once for all of them.
 
     Without a window: #components(coarse set) <= 2 * #interior pairs +
     #components(truth), and the chi bound is evaluated against the truth

@@ -33,6 +33,7 @@ and is the measuring stick the closed form is compared against.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -261,6 +262,10 @@ class RectFamily:
 
 # ------------------------------------------------------------------- model
 
+# a dict mark law's class and its keys besides "type", in argument order
+_MARK_LAWS = {"exponential": (Exponential, ("scale",)), "uniform": (Uniform, ("low", "high"))}
+
+
 @dataclass(frozen=True)
 class ShotNoiseModel:
     intensity: float
@@ -301,12 +306,13 @@ class ShotNoiseModel:
         marks = cfg["marks"]
         if isinstance(marks, dict):
             kind = marks.get("type")
-            if kind == "exponential":
-                mark_dist = Exponential(float(marks["scale"]))
-            elif kind == "uniform":
-                mark_dist = Uniform(float(marks["low"]), float(marks["high"]))
-            else:
+            if kind not in _MARK_LAWS:
                 raise InvalidSpec(f"unknown mark law {kind!r}")
+            law, keys = _MARK_LAWS[kind]
+            extra = sorted(set(marks) - {"type", *keys})
+            if extra:
+                raise InvalidSpec(f"{kind} mark law takes no {', '.join(map(repr, extra))}")
+            mark_dist = law(*(float(marks[key]) for key in keys))
         else:
             mark_dist = AtomicMarks(values=tuple(m["value"] for m in marks),
                                     probs=tuple(m["p"] for m in marks))
@@ -327,6 +333,20 @@ class Realization:
     expected_count: float
 
 
+# what a draw holds at least per germ: its location, its mark, and one
+# translated grain rectangle with its mark, all float64
+_GERM_BYTES = 8 * (2 + 1 + 4 + 1)
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory on this host; infinite where the OS does not say."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+    return float(pages * size) if pages > 0 and size > 0 else math.inf
+
+
 def sample_realization(model: ShotNoiseModel, domain, seed: int) -> Realization:
     """Draw one Poisson field of germs whose grains can reach the domain.
 
@@ -336,8 +356,9 @@ def sample_realization(model: ShotNoiseModel, domain, seed: int) -> Realization:
     so the field restricted to the domain has exactly the law of the
     infinite-plane process.  Deterministic given the seed: germ count,
     then locations, then grains, then marks are drawn in that fixed order.
-    An expected germ count that is not finite or exceeds 2**31 raises
-    :class:`InvalidSpec` before anything is drawn.
+    An expected germ count that is not finite, exceeds 2**31 or needs more
+    than the host's physical memory raises :class:`InvalidSpec` before
+    anything is drawn.
     """
     x0, x1, y0, y1 = (float(v) for v in domain)
     ex0, ex1, ey0, ey1 = model.grain_dist.extent()
@@ -347,6 +368,10 @@ def sample_realization(model: ShotNoiseModel, domain, seed: int) -> Realization:
     mean = model.intensity * (px1 - px0) * (py1 - py0)
     if not mean <= 1 << 31:  # refused before numpy tries to draw or hold the germs
         raise InvalidSpec(f"expected germ count {mean:.3g} is not finite or exceeds 2**31")
+    need, have = mean * _GERM_BYTES, _physical_memory()
+    if need > have:
+        raise InvalidSpec(f"expected germ count {mean:.3g} needs {need / 2**30:.3g} GiB, "
+                          f"more than the host's {have / 2**30:.3g} GiB of memory")
 
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(mean)) if mean > 0 else 0

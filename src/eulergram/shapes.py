@@ -97,6 +97,24 @@ class PolyRectangle:
         xs, ys = np.unique(rects[:, :2]), np.unique(rects[:, 2:])
         return xs, ys, self.cells(xs, ys)
 
+    @cached_property
+    def _maximal_edges(self) -> np.ndarray:
+        """Boundary edges merged into maximal axis-aligned segments.
+
+        Rows are (vertical, fixed coordinate, lo, hi): a run of boundary edges
+        of the arrangement along one grid line is one segment.
+        """
+        xs, ys, occ = self._arrangement
+        sw, se, nw, _ = _windows(occ)
+        rows = []
+        for vertical, edge, fixed, run in ((1.0, (se[1:] ^ sw[1:]).T, xs, ys),
+                                           (0.0, nw[:, 1:] ^ sw[:, 1:], ys, xs)):
+            step = np.diff(np.pad(edge, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+            line, lo = np.nonzero(step == 1)
+            _, hi = np.nonzero(step == -1)
+            rows.append(np.stack([np.full(len(line), vertical), fixed[line], run[lo], run[hi]], 1))
+        return np.concatenate(rows)
+
 
 def polyrect_features(w: PolyRectangle) -> dict:
     """Exact chi, directional perimeters, area and corner counts.

@@ -4,7 +4,8 @@ import tracemalloc
 
 import pytest
 
-from eulergram import cli, estimate_perimeter, make_shape, perimeter_variational, variogram
+from eulergram import (cli, estimate_perimeter, make_shape, perimeter_variational,
+                       randomsets, variogram)
 from eulergram.cli import main
 
 E1 = math.exp(-1.0)
@@ -117,6 +118,32 @@ def test_bounds_subcommand(tmp_path):
     assert report["results"]["trials"] == 2
     lines = (out_dir / "bounds.csv").read_text().strip().splitlines()
     assert len(lines) == 3
+
+
+# a disc inside a thin ring, the gap between them 6.4 truth cells wide, and a
+# window cutting both: the coarse meshes miss the ring and the gap, so pairs
+# are detected on the set and on its complement
+THIN_BOUNDS_CFG = {
+    "truth": {"type": "union", "members": [
+        {"type": "disc", "center": [0, 0], "r": 0.3},
+        {"type": "annulus", "center": [0, 0], "r_in": 0.4, "r_out": 0.45}]},
+    "h": 0.015625, "epsilons": [0.0625, 0.125, 0.25],
+    "window": {"rects": [[-0.6, 0.2, -0.6, 0.6]]},
+}
+THIN_BOUNDS_CSV = """\
+epsilon,n_interior,n_boundary,corners,components_digitized,components_truth,bound_rhs,holds,chi_abs,chi_bound_rhs,chi_holds
+0.0625,7,1,4,4,2,26,True,10,30,True
+0.125,9,0,4,1,2,28,True,4,32,True
+0.25,6,0,4,1,2,22,True,1,26,True
+"""
+
+
+def test_bounds_on_thin_features_reports_pairs(tmp_path):
+    code, out_dir, report = run_cli(tmp_path, "thin", "bounds", THIN_BOUNDS_CFG,
+                                    extra=("--no-timestamp",))
+    assert code == 0
+    assert report["results"]["all_bounds_hold"] is True
+    assert (out_dir / "bounds.csv").read_text() == THIN_BOUNDS_CSV
 
 
 def test_shotnoise_table_and_determinism(tmp_path):
@@ -443,6 +470,31 @@ def test_germ_count_too_large_to_draw_exits_one(tmp_path, capsys, subcommand, cf
     # (10.2 PiB at intensity 1e13); now the count is refused before any draw
     message = refused_before_allocating(tmp_path, capsys, subcommand, cfg)
     assert "germ count" in message and "2**31" in message
+
+
+def test_germ_count_beyond_host_memory_exits_one(tmp_path, capsys, monkeypatch):
+    # 1.6e9 expected germs pass the 2**31 check but used to exit 2 with a
+    # MemoryError; the host's memory is pinned so the refusal does not depend on it
+    assert 0 < randomsets._physical_memory()
+    monkeypatch.setattr(randomsets, "_physical_memory", lambda: 8.0 * 2**30)
+    cfg = {**SHOT_CFG, "window": {"rects": [[0, 40000, 0, 40000]]}}
+    message = refused_before_allocating(tmp_path, capsys, "shotnoise", cfg)
+    assert "germ count" in message and "GiB" in message
+
+
+@pytest.mark.parametrize("marks,key", [
+    ({"type": "exponential", "scale": 1.0, "truncate_q": 0.5}, "truncate_q"),
+    ({"type": "uniform", "low": 0.5, "high": 1.5, "scale": 1.0}, "scale"),
+])
+def test_mark_law_refuses_keys_it_does_not_read(tmp_path, capsys, marks, key):
+    # truncate_q on exponential marks used to be ignored, yet echoed in the report
+    cfg = {**SHOT_CFG, "model": _model(marks=marks)}
+    code, _, report = run_cli(tmp_path, "marks", "shotnoise", cfg)
+    assert code == 1
+    assert report is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidSpec"
+    assert repr(key) in err["message"]
 
 
 @pytest.mark.parametrize("directions", [1e300, (1 << 16) + 1])

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from eulergram import (
     BitGrid,
@@ -13,6 +18,7 @@ from eulergram import (
     make_shape,
     verify_bounds,
 )
+from eulergram.entanglement import _Truth
 from oracles import (
     bfs_component_count,
     boundary_pairs_by_loop,
@@ -101,6 +107,60 @@ def test_fat_rectangle_has_no_boundary_pairs():
     assert len(detect_boundary_pairs(fine_grid(bits), 8.0, w)) == 0
 
 
+@st.composite
+def sides(draw):
+    """A random side of a truth: its shape, how its set cells are laid, and a seed."""
+    ny, nx = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    layout = draw(st.sampled_from(["empty", "full", "border", 0.01, 0.05, 0.2, 0.6]))
+    return ny, nx, layout, draw(st.integers(0, 2**32 - 1))
+
+
+def side_bits(ny, nx, layout, seed):
+    rng = np.random.default_rng(seed)
+    if layout in ("empty", "full"):
+        return np.full((ny, nx), layout == "full")
+    if layout == "border":
+        # set cells only on the grid's outer ring
+        bits = rng.random((ny, nx)) < 0.3
+        bits[1:-1, 1:-1] = False
+        return bits
+    return rng.random((ny, nx)) < layout
+
+
+@settings(max_examples=300, deadline=None)
+@given(sides(), st.sampled_from([4, 5, 7, 8, 16]), st.sampled_from([1.0, 0.5, 1.0 / 192]),
+       st.booleans())
+@example((9, 9, "empty", 0), 4, 1.0, True)
+@example((9, 9, "full", 0), 4, 1.0, True)
+@example((33, 33, "border", 1), 5, 1.0, True)
+@example((40, 3, 0.05, 2), 16, 1.0, True)  # narrower than R = 17 columns
+@example((1, 40, "border", 3), 7, 0.5, False)
+def test_near_matches_the_distance_transform(side, k, h, padded):
+    # the oracle is the full-grid Euclidean distance transform, read at the
+    # coarse points with the same float test the boundary detector applies;
+    # without the detector's half-diagonal pad, set cells sit at the threshold
+    bits = side_bits(*side)
+    lat = Lattice(epsilon=h, origin=(0.0, 0.0), nx=bits.shape[1], ny=bits.shape[0])
+    thr = k * h + (h / math.sqrt(2.0) if padded else 0.0)
+    near = _Truth(lat, bits).near(k, thr)
+    if not bits.any():
+        # with no set cell the transform measures to a point off the grid
+        assert not near.any()
+    else:
+        dist = ndimage.distance_transform_edt(~bits)[::k, ::k]
+        assert np.array_equal(near, dist * h <= thr)
+    assert near.shape == bits[::k, ::k].shape
+
+
+@pytest.mark.parametrize("fill", [False, True])
+def test_empty_and_full_sides_report_no_boundary_pairs(fill):
+    g = fine_grid(np.full((33, 33), fill))
+    for w in (PolyRectangle(rects=[(0.0, 32.0, 0.0, 32.0)]),
+              PolyRectangle(rects=[(0.0, 10.0, 0.0, 32.0), (20.0, 32.0, 4.0, 28.0)])):
+        assert len(detect_boundary_pairs(g, 8.0, w)) == 0
+        assert len(detect_boundary_pairs(g, 4.0, w)) == 0
+
+
 def test_far_teeth_report_nothing():
     # two teeth so far apart that the midway coarse point falls outside
     # the coarse-mesh dilation of the set, breaking the between-chain
@@ -152,8 +212,6 @@ def test_zero_pairs_below_quarter_regularity():
 def test_interior_pairs_hug_the_set():
     # every endpoint of a reported pair sits off F but within the coarse
     # mesh of it, the dilated-boundary locality property
-    from scipy import ndimage
-
     rng = np.random.default_rng(47)
     for _ in range(10):
         bits = np.zeros((97, 97), dtype=bool)
