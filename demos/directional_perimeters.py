@@ -9,7 +9,7 @@ from eulergram import estimate_perimeter, make_shape, perimeter_axis_sum, perime
 square = make_shape({"type": "implicit",
                      "g": lambda x, y: np.maximum(np.abs(x - 0.5),
                                                   np.abs(y - 0.5)) - 0.5,
-                     "bounding_box": (-0.2, 1.2, -0.2, 1.2), "rho": 0.05})
+                     "bounding_box": (-0.2, 1.2, -0.2, 1.2)})
 disc = make_shape({"type": "disc", "center": [0, 0], "r": 0.5})
 
 eps = (0.08, 0.04, 0.02)

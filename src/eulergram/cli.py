@@ -27,6 +27,7 @@ from .errors import (
     EulergramError,
     NotBooleanRegime,
     UnsupportedMarkLaw,
+    _only_keys,
 )
 from .lattice import IndicatorSet, digitize, lattice_covering, write_pgm
 from .randomsets import (
@@ -96,8 +97,7 @@ def _rect(value) -> tuple[float, float, float, float]:
 
 
 def _polyrect(spec) -> PolyRectangle:
-    if not isinstance(spec, dict) or "rects" not in spec:
-        raise TypeError("window must be {'rects': [[x0,x1,y0,y1], ...]}")
+    _only_keys(spec, ("rects",), "window", ConfigInvalid)
     return PolyRectangle(rects=tuple(_rect(r) for r in spec["rects"]))
 
 
@@ -199,6 +199,8 @@ def _run_sweep(cfg: dict, out_dir: Path, timestamp: bool) -> None:
         results["chi_continuum"] = chi_bicovariogram(
             ind, cont_eps, _read(resolved, "quad_mesh", _positive))
         results["continuum_epsilon"] = cont_eps
+    elif "continuum_epsilon" in resolved:
+        raise ConfigInvalid("'continuum_epsilon' is read only with 'quad_mesh'")
     _write_report(out_dir, "sweep", resolved, resolved.get("seed"), timestamp,
                   results, {"sweep.csv": (("epsilon", "chi"), rows)})
 
@@ -322,13 +324,15 @@ def _run_densities(cfg: dict, out_dir: Path, timestamp: bool) -> None:
                   {"densities.csv": (("quantity", "estimate", "stderr"), rows)})
 
 
+# each runner and the config keys it reads besides "seed", which every report records
 _RUNNERS = {
-    "chi": _run_chi,
-    "sweep": _run_sweep,
-    "perimeter": _run_perimeter,
-    "bounds": _run_bounds,
-    "shotnoise": _run_shotnoise,
-    "densities": _run_densities,
+    "chi": (_run_chi, ("shape", "epsilon", "margin", "dump_grid")),
+    "sweep": (_run_sweep, ("shape", "window", "epsilons", "margin", "quad_mesh",
+                           "continuum_epsilon")),
+    "perimeter": (_run_perimeter, ("shape", "epsilons", "quad_mesh", "directions")),
+    "bounds": (_run_bounds, ("truth", "h", "epsilons", "window", "margin")),
+    "shotnoise": (_run_shotnoise, ("model", "window", "replicates")),
+    "densities": (_run_densities, ("model", "window", "epsilon", "replicates")),
 }
 
 
@@ -374,9 +378,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigInvalid(f"cannot read config {config_path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"config {config_path} is not valid JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigInvalid("config root must be a JSON object")
-        _RUNNERS[subcommand](cfg, out_dir, timestamp)
+        run, keys = _RUNNERS[subcommand]
+        run(_only_keys(cfg, ("seed", *keys), f"{subcommand} config", ConfigInvalid),
+            out_dir, timestamp)
         return 0
     except EulergramError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc),

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the key check every spec object passes."""
 
 __all__ = [
     "EulergramError",
@@ -77,3 +77,22 @@ class NotBooleanRegime(EulergramError):
 
 class ConfigInvalid(EulergramError):
     """Command-line configuration failed validation."""
+
+
+def _only_keys(spec, keys, what: str, error: type[EulergramError] = InvalidSpec):
+    """``spec``, once it is a dict holding no key outside ``keys``; else ``error`` names them."""
+    if not isinstance(spec, dict):
+        raise error(f"{what} must be an object, got {spec!r}")
+    extra = sorted(map(repr, set(spec) - set(keys)))
+    if extra:
+        raise error(f"{what} takes no {', '.join(extra)}")
+    return spec
+
+
+def _kind(spec, tag: str, kinds: dict, what: str) -> str:
+    """``spec[tag]``, once it names one of ``kinds`` and ``spec`` holds only that kind's keys."""
+    kind = spec.get(tag) if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InvalidSpec(f"{what} needs {tag!r} in {sorted(kinds)}, got {spec!r}")
+    _only_keys(spec, (tag, *kinds[kind]), f"{kind} {what}")
+    return kind

@@ -75,8 +75,6 @@ class IndicatorSet:
     return a bool array of the broadcast shape.  ``bounding_box`` is
     ``(x0, x1, y0, y1)`` with the set contained in the closed box; a union
     relies on it, evaluating each member only where its box can hold points.
-    ``regularity_radius`` is the rolling-ball radius when known and
-    ``None`` otherwise.
 
     ``row_runs(xs, ys)`` lists the set's cells row by row: ``xs`` are
     ascending, evenly spaced column coordinates and ``ys`` the row
@@ -92,7 +90,6 @@ class IndicatorSet:
 
     contains: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bounding_box: tuple[float, float, float, float]
-    regularity_radius: Optional[float] = None
     row_runs: Optional[Callable[[np.ndarray, np.ndarray],
                                 tuple[np.ndarray, np.ndarray]]] = None
 

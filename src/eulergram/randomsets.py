@@ -45,6 +45,8 @@ from .errors import (
     NotBooleanRegime,
     UnboundedGrain,
     UnsupportedMarkLaw,
+    _kind,
+    _only_keys,
 )
 from .shapes import PolyRectangle, polyrect_features
 from .topology import _cell_features
@@ -208,19 +210,6 @@ class GrainMixture:
         return table[shift[owner] + np.arange(owner.size)], owner
 
 
-def _scalar_law(cfg: dict) -> Uniform | Exponential:
-    # RectFamily checks what an edge needs beyond the law's own checks
-    if not isinstance(cfg, dict):
-        raise InvalidSpec(f"an edge law is an object, got {cfg!r}")
-    dist = cfg.get("dist")
-    if dist == "uniform":
-        return Uniform(float(cfg["low"]), float(cfg["high"]))
-    if dist == "exponential":
-        q = cfg.get("truncate_q")
-        return Exponential(float(cfg["scale"]), None if q is None else float(q))
-    raise InvalidSpec(f"unknown edge law {dist!r}")
-
-
 @dataclass(frozen=True)
 class RectFamily:
     """Random rectangles [0, A] x [0, B] with independent edge laws.
@@ -262,8 +251,18 @@ class RectFamily:
 
 # ------------------------------------------------------------------- model
 
-# a dict mark law's class and its keys besides "type", in argument order
-_MARK_LAWS = {"exponential": (Exponential, ("scale",)), "uniform": (Uniform, ("low", "high"))}
+# the keys each law reads besides its tag, "dist" for an edge and "type" for
+# a mark: only an edge takes truncate_q, the bound that pads the germ domain
+_EDGE_LAWS = {"uniform": ("low", "high"), "exponential": ("scale", "truncate_q")}
+_MARK_LAWS = {"uniform": ("low", "high"), "exponential": ("scale",)}
+
+
+def _law(cfg: dict, tag: str, laws: dict) -> Uniform | Exponential:
+    """The law ``cfg[tag]`` names in ``laws``; a null key counts as absent."""
+    kind = _kind(cfg, tag, laws, "law")
+    # an absent required key leaves the constructor's TypeError naming it
+    return {"uniform": Uniform, "exponential": Exponential}[kind](
+        **{key: float(cfg[key]) for key in laws[kind] if cfg.get(key) is not None})
 
 
 @dataclass(frozen=True)
@@ -290,30 +289,26 @@ class ShotNoiseModel:
         {"intensity": 1.0, "grains": [{"rects": [[0,1,0,1]], "p": 1.0}],
          "marks": [{"value": 1.0, "p": 1.0}], "lambda": 1.5}; 'grains' may
         instead be {"type": "rect_family", "a": {...}, "b": {...}} and
-        'marks' may be {"type": "exponential"|"uniform", ...}.
+        'marks' may be {"type": "exponential"|"uniform", ...}.  Every object
+        holds exactly the keys it reads; any other key raises InvalidSpec.
         """
+        _only_keys(cfg, ("intensity", "grains", "marks", "lambda"), "model")
         grains = cfg["grains"]
         if isinstance(grains, dict):
-            if grains.get("type") != "rect_family":
-                raise InvalidSpec(f"unknown grain family {grains.get('type')!r}")
-            grain_dist = RectFamily(a_law=_scalar_law(grains["a"]),
-                                    b_law=_scalar_law(grains["b"]))
+            _kind(grains, "type", {"rect_family": ("a", "b")}, "grain family")
+            grain_dist = RectFamily(a_law=_law(grains["a"], "dist", _EDGE_LAWS),
+                                    b_law=_law(grains["b"], "dist", _EDGE_LAWS))
         else:
+            grains = [_only_keys(g, ("rects", "p"), "grain entry") for g in grains]
             grain_dist = GrainMixture(
                 components=tuple(PolyRectangle(rects=tuple(tuple(r) for r in g["rects"]))
                                  for g in grains),
                 probs=tuple(g["p"] for g in grains))
         marks = cfg["marks"]
         if isinstance(marks, dict):
-            kind = marks.get("type")
-            if kind not in _MARK_LAWS:
-                raise InvalidSpec(f"unknown mark law {kind!r}")
-            law, keys = _MARK_LAWS[kind]
-            extra = sorted(set(marks) - {"type", *keys})
-            if extra:
-                raise InvalidSpec(f"{kind} mark law takes no {', '.join(map(repr, extra))}")
-            mark_dist = law(*(float(marks[key]) for key in keys))
+            mark_dist = _law(marks, "type", _MARK_LAWS)
         else:
+            marks = [_only_keys(m, ("value", "p"), "mark atom") for m in marks]
             mark_dist = AtomicMarks(values=tuple(m["value"] for m in marks),
                                     probs=tuple(m["p"] for m in marks))
         return cls(intensity=float(cfg["intensity"]), grain_dist=grain_dist,

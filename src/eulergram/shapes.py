@@ -9,8 +9,8 @@ lattice Euler characteristic then yields chi, the directional perimeters
 and the corner census exactly.
 
 Smooth shapes (disc, annulus, unions, implicit sets) are exposed as
-predicates with bounding box and regularity radius, the metadata the
-digitization experiments need.  Every set also lists its cells row by row
+predicates with a bounding box, built from plain dicts that hold each
+kind's keys and no other.  Every set also lists its cells row by row
 as column runs for the continuum sweep of ``variogram``: discs and annuli
 in closed form, confirmed against the predicate's own float expression,
 unions by merging their members' runs, and implicit sets by reading them
@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 from scipy import ndimage
 
-from .errors import CornerClash, InvalidSpec, RadiusTooSmall
+from .errors import CornerClash, InvalidSpec, RadiusTooSmall, _kind
 from .lattice import BitGrid, IndicatorSet
 from .topology import _cell_features, _windows
 
@@ -267,19 +267,23 @@ def _box(value) -> tuple[float, float, float, float]:
     return box
 
 
-def make_shape(spec: dict) -> IndicatorSet:
-    """Build a membership predicate with geometry metadata from a plain dict.
+# the keys each kind of shape reads besides "type"
+_SHAPE_KEYS = {"disc": ("center", "r"), "annulus": ("center", "r_in", "r_out"),
+               "union": ("members",), "implicit": ("g", "bounding_box")}
 
-    Supported kinds: {"type": "disc", "center": [x, y], "r": r},
+
+def make_shape(spec: dict) -> IndicatorSet:
+    """Build a membership predicate and its bounding box from a plain dict.
+
+    Supported kinds, each with exactly these keys:
+    {"type": "disc", "center": [x, y], "r": r},
     {"type": "annulus", "center": [x, y], "r_in": a, "r_out": b},
     {"type": "union", "members": [spec, ...]} and
-    {"type": "implicit", "g": callable, "bounding_box": [x0, x1, y0, y1],
-     "rho": optional}.  The set is {g <= 0} for implicit specs; g must
-    accept numpy arrays.
+    {"type": "implicit", "g": callable, "bounding_box": [x0, x1, y0, y1]}.
+    The set is {g <= 0} for implicit specs; g must accept numpy arrays.
+    Any other key raises :class:`InvalidSpec`.
     """
-    if not isinstance(spec, dict):
-        raise InvalidSpec(f"a shape spec is an object, got {spec!r}")
-    kind = spec.get("type")
+    kind = _kind(spec, "type", _SHAPE_KEYS, "shape")
     if kind == "disc":
         cx, cy = _centre(spec)
         r = float(spec["r"])
@@ -296,7 +300,6 @@ def make_shape(spec: dict) -> IndicatorSet:
         return IndicatorSet(
             contains=contains,
             bounding_box=(cx - r, cx + r, cy - r, cy + r),
-            regularity_radius=r,
             row_runs=row_runs,
         )
 
@@ -325,7 +328,6 @@ def make_shape(spec: dict) -> IndicatorSet:
         return IndicatorSet(
             contains=contains,
             bounding_box=(cx - r_out, cx + r_out, cy - r_out, cy + r_out),
-            regularity_radius=min(r_in, r_out - r_in),
             row_runs=row_runs,
         )
 
@@ -349,37 +351,23 @@ def make_shape(spec: dict) -> IndicatorSet:
         boxes = [m.bounding_box for m in members]
         bbox = (min(b[0] for b in boxes), max(b[1] for b in boxes),
                 min(b[2] for b in boxes), max(b[3] for b in boxes))
-        rhos = [m.regularity_radius for m in members]
-        rho = None if any(r is None for r in rhos) else min(rhos)
 
         def row_runs(xs, ys, members=members):
             runs = [m.row_runs(xs, ys) for m in members]
             return _merge_runs(np.concatenate([lo for lo, _ in runs], 1),
                                np.concatenate([hi for _, hi in runs], 1))
 
-        return IndicatorSet(contains=contains, bounding_box=bbox,
-                            regularity_radius=rho, row_runs=row_runs)
+        return IndicatorSet(contains=contains, bounding_box=bbox, row_runs=row_runs)
 
-    if kind == "implicit":
-        bbox = _box(spec.get("bounding_box"))
-        g = spec.get("g")
-        if not callable(g):
-            raise InvalidSpec("implicit shape needs a callable 'g'")
+    bbox = _box(spec.get("bounding_box"))
+    g = spec.get("g")
+    if not callable(g):
+        raise InvalidSpec("implicit shape needs a callable 'g'")
 
-        def contains(x, y, g=g):
-            return np.asarray(g(x, y)) <= 0
+    def contains(x, y, g=g):
+        return np.asarray(g(x, y)) <= 0
 
-        rho = spec.get("rho")
-        if rho is not None:
-            try:
-                rho = float(rho)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InvalidSpec(f"rho must be a number, got {spec['rho']!r}") from exc
-            if not 0 < rho < math.inf:
-                raise InvalidSpec(f"rho must be positive and finite, got {rho}")
-        return IndicatorSet(contains=contains, bounding_box=bbox, regularity_radius=rho)
-
-    raise InvalidSpec(f"unknown shape type {kind!r}")
+    return IndicatorSet(contains=contains, bounding_box=bbox)
 
 
 def _ball_mask(dist: np.ndarray, r_cells: float) -> np.ndarray:

@@ -231,8 +231,8 @@ def chi_bicovariogram(indicator: IndicatorSet, epsilon: float, quad_mesh: float)
     """Euler characteristic from two corner volumes at axis shifts of size epsilon.
 
     The difference of the outward-corner and inward-corner variogram volumes,
-    divided by epsilon^2, is exactly chi for sets whose regularity radius
-    exceeds the shift size; quadrature contributes O(quad_mesh/epsilon^2).
+    divided by epsilon^2, is exactly chi for r-regular sets with r above the
+    shift size; quadrature contributes O(quad_mesh/epsilon^2).
     """
     e = float(epsilon)
     if not 0 < e < math.inf:

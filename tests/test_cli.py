@@ -482,18 +482,41 @@ def test_germ_count_beyond_host_memory_exits_one(tmp_path, capsys, monkeypatch):
     assert "germ count" in message and "GiB" in message
 
 
-@pytest.mark.parametrize("marks,key", [
-    ({"type": "exponential", "scale": 1.0, "truncate_q": 0.5}, "truncate_q"),
-    ({"type": "uniform", "low": 0.5, "high": 1.5, "scale": 1.0}, "scale"),
-])
-def test_mark_law_refuses_keys_it_does_not_read(tmp_path, capsys, marks, key):
-    # truncate_q on exponential marks used to be ignored, yet echoed in the report
-    cfg = {**SHOT_CFG, "model": _model(marks=marks)}
-    code, _, report = run_cli(tmp_path, "marks", "shotnoise", cfg)
+FAMILY = {"type": "rect_family",
+          "a": {"dist": "exponential", "scale": 1.0, "truncate_q": 0.99},
+          "b": {"dist": "uniform", "low": 0.5, "high": 1.5}}
+
+
+@pytest.mark.parametrize("subcommand,cfg,error,key", [
+    ("shotnoise", {**SHOT_CFG, "model": _model(marks={
+        "type": "exponential", "scale": 1.0, "truncate_q": 0.5})}, "InvalidSpec", "truncate_q"),
+    ("shotnoise", {**SHOT_CFG, "model": _model(marks={
+        "type": "uniform", "low": 0.5, "high": 1.5, "scale": 1.0})}, "InvalidSpec", "scale"),
+    ("shotnoise", {**SHOT_CFG, "model": _model(grains={
+        **FAMILY, "b": {**FAMILY["b"], "truncate_q": 0.5}})}, "InvalidSpec", "truncate_q"),
+    ("shotnoise", {**SHOT_CFG, "model": _model(grains={
+        **FAMILY, "a": {**FAMILY["a"], "low": 0.5}})}, "InvalidSpec", "low"),
+    ("shotnoise", {**SHOT_CFG, "model": _model(grains=[
+        {"rects": [[0, 1, 0, 1]], "p": 1.0, "q": 1.0}])}, "InvalidSpec", "q"),
+    ("chi", {"shape": {**DISC, "rho": 7}, "epsilon": 0.1}, "InvalidSpec", "rho"),
+    ("chi", {"shape": {"type": "annulus", "center": [0, 0], "r_in": 0.5, "r_out": 1.0,
+                       "r": 1.0}, "epsilon": 0.1}, "InvalidSpec", "r"),
+    ("chi", {"shape": {"type": "union", "members": [DISC], "r": 1.0}, "epsilon": 0.1},
+     "InvalidSpec", "r"),
+    ("chi", {"shape": DISC, "epsilon": 0.1, "dump_grd": True}, "ConfigInvalid", "dump_grd"),
+    ("sweep", {"shape": HALF_DISC, "epsilons": [0.2, 0.1, 0.05], "continuum_epsilon": 0.05},
+     "ConfigInvalid", "continuum_epsilon"),
+], ids=["exponential-marks-truncate-q", "uniform-marks-scale", "uniform-edge-truncate-q",
+        "exponential-edge-low", "grain-entry-q", "disc-rho", "annulus-r", "union-r",
+        "chi-dump-grd", "sweep-continuum-epsilon-without-quad-mesh"])
+def test_spec_refuses_keys_it_does_not_read(tmp_path, capsys, subcommand, cfg, error, key):
+    # each of these keys used to be ignored, yet echoed in the report
+    code, out_dir, report = run_cli(tmp_path, "unread", subcommand, cfg)
     assert code == 1
     assert report is None
+    assert not (out_dir / "grid.pgm").exists()
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "InvalidSpec"
+    assert err["error"] == error
     assert repr(key) in err["message"]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -116,8 +117,8 @@ def test_disc_metadata():
     d = make_shape({"type": "disc", "center": [0.0, 0.0], "r": 1.0})
     assert bool(d.contains(0.5, 0.0)) is True
     assert bool(d.contains(1.5, 0.0)) is False
-    assert d.regularity_radius == 1.0
     assert d.bounding_box == (-1.0, 1.0, -1.0, 1.0)
+    assert [f.name for f in dataclasses.fields(d)] == ["contains", "bounding_box", "row_runs"]
 
 
 def test_annulus_metadata():
@@ -125,7 +126,6 @@ def test_annulus_metadata():
                     "r_in": 1.0, "r_out": 2.0})
     assert bool(a.contains(1.5, 0.0)) is True
     assert bool(a.contains(0.5, 0.0)) is False
-    assert a.regularity_radius == 1.0  # min(r_in, r_out - r_in)
 
 
 def test_union_metadata():
@@ -133,7 +133,6 @@ def test_union_metadata():
         {"type": "disc", "center": [0.0, 0.0], "r": 1.0},
         {"type": "disc", "center": [5.0, 0.0], "r": 1.0},
     ]})
-    assert u.regularity_radius == 1.0
     assert u.bounding_box == (-1.0, 6.0, -1.0, 1.0)
     assert bool(u.contains(5.5, 0.0)) is True
     assert bool(u.contains(2.5, 0.0)) is False
@@ -223,7 +222,7 @@ def test_shape_spec_validation():
                 {"bounding_box": [0, "nan", 0, 1]}, {"bounding_box": [0, 1, 0, math.inf]},
                 {"bounding_box": [1, 0, 0, 1]}, {"bounding_box": [0, 1, 1, 0]},
                 {"bounding_box": 5}, {"bounding_box": "abcd"},
-                {"rho": "x"}, {"rho": -1.0}, {"rho": math.nan}):
+                {"rho": "x"}, {"rho": -1.0}, {"rho": math.nan}, {"rho": 0.05}):
         with pytest.raises(InvalidSpec):
             make_shape({"type": "implicit", "g": lambda x, y: x, "bounding_box": [0, 1, 0, 1],
                         **bad})
@@ -233,7 +232,13 @@ def test_shape_spec_validation():
                 {"type": "disc", "center": [0, math.inf], "r": 1.0},
                 {"type": "annulus", "center": [0, 0], "r_in": math.inf, "r_out": math.inf},
                 {"type": "union", "members": [{"type": "disc", "center": [math.nan, 0],
-                                               "r": 1.0}]}):
+                                               "r": 1.0}]},
+                {"type": [1], "center": [0, 0], "r": 1.0},
+                # a key the kind does not read
+                {"type": "disc", "center": [0, 0], "r": 1.0, "rho": 1.0},
+                {"type": "annulus", "center": [0, 0], "r_in": 1.0, "r_out": 2.0, "r": 1.0},
+                {"type": "union", "members": [{"type": "disc", "center": [0, 0], "r": 1.0}],
+                 "r": 1.0}):
         with pytest.raises(InvalidSpec):
             make_shape(bad)
 
