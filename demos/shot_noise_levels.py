@@ -36,4 +36,4 @@ est = estimate_stationary_densities(model, 0.02, (0.0, 6.0, 0.0, 6.0),
                                     replicates=60, seed=5)
 print("estimated from 60 fields at mesh 0.02: chi %.4f +/- %.4f,"
       " volume %.4f +/- %.4f"
-      % (est.chi_bar, est.chi_stderr, est.vol_bar, est.vol_stderr))
+      % (est["chi_bar"], est["chi_stderr"], est["vol_bar"], est["vol_stderr"]))

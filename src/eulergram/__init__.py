@@ -19,7 +19,6 @@ from .errors import (
     MeshMismatch,
     NonLatticeShift,
     NotAdmissible,
-    NotBooleanRegime,
     RadiusTooSmall,
     UnboundedGrain,
     UnsupportedMarkLaw,
@@ -63,7 +62,6 @@ from .shapes import (
 )
 from .entanglement import (
     BoundReport,
-    PairSet,
     detect_boundary_pairs,
     detect_interior_pairs,
     verify_bounds,
@@ -75,11 +73,8 @@ from .randomsets import (
     Realization,
     RectFamily,
     ShotNoiseModel,
-    StationaryDensities,
     Uniform,
-    boolean_mean_chi,
     estimate_stationary_densities,
-    level_set_chi_exact,
     level_set_features_exact,
     mc_mean_chi,
     mean_chi_closed_form,

@@ -22,19 +22,13 @@ import sys
 from pathlib import Path
 
 from .entanglement import verify_bounds
-from .errors import (
-    ConfigInvalid,
-    EulergramError,
-    NotBooleanRegime,
-    UnsupportedMarkLaw,
-    _only_keys,
-)
+from .errors import ConfigInvalid, EulergramError, UnsupportedMarkLaw, _only_keys
 from .lattice import IndicatorSet, digitize, lattice_covering, write_pgm
 from .randomsets import (
+    _DENSITY_KEYS,
     ShotNoiseModel,
     _mean_stderr,
     _replicate_features,
-    boolean_mean_chi,
     estimate_stationary_densities,
     mean_chi_closed_form,
     stationary_density_closed_form,
@@ -275,14 +269,9 @@ def _run_shotnoise(cfg: dict, out_dir: Path, timestamp: bool) -> None:
         closed = mean_chi_closed_form(model, window)
     except UnsupportedMarkLaw:
         closed = None
-    try:
-        boolean = boolean_mean_chi(model, window)
-    except NotBooleanRegime:
-        boolean = None
 
     results = {
         "closed_form": closed,
-        "boolean_closed_form": boolean,
         "mc_mean": mean,
         "mc_stderr": stderr,
         "replicates": replicates,
@@ -306,20 +295,8 @@ def _run_densities(cfg: dict, out_dir: Path, timestamp: bool) -> None:
         reference = stationary_density_closed_form(model)
     except UnsupportedMarkLaw:
         reference = None
-    results = {
-        "epsilon": epsilon,
-        "chi_bar": d.chi_bar, "chi_stderr": d.chi_stderr,
-        "per_bar_u1": d.per_bar_u1, "per_u1_stderr": d.per_u1_stderr,
-        "per_bar_u2": d.per_bar_u2, "per_u2_stderr": d.per_u2_stderr,
-        "vol_bar": d.vol_bar, "vol_stderr": d.vol_stderr,
-        "closed_form_reference": reference,
-    }
-    rows = [
-        ("chi_bar", d.chi_bar, d.chi_stderr),
-        ("per_bar_u1", d.per_bar_u1, d.per_u1_stderr),
-        ("per_bar_u2", d.per_bar_u2, d.per_u2_stderr),
-        ("vol_bar", d.vol_bar, d.vol_stderr),
-    ]
+    results = {"epsilon": epsilon, **d, "closed_form_reference": reference}
+    rows = [(density, d[density], d[stderr]) for density, stderr in _DENSITY_KEYS]
     _write_report(out_dir, "densities", resolved, seed, timestamp, results,
                   {"densities.csv": (("quantity", "estimate", "stderr"), rows)})
 
@@ -379,8 +356,10 @@ def main(argv: list[str] | None = None) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"config {config_path} is not valid JSON: {exc}") from exc
         run, keys = _RUNNERS[subcommand]
-        run(_only_keys(cfg, ("seed", *keys), f"{subcommand} config", ConfigInvalid),
-            out_dir, timestamp)
+        _only_keys(cfg, ("seed", *keys), f"{subcommand} config", ConfigInvalid)
+        if "seed" in cfg:  # the runners that draw replicates also require it
+            _read(cfg, "seed", _nonnegative)
+        run(cfg, out_dir, timestamp)
         return 0
     except EulergramError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc),

@@ -20,7 +20,9 @@ digitization alike, are 8-connected too; only the coarse Euler
 characteristic uses the lattice convention, 4-connected set components
 minus 4-connected bounded holes.
 
-Both detectors screen all candidates as arrays.  Interior candidates (each
+Each detector returns its pairs as a tuple of point pairs ((x, y), (x', y'))
+in length units, so ``len`` of the result is the pair count.  Both
+detectors screen all candidates as arrays.  Interior candidates (each
 coarse point with its east and north neighbour) pass four boolean masks:
 both ends off the set, test square inside the grid, square nonempty by
 prefix sums, both ends near the window.  The surviving squares of each of
@@ -56,7 +58,6 @@ from .shapes import PolyRectangle, corner_points
 from .topology import label_components
 
 __all__ = [
-    "PairSet",
     "BoundReport",
     "detect_interior_pairs",
     "detect_boundary_pairs",
@@ -66,20 +67,6 @@ __all__ = [
 _EIGHT = np.ones((3, 3), dtype=bool)
 # a stack of boxes: 8-connected within one box, never linking two boxes
 _BOX_STACK = np.pad(_EIGHT[None], ((1, 1), (0, 0), (0, 0)))
-
-
-@dataclass(frozen=True)
-class PairSet:
-    """Unordered point pairs, in length units; kind is interior or boundary."""
-
-    pairs: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
-    kind: str
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def rows(self) -> list[tuple[float, float, float, float, str]]:
-        return [(p[0][0], p[0][1], p[1][0], p[1][1], self.kind) for p in self.pairs]
 
 
 @dataclass(frozen=True)
@@ -175,7 +162,7 @@ def _pair_tuples(ends: np.ndarray) -> tuple:
 
 
 def detect_interior_pairs(truth: BitGrid, coarse_epsilon: float,
-                          window: PolyRectangle | None = None) -> PairSet:
+                          window: PolyRectangle | None = None) -> tuple:
     """Coarse neighbour pairs that the set threads between without touching.
 
     For each pair of adjacent coarse points x, y with the truth predicate
@@ -234,11 +221,11 @@ def detect_interior_pairs(truth: BitGrid, coarse_epsilon: float,
         # one component iff every label in a box is its corner's (always on)
         keep[sel] = ((lab == 0) | (lab == lab[:, :1, :1])).all(axis=(1, 2))
 
-    return PairSet(pairs=_pair_tuples(ends[keep]), kind="interior")
+    return _pair_tuples(ends[keep])
 
 
 def detect_boundary_pairs(truth: BitGrid, coarse_epsilon: float,
-                          window: PolyRectangle) -> PairSet:
+                          window: PolyRectangle) -> tuple:
     """Sampled set points flanking un-sampled set along a window edge.
 
     Reports consecutive coarse points of the windowed set on one lattice
@@ -282,7 +269,7 @@ def detect_boundary_pairs(truth: BitGrid, coarse_epsilon: float,
     ends = ends[(d <= coarse_epsilon * (1 + 1e-12)).all(axis=1).any(axis=1)]
 
     order = np.lexsort(ends.reshape(-1, 4).T[::-1])
-    return PairSet(pairs=_pair_tuples(ends[order]), kind="boundary")
+    return _pair_tuples(ends[order])
 
 
 def _coarse_grid(truth: BitGrid, k: int, mask: np.ndarray) -> BitGrid:

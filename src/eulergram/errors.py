@@ -12,7 +12,6 @@ __all__ = [
     "UnboundedGrain",
     "DegenerateArrangement",
     "UnsupportedMarkLaw",
-    "NotBooleanRegime",
     "ConfigInvalid",
 ]
 
@@ -69,10 +68,6 @@ class DegenerateArrangement(EulergramError):
 
 class UnsupportedMarkLaw(EulergramError):
     """No closed-form compound Poisson evaluator for this mark law."""
-
-
-class NotBooleanRegime(EulergramError):
-    """Boolean shortcut requires unit marks and a level in (0, 1)."""
 
 
 class ConfigInvalid(EulergramError):

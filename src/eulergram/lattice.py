@@ -15,8 +15,7 @@ called once on the two broadcast axes, a ``(1, nx)`` row of x values and
 an ``(ny, 1)`` column of y values, so a disc squares 1-D differences and
 only its sum and comparison are full-grid.  A union evaluates each member
 on its bounding box's block of the axes only, so each member costs its
-own box rather than the whole grid.  Shifted sampling re-evaluates the
-predicate at the shifted points; nothing is ever padded or interpolated.
+own box rather than the whole grid.
 """
 
 from __future__ import annotations
@@ -171,23 +170,18 @@ class BitGrid:
         return self.lattice == other.lattice and bool(np.array_equal(self.bits, other.bits))
 
 
-def digitize(
-    indicator: IndicatorSet,
-    lattice: Lattice,
-    offset: tuple[float, float] = (0.0, 0.0),
-) -> BitGrid:
-    """Sample ``indicator`` on ``lattice`` shifted by ``offset``.
+def digitize(indicator: IndicatorSet, lattice: Lattice) -> BitGrid:
+    """Sample ``indicator`` on ``lattice``.
 
     Bit ``(i, j)`` is set iff the predicate holds at
-    ``origin + epsilon*(i, j) + offset``.  Points of the set falling
+    ``origin + epsilon*(i, j)``.  Points of the set falling
     outside the lattice window are silently truncated; size the lattice
     with :func:`lattice_covering` to avoid that.  A lattice of more than
     2**31 points raises :class:`InvalidSpec` before anything is allocated.
     """
     if lattice.nx * lattice.ny > 1 << 31:  # refused before any allocation
         raise InvalidSpec(f"a {lattice.ny} x {lattice.nx} lattice has more than 2**31 points")
-    xs = lattice.xs() + offset[0]
-    ys = lattice.ys() + offset[1]
+    xs, ys = lattice.xs(), lattice.ys()
     mask = np.asarray(indicator.contains(xs[None, :], ys[:, None]), dtype=bool)
     return BitGrid(lattice, np.broadcast_to(mask, (lattice.ny, lattice.nx)))
 

@@ -25,9 +25,10 @@ polyrectangle is (convex - reflex corners) / 4) gives, with intensity rho,
 
 where for g ~ f(0) and independent marks m, m1, m2
 p1 = P(lam - m <= g < lam), p2 = P(lam - m1 - m2 <= g < lam - max(m1, m2))
-and p2' = P(lam - min(m1, m2) <= g < lam).  In the boolean regime this is
-Miles' formula.  The Monte Carlo estimator next to it simulates honestly
-and is the measuring stick the closed form is compared against.
+and p2' = P(lam - min(m1, m2) <= g < lam).  In the boolean regime (unit
+marks, lam in (0, 1)) p1 = p2' = exp(-rho E Vol) and p2 = 0, which is
+Miles' formula.  The Monte Carlo estimators next to it simulate honestly
+and are the measuring stick the closed forms are compared against.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import numpy as np
 from .errors import (
     DegenerateArrangement,
     InvalidSpec,
-    NotBooleanRegime,
     UnboundedGrain,
     UnsupportedMarkLaw,
     _kind,
@@ -59,12 +59,9 @@ __all__ = [
     "RectFamily",
     "ShotNoiseModel",
     "Realization",
-    "StationaryDensities",
     "sample_realization",
-    "level_set_chi_exact",
     "level_set_features_exact",
     "mean_chi_closed_form",
-    "boolean_mean_chi",
     "mc_mean_chi",
     "estimate_stationary_densities",
     "stationary_density_closed_form",
@@ -446,11 +443,6 @@ def level_set_features_exact(real: Realization, level: float,
     return _cell_features(xs, ys, occ)
 
 
-def level_set_chi_exact(real: Realization, level: float, window: PolyRectangle) -> int:
-    """Exact integer chi of the level set clipped to the window."""
-    return level_set_features_exact(real, level, window)["chi"]
-
-
 # ------------------------------------------------------------- closed forms
 
 def _coverage_distribution(model: ShotNoiseModel) -> tuple[np.ndarray, np.ndarray]:
@@ -566,23 +558,6 @@ def mean_chi_closed_form(model: ShotNoiseModel, window: PolyRectangle) -> float:
             + 0.25 * (v["per1"] * d["per_bar_u2"] + v["per2"] * d["per_bar_u1"]))
 
 
-def boolean_mean_chi(model: ShotNoiseModel, window: PolyRectangle) -> float:
-    """Mean chi in the boolean regime: unit marks, level strictly inside (0,1).
-
-    Here F is the union of the grains, f(0) counts covering grains, and
-    the mean-chi coefficients collapse to p1 = p2' = P(f(0)=0) =
-    exp(-intensity * E Vol) with p2 = 0, so the general closed form gives
-    Miles' formula chi_bar = e^{-rho E Vol} (rho E chi - rho^2 E Per1 E Per2 / 4);
-    the reduction is exact, not approximate.
-    """
-    if not (0.0 < model.level < 1.0):
-        raise NotBooleanRegime(f"level {model.level} is not in (0,1)")
-    md = model.mark_dist
-    if not (isinstance(md, AtomicMarks) and md.values == (1.0,)):
-        raise NotBooleanRegime("marks must be identically 1")
-    return mean_chi_closed_form(model, window)
-
-
 # ------------------------------------------------------------- Monte Carlo
 
 def _realizations(model: ShotNoiseModel, domain, replicates: int, seed: int):
@@ -607,6 +582,11 @@ def _mean_stderr(vals) -> dict:
     return {"mean": mean, "stderr": math.sqrt(var / n)}
 
 
+# each density of stationary_density_closed_form with the key of its estimate's stderr
+_DENSITY_KEYS = (("chi_bar", "chi_stderr"), ("per_bar_u1", "per_u1_stderr"),
+                 ("per_bar_u2", "per_u2_stderr"), ("vol_bar", "vol_stderr"))
+
+
 def mc_mean_chi(model: ShotNoiseModel, window: PolyRectangle,
                 replicates: int, seed: int) -> dict:
     """Average exact per-realization chi over independent replicates."""
@@ -614,20 +594,8 @@ def mc_mean_chi(model: ShotNoiseModel, window: PolyRectangle,
     return _mean_stderr([f["chi"] for f in feats])
 
 
-@dataclass(frozen=True)
-class StationaryDensities:
-    chi_bar: float
-    per_bar_u1: float
-    per_bar_u2: float
-    vol_bar: float
-    chi_stderr: float
-    per_u1_stderr: float
-    per_u2_stderr: float
-    vol_stderr: float
-
-
 def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
-                                  replicates: int, seed: int) -> StationaryDensities:
+                                  replicates: int, seed: int) -> dict:
     """Finite-difference densities of chi, perimeter and volume per unit area.
 
     Per realization, the probability of each membership pattern (point in F
@@ -635,6 +603,10 @@ def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
     area fraction of the window via the shifted-copy cell arrangement; the
     Monte Carlo average over replicates then estimates the densities
     chi = (P1 - P2)/eps^2, Per_ui = 2 P(in, +eps u_i out)/eps, Vol = P(in).
+    Returns a dict with the keys of :func:`stationary_density_closed_form`
+    (``chi_bar``, ``per_bar_u1``, ``per_bar_u2``, ``vol_bar``), each holding
+    the mean over replicates, and the standard error of each under
+    ``chi_stderr``, ``per_u1_stderr``, ``per_u2_stderr`` and ``vol_stderr``.
     """
     e = float(epsilon)
     if not 0 < e < math.inf:
@@ -673,9 +645,8 @@ def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
                         2.0 * frac(inside & ~north_in) / e,
                         frac(inside)))
 
-    chi, per1, per2, vol = (_mean_stderr(col) for col in zip(*samples))
-    return StationaryDensities(
-        chi_bar=chi["mean"], per_bar_u1=per1["mean"],
-        per_bar_u2=per2["mean"], vol_bar=vol["mean"],
-        chi_stderr=chi["stderr"], per_u1_stderr=per1["stderr"],
-        per_u2_stderr=per2["stderr"], vol_stderr=vol["stderr"])
+    out = {}
+    for (density, stderr), col in zip(_DENSITY_KEYS, zip(*samples)):
+        stats = _mean_stderr(col)
+        out[density], out[stderr] = stats["mean"], stats["stderr"]
+    return out

@@ -544,15 +544,15 @@ def polyvariogram_by_loop(bits, plus, minus) -> int:
     return count
 
 
-def digitize_by_broadcast(indicator, lattice, offset=(0.0, 0.0)) -> np.ndarray:
+def digitize_by_broadcast(indicator, lattice) -> np.ndarray:
     """Gauss digitization bits: the predicate asked once per lattice point.
 
     Both coordinates are full ``(ny, nx)`` arrays, so every point's x and
     y are formed as the lattice formula gives them, with no broadcasting
     left to the predicate.
     """
-    xs = lattice.origin[0] + lattice.epsilon * np.arange(lattice.nx) + offset[0]
-    ys = lattice.origin[1] + lattice.epsilon * np.arange(lattice.ny) + offset[1]
+    xs = lattice.origin[0] + lattice.epsilon * np.arange(lattice.nx)
+    ys = lattice.origin[1] + lattice.epsilon * np.arange(lattice.ny)
     gx, gy = np.broadcast_arrays(xs[None, :], ys[:, None])
     return np.asarray(indicator.contains(gx, gy), dtype=bool)
 

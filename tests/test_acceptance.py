@@ -293,8 +293,8 @@ def test_criterion_8_stationary_decomposition():
 
     est = estimate_stationary_densities(model, 0.01, (0.0, 6.0, 0.0, 6.0),
                                         replicates=100, seed=11)
-    z_chi = (est.chi_bar - E1) / est.chi_stderr
-    z_vol = (est.vol_bar - (1.0 - 2.0 * E1)) / est.vol_stderr
+    z_chi = (est["chi_bar"] - E1) / est["chi_stderr"]
+    z_vol = (est["vol_bar"] - (1.0 - 2.0 * E1)) / est["vol_stderr"]
     assert abs(z_chi) <= 3.0
     assert abs(z_vol) <= 3.0
     print("criterion 8: PASS - window solve matches densities to 1e-9;"

@@ -152,7 +152,7 @@ def test_shotnoise_table_and_determinism(tmp_path):
     assert code == 0
     res = report["results"]
     assert res["closed_form"] == pytest.approx(1 + 46 * E1, abs=1e-12)
-    assert res["boolean_closed_form"] is None
+    assert "boolean_closed_form" not in res
     assert res["within_3_stderr"] is True
     assert "timestamp" not in report
     rows = (out1 / "replicates.csv").read_text().strip().splitlines()
@@ -175,13 +175,18 @@ def test_densities_subcommand(tmp_path):
     code, out_dir, report = run_cli(tmp_path, "dens", "densities", cfg)
     assert code == 0
     res = report["results"]
+    densities = ["chi_bar", "per_bar_u1", "per_bar_u2", "vol_bar"]
+    assert set(res) == {"epsilon", "closed_form_reference", *densities, "chi_stderr",
+                        "per_u1_stderr", "per_u2_stderr", "vol_stderr"}
+    assert set(res["closed_form_reference"]) == set(densities)
     assert res["closed_form_reference"]["chi_bar"] == pytest.approx(E1, abs=1e-12)
     assert res["epsilon"] == 0.05
     assert res["chi_stderr"] > 0
     assert 0.0 <= res["vol_bar"] <= 1.0
     lines = (out_dir / "densities.csv").read_text().strip().splitlines()
     assert lines[0] == "quantity,estimate,stderr"
-    assert len(lines) == 5
+    assert [line.split(",")[0] for line in lines[1:]] == densities
+    assert lines[1] == f"chi_bar,{res['chi_bar']!r},{res['chi_stderr']!r}"
 
 
 def test_missing_config_key_reports_json_error(tmp_path, capsys):
@@ -390,6 +395,11 @@ SWEEP_CFG = {"shape": HALF_DISC, "epsilons": [0.2, 0.1, 0.05], "quad_mesh": 1e-2
     ("shotnoise", {**SHOT_CFG, "seed": -1}),
     ("densities", {**DENS_CFG, "seed": -1}),
     ("bounds", {"truth": DISC, "h": 0.05, "epsilons": []}),
+    ("chi", {"shape": DISC, "epsilon": 0.1, "seed": {"not": "a seed"}}),
+    ("chi", {"shape": DISC, "epsilon": 0.1, "seed": -1}),
+    ("sweep", {**SWEEP_CFG, "seed": "x"}),
+    ("perimeter", {**PER_CFG, "seed": 2.5}),
+    ("bounds", {"truth": DISC, "h": 0.05, "epsilons": [0.2], "seed": True}),
 ], ids=["densities-window-scalar", "shotnoise-rect-3-numbers", "shotnoise-rects-scalar",
         "shotnoise-replicates-text", "chi-epsilon-text", "chi-epsilon-zero",
         "chi-epsilon-negative", "chi-epsilon-infinite", "sweep-epsilons-scalar",
@@ -400,7 +410,9 @@ SWEEP_CFG = {"shape": HALF_DISC, "epsilons": [0.2, 0.1, 0.05], "quad_mesh": 1e-2
         "chi-margin-fraction", "perimeter-directions-fraction", "perimeter-directions-bool",
         "shotnoise-replicates-fraction", "densities-replicates-bool",
         "densities-replicates-infinite", "shotnoise-seed-fraction",
-        "shotnoise-seed-negative", "densities-seed-negative", "bounds-epsilons-empty"])
+        "shotnoise-seed-negative", "densities-seed-negative", "bounds-epsilons-empty",
+        "chi-seed-object", "chi-seed-negative", "sweep-seed-text",
+        "perimeter-seed-fraction", "bounds-seed-bool"])
 def test_malformed_config_value_exits_one(tmp_path, capsys, subcommand, cfg):
     code, _, report = run_cli(tmp_path, "badvalue", subcommand, cfg)
     assert code == 1

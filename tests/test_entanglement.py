@@ -43,8 +43,7 @@ def test_thin_bar_threads_a_pair():
     bits = np.zeros((33, 33), dtype=bool)
     bits[12:21, 12] = True
     pairs = detect_interior_pairs(fine_grid(bits), coarse_epsilon=8.0)
-    assert pairs.kind == "interior"
-    assert pairs.pairs == (((8.0, 16.0), (16.0, 16.0)),)
+    assert pairs == (((8.0, 16.0), (16.0, 16.0)),)
 
 
 def test_broken_bar_reports_nothing():
@@ -60,13 +59,6 @@ def test_empty_set_has_no_pairs():
     assert len(detect_interior_pairs(g, 8.0)) == 0
     w = PolyRectangle(rects=[(0.0, 32.0, 0.0, 32.0)])
     assert len(detect_boundary_pairs(g, 8.0, w)) == 0
-
-
-def test_pair_rows_format():
-    bits = np.zeros((33, 33), dtype=bool)
-    bits[12:21, 12] = True
-    rows = detect_interior_pairs(fine_grid(bits), 8.0).rows()
-    assert rows == [(8.0, 16.0, 16.0, 16.0, "interior")]
 
 
 def test_mesh_mismatch():
@@ -94,9 +86,7 @@ def comb_grid():
 
 def test_comb_reports_one_pair_per_gap():
     w = PolyRectangle(rects=[(0.0, 32.0, 0.0, 32.0)])
-    pairs = detect_boundary_pairs(comb_grid(), 8.0, w)
-    assert pairs.kind == "boundary"
-    got = set(pairs.pairs)
+    got = set(detect_boundary_pairs(comb_grid(), 8.0, w))
     assert got == {(((0.0, 0.0)), (16.0, 0.0)), ((16.0, 0.0), (32.0, 0.0))}
 
 
@@ -223,7 +213,7 @@ def test_interior_pairs_hug_the_set():
         g = fine_grid(bits)
         dist = ndimage.distance_transform_edt(~bits)
         eps = 8.0
-        for p, q in detect_interior_pairs(g, eps).pairs:
+        for p, q in detect_interior_pairs(g, eps):
             for x, y in (p, q):
                 assert not bits[int(y), int(x)]
                 assert dist[int(y), int(x)] <= eps + np.sqrt(2.0)
@@ -349,9 +339,9 @@ def test_pair_detectors_match_loop_oracles(k, window):
         for b in (bits, ~bits):
             g = BitGrid(lattice=lat, bits=b)
             w = None if rects is None else PolyRectangle(rects=rects)
-            got = detect_interior_pairs(g, eps, w).pairs
+            got = detect_interior_pairs(g, eps, w)
             assert got == interior_pairs_by_loop(b, H, ORIGIN, eps, rects)
-            got_b = detect_boundary_pairs(g, eps, PolyRectangle(rects=frame)).pairs
+            got_b = detect_boundary_pairs(g, eps, PolyRectangle(rects=frame))
             assert got_b == boundary_pairs_by_loop(b, H, ORIGIN, eps, frame)
             found[0] += len(got)
             found[1] += len(got_b)

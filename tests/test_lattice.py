@@ -126,17 +126,19 @@ def digitize_cases(draw):
         window = (on_mesh(-4, 0), on_mesh(1, 4), on_mesh(-4, 0), on_mesh(1, 4))
         shape = LevelIndicator(real, draw(st.sampled_from([0.5, 1.0, 1.5])), window)
     lat = lattice_covering(shape.bounding_box, eps, margin=draw(st.integers(0, 2)))
+    # the covering lattice's origin, shifted off the mesh or kept on it
     shift = st.sampled_from([0.0, 0.5 * eps, eps / 3.0, 1e-12, -0.25 * eps])
-    return shape, lat, (draw(shift), draw(shift))
+    origin = (lat.origin[0] + draw(shift), lat.origin[1] + draw(shift))
+    return shape, Lattice(epsilon=lat.epsilon, origin=origin, nx=lat.nx, ny=lat.ny)
 
 
 @settings(max_examples=300, deadline=None)
 @given(digitize_cases())
 def test_digitize_matches_broadcast_oracle(case):
-    shape, lat, offset = case
-    grid = digitize(shape, lat, offset)
+    shape, lat = case
+    grid = digitize(shape, lat)
     assert grid.bits.shape == (lat.ny, lat.nx)
-    assert np.array_equal(grid.bits, digitize_by_broadcast(shape, lat, offset))
+    assert np.array_equal(grid.bits, digitize_by_broadcast(shape, lat))
 
 
 def test_bitgrid_rejects_shape_mismatch():

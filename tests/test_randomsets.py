@@ -13,7 +13,6 @@ from eulergram import (
     Exponential,
     GrainMixture,
     InvalidSpec,
-    NotBooleanRegime,
     PolyRectangle,
     Realization,
     RectFamily,
@@ -21,12 +20,10 @@ from eulergram import (
     UnboundedGrain,
     Uniform,
     UnsupportedMarkLaw,
-    boolean_mean_chi,
     chi_local,
     digitize,
     estimate_stationary_densities,
     lattice_covering,
-    level_set_chi_exact,
     level_set_features_exact,
     mc_mean_chi,
     mean_chi_closed_form,
@@ -183,13 +180,11 @@ def test_three_window_decomposition_recovers_densities():
     assert c0 == pytest.approx(144.0 * d["chi_bar"] + d["vol_bar"], abs=1e-9)
 
 
-def test_boolean_regime_delegates_exactly():
-    model = square_model(0.5)
-    via_boolean = boolean_mean_chi(model, V10)
-    assert via_boolean == mean_chi_closed_form(model, V10)
-    # p1 = p2' = P(g=0) = 1/e, p2 = 0: chi_bar = (1/e)(1 - (1/4) * 2 * 2) = 0,
-    # so (1 - 1/e) + (1/4)(1/e)(20 * 2 + 20 * 2) = 1 + 19/e (Miles)
-    assert via_boolean == pytest.approx(1 + 19 * E1, abs=1e-12)
+def test_boolean_regime_is_miles_formula():
+    # unit marks at level 0.5: p1 = p2' = P(g=0) = 1/e, p2 = 0, so
+    # chi_bar = (1/e)(1 - (1/4) * 2 * 2) = 0, and the window adds
+    # (1 - 1/e) + (1/4)(1/e)(20 * 2 + 20 * 2) = 1 + 19/e (Miles)
+    assert mean_chi_closed_form(square_model(0.5), V10) == pytest.approx(1 + 19 * E1, abs=1e-12)
 
 
 def test_vanishing_intensity_limit():
@@ -197,20 +192,6 @@ def test_vanishing_intensity_limit():
     # an almost empty field: every corner and crossing density carries a
     # factor rho -> 0, and vol_bar -> 0, so the mean chi vanishes
     assert mean_chi_closed_form(model, V10) == pytest.approx(0.0, abs=1e-8)
-    assert boolean_mean_chi(model, V10) == mean_chi_closed_form(model, V10)
-
-
-def test_boolean_guards():
-    with pytest.raises(NotBooleanRegime):
-        boolean_mean_chi(square_model(1.5), V10)
-    with pytest.raises(NotBooleanRegime):
-        boolean_mean_chi(square_model(1.0), V10)
-    heavy = ShotNoiseModel(intensity=1.0,
-                           grain_dist=GrainMixture(components=(UNIT_SQUARE,), probs=(1.0,)),
-                           mark_dist=AtomicMarks(values=(2.0,), probs=(1.0,)),
-                           level=0.5)
-    with pytest.raises(NotBooleanRegime):
-        boolean_mean_chi(heavy, V10)
 
 
 def test_non_atomic_marks_rejected_by_closed_form():
@@ -455,8 +436,8 @@ def test_overlap_counts_at_level_two():
     disjoint = hand_realization(
         [((0.0, 0.0), UNIT_SQUARE, 1.0), ((2.5, 2.5), UNIT_SQUARE, 1.0)],
         (-1.0, 4.0, -1.0, 4.0))
-    assert level_set_chi_exact(disjoint, 1.5, window) == 0
-    assert level_set_chi_exact(disjoint, 0.5, window) == 2
+    assert level_set_features_exact(disjoint, 1.5, window)["chi"] == 0
+    assert level_set_features_exact(disjoint, 0.5, window)["chi"] == 2
 
 
 def test_empty_field_is_empty_set():
@@ -478,8 +459,8 @@ def test_near_coincident_coordinates_rejected():
 def test_field_tie_on_cells_warns():
     real = hand_realization([((0.2, 0.3), UNIT_SQUARE, 1.0)], (0.0, 2.0, 0.0, 2.0))
     with pytest.warns(UserWarning, match="tie"):
-        chi = level_set_chi_exact(real, 1.0, PolyRectangle(rects=((0.0, 2.0, 0.0, 2.0),)))
-    assert chi == 1
+        f = level_set_features_exact(real, 1.0, PolyRectangle(rects=((0.0, 2.0, 0.0, 2.0),)))
+    assert f["chi"] == 1
 
 
 @pytest.mark.parametrize("mark,level,warns,chi", [
@@ -499,7 +480,8 @@ def test_tie_check_tolerance(mark, level, warns, chi):
     real = hand_realization([((0.2, 0.3), UNIT_SQUARE, mark)], (0.0, 2.0, 0.0, 2.0))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = level_set_chi_exact(real, level, PolyRectangle(rects=((0.0, 2.0, 0.0, 2.0),)))
+        got = level_set_features_exact(
+            real, level, PolyRectangle(rects=((0.0, 2.0, 0.0, 2.0),)))["chi"]
     assert any("tie" in str(w.message) for w in caught) is warns
     # membership is f >= level whether or not the check warns
     assert got == chi
@@ -611,7 +593,7 @@ def test_exact_chi_matches_fine_digitization():
             h = min(5e-3, gap / 2.2)
             grid = digitize(LevelIndicator(real, level, window),
                             lattice_covering(window, h, margin=2))
-            assert chi_local(grid) == level_set_chi_exact(real, level, window_rect)
+            assert chi_local(grid) == level_set_features_exact(real, level, window_rect)["chi"]
             checked += 1
     assert checked >= 150
     assert skipped <= 50
@@ -684,11 +666,11 @@ def test_window_shift_leaves_chi_distribution_unchanged():
     model = square_model(1.5)
     w1 = PolyRectangle(rects=((0.0, 6.0, 0.0, 6.0),))
     w2 = PolyRectangle(rects=((2.0, 8.0, 1.0, 7.0),))
-    s1 = np.array([level_set_chi_exact(
-        sample_realization(model, w1.bounding_box, s), 1.5, w1)
+    s1 = np.array([level_set_features_exact(
+        sample_realization(model, w1.bounding_box, s), 1.5, w1)["chi"]
         for s in range(200)])
-    s2 = np.array([level_set_chi_exact(
-        sample_realization(model, w2.bounding_box, 500 + s), 1.5, w2)
+    s2 = np.array([level_set_features_exact(
+        sample_realization(model, w2.bounding_box, 500 + s), 1.5, w2)["chi"]
         for s in range(200)])
     pooled = math.hypot(s1.std(ddof=1), s2.std(ddof=1)) / math.sqrt(200)
     assert abs(s1.mean() - s2.mean()) <= 4 * pooled
@@ -750,14 +732,32 @@ def test_density_estimator_at_rate_one_anchor():
     est = estimate_stationary_densities(model, epsilon=0.02,
                                         window=(0.0, 6.0, 0.0, 6.0),
                                         replicates=60, seed=5)
-    assert 0.0 <= est.vol_bar <= 1.0
-    assert abs(est.chi_bar - E1) <= 4 * est.chi_stderr
-    assert abs(est.vol_bar - (1 - 2 * E1)) <= 4 * est.vol_stderr
-    assert abs(est.per_bar_u1 - 2 * E1) <= 4 * est.per_u1_stderr
-    assert abs(est.per_bar_u2 - 2 * E1) <= 4 * est.per_u2_stderr
+    assert 0.0 <= est["vol_bar"] <= 1.0
+    assert abs(est["chi_bar"] - E1) <= 4 * est["chi_stderr"]
+    assert abs(est["vol_bar"] - (1 - 2 * E1)) <= 4 * est["vol_stderr"]
+    assert abs(est["per_bar_u1"] - 2 * E1) <= 4 * est["per_u1_stderr"]
+    assert abs(est["per_bar_u2"] - 2 * E1) <= 4 * est["per_u2_stderr"]
     # the two directions estimate the same number for a square grain
-    assert abs(est.per_bar_u1 - est.per_bar_u2) <= 3 * (est.per_u1_stderr
-                                                        + est.per_u2_stderr)
+    assert abs(est["per_bar_u1"] - est["per_bar_u2"]) <= 3 * (est["per_u1_stderr"]
+                                                        + est["per_u2_stderr"])
+
+
+def test_density_estimator_off_rate_one():
+    # random rectangles at intensity 2 with two mark atoms: every density the
+    # estimator reports sits within 4 stderr of its closed form; the O(eps)
+    # bias needs eps <= 0.005 here (chi read z = -5.2 at eps 0.02)
+    model = ShotNoiseModel(intensity=2.0,
+                           grain_dist=RectFamily(a_law=Uniform(0.5, 1.5),
+                                                 b_law=Uniform(0.2, 1.0)),
+                           mark_dist=AtomicMarks(values=(1.0, 2.0), probs=(0.6, 0.4)),
+                           level=1.5)
+    est = estimate_stationary_densities(model, epsilon=0.005,
+                                        window=(0.0, 6.0, 0.0, 6.0),
+                                        replicates=100, seed=0)
+    closed = stationary_density_closed_form(model)
+    for density, stderr in (("chi_bar", "chi_stderr"), ("per_bar_u1", "per_u1_stderr"),
+                            ("per_bar_u2", "per_u2_stderr"), ("vol_bar", "vol_stderr")):
+        assert abs(est[density] - closed[density]) <= 4 * est[stderr], density
 
 
 def test_density_estimator_guards():
