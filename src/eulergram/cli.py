@@ -66,6 +66,13 @@ def _positives(values) -> list[float]:
     return [_positive(v) for v in values]
 
 
+def _decreasing(values) -> list[float]:
+    eps = _positives(values)
+    if any(a <= b for a, b in zip(eps, eps[1:])):
+        raise ValueError(f"must be strictly decreasing, got {values!r}")
+    return eps
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"must be true or false, got {value!r}")
@@ -171,7 +178,8 @@ def _run_sweep(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     ind = _read(resolved, "shape", make_shape)
     if "window" in resolved:
         ind = _clip_to_window(ind, _read(resolved, "window", _polyrect))
-    epsilons = _read(resolved, "epsilons", _positives)
+    # the plateau is read at the finest meshes, the end of the list
+    epsilons = _read(resolved, "epsilons", _decreasing)
     margin = _read(resolved, "margin", _nonnegative)
     rows = []
     for eps in epsilons:

@@ -50,7 +50,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from .errors import MeshMismatch
 from .lattice import BitGrid, Lattice, _whole_multiple
@@ -173,6 +172,8 @@ def detect_interior_pairs(truth: BitGrid, coarse_epsilon: float,
     the truth grid are skipped (the set is assumed to keep that margin).
     Pairs come in raster order of x, the east neighbour before the north one.
     """
+    from scipy import ndimage
+
     k = _subdivision(truth, coarse_epsilon)
     truth = _prepared(truth)
     bits = truth.bits
@@ -281,6 +282,8 @@ def _coarse_grid(truth: BitGrid, k: int, mask: np.ndarray) -> BitGrid:
 
 
 def _count8(bits: np.ndarray) -> int:
+    from scipy import ndimage
+
     _, n = ndimage.label(bits, structure=_EIGHT)
     return int(n)
 

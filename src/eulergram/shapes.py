@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import CornerClash, InvalidSpec, RadiusTooSmall, _kind
 from .lattice import BitGrid, IndicatorSet
@@ -392,6 +391,8 @@ def morph(grid: BitGrid, radius: float, op: str) -> BitGrid:
     if op not in ("dilate", "erode"):
         raise InvalidSpec(f"op must be 'dilate' or 'erode', got {op!r}")
     r_cells = radius / eps
+
+    from scipy import ndimage
 
     if op == "dilate":
         dist = ndimage.distance_transform_edt(~grid.bits)

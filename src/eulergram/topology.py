@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import MarginViolation, NotAdmissible
 from .lattice import BitGrid
@@ -166,6 +165,12 @@ def label_components(grid: BitGrid) -> ComponentLabeling:
     grid border, so cells off the grid count as complement and no margin
     is needed: set bits may touch the border.
     """
+    # scipy.ndimage is imported where a grid is labelled or a distance
+    # transform taken (here, in entanglement and in shapes.morph), never at
+    # module level: it costs most of the start-up of ``import eulergram``,
+    # and the chi kernels, perimeters and shot-noise means never call it
+    from scipy import ndimage
+
     bits = grid.bits
     _, n_set = ndimage.label(bits, structure=_CROSS)
     # complement labeled with a one-cell True frame so everything touching

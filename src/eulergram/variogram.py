@@ -227,16 +227,27 @@ def _corner_specs(e: float) -> tuple[ShiftSpec, ShiftSpec]:
             ShiftSpec(plus_shifts=[(e, 0.0), (0.0, e)], minus_shifts=[(0.0, 0.0)]))
 
 
+def _check_resolved(shift: float, quad_mesh: float) -> None:
+    # a shift below the mesh moves no midpoint by a whole cell, and the
+    # counts stop tracking the shifted volumes (chi -200 for a unit disc at
+    # shift 0.001, mesh 0.01)
+    if shift < quad_mesh:
+        raise InvalidSpec(f"quad_mesh {quad_mesh!r} is coarser than the shift size "
+                          f"{shift!r}; the sweep cannot resolve it")
+
+
 def chi_bicovariogram(indicator: IndicatorSet, epsilon: float, quad_mesh: float) -> float:
     """Euler characteristic from two corner volumes at axis shifts of size epsilon.
 
     The difference of the outward-corner and inward-corner variogram volumes,
     divided by epsilon^2, is exactly chi for r-regular sets with r above the
-    shift size; quadrature contributes O(quad_mesh/epsilon^2).
+    shift size; quadrature contributes O(quad_mesh/epsilon^2).  A shift
+    size below ``quad_mesh`` is refused.
     """
     e = float(epsilon)
     if not 0 < e < math.inf:
         raise InvalidSpec(f"epsilon must be positive and finite, got {epsilon!r}")
+    _check_resolved(e, quad_mesh)
     n_out, n_in = _sweep(indicator, list(_corner_specs(e)), quad_mesh)
     return (n_out - n_in) * quad_mesh * quad_mesh / (e * e)
 
@@ -266,7 +277,7 @@ def _richardson(epsilons, values) -> float:
     return max(0.0, (e1 * v2 - e2 * v1) / (e1 - e2))
 
 
-def _validate_epsilons(epsilons) -> tuple[float, ...]:
+def _validate_epsilons(epsilons, quad_mesh: float) -> tuple[float, ...]:
     eps = tuple(float(e) for e in epsilons)
     if len(eps) < 3:
         raise InvalidSpec("need at least 3 shift sizes")
@@ -275,6 +286,7 @@ def _validate_epsilons(epsilons) -> tuple[float, ...]:
         raise InvalidSpec(f"shift size {bad[0]!r} is not positive and finite")
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise InvalidSpec("shift sizes must be strictly decreasing")
+    _check_resolved(eps[-1], quad_mesh)
     return eps
 
 
@@ -298,8 +310,9 @@ def directional_perimeters(indicator: IndicatorSet, directions, epsilons,
 
     Per_u at eps is 2*eps^-1*vol(A minus (A + eps*u)), extrapolated to
     eps = 0.  Directions are used exactly as given, so pass unit vectors.
+    Shift sizes must be strictly decreasing and none below ``quad_mesh``.
     """
-    eps = _validate_epsilons(epsilons)
+    eps = _validate_epsilons(epsilons, quad_mesh)
     dirs = [(float(u[0]), float(u[1])) for u in directions]
     specs = [ShiftSpec(plus_shifts=[(0.0, 0.0)], minus_shifts=[(e * u[0], e * u[1])])
              for u in dirs for e in eps]

@@ -374,6 +374,9 @@ SWEEP_CFG = {"shape": HALF_DISC, "epsilons": [0.2, 0.1, 0.05], "quad_mesh": 1e-2
     ("chi", {"shape": DISC, "epsilon": -0.1}),
     ("chi", {"shape": DISC, "epsilon": math.inf}),
     ("sweep", {"shape": DISC, "epsilons": 5}),
+    # stabilized with plateau 1 on this annulus (chi 0) when read in this order
+    ("sweep", {"shape": {"type": "annulus", "center": [0.13, 0.17], "r_in": 0.03,
+                         "r_out": 1.0}, "epsilons": [0.01, 0.05, 0.1, 0.2, 0.4]}),
     ("bounds", {"truth": DISC, "h": 0.05, "epsilons": 5}),
     ("perimeter", {**PER_CFG, "quad_mesh": math.nan}),
     ("perimeter", {**PER_CFG, "quad_mesh": math.inf}),
@@ -403,6 +406,7 @@ SWEEP_CFG = {"shape": HALF_DISC, "epsilons": [0.2, 0.1, 0.05], "quad_mesh": 1e-2
 ], ids=["densities-window-scalar", "shotnoise-rect-3-numbers", "shotnoise-rects-scalar",
         "shotnoise-replicates-text", "chi-epsilon-text", "chi-epsilon-zero",
         "chi-epsilon-negative", "chi-epsilon-infinite", "sweep-epsilons-scalar",
+        "sweep-epsilons-increasing",
         "bounds-epsilons-scalar", "perimeter-quad-mesh-nan", "perimeter-quad-mesh-infinite",
         "sweep-quad-mesh-nan", "sweep-quad-mesh-infinite", "sweep-window-misses-shape",
         "bounds-window-misses-truth",
@@ -425,9 +429,16 @@ def test_malformed_config_value_exits_one(tmp_path, capsys, subcommand, cfg):
 @pytest.mark.parametrize("subcommand,cfg", [
     ("perimeter", {**PER_CFG, "quad_mesh": 5.0}),
     ("sweep", {**SWEEP_CFG, "quad_mesh": 5.0}),
-], ids=["perimeter", "sweep"])
+    ("perimeter", {**PER_CFG, "shape": DISC, "epsilons": [0.004, 0.002, 0.001]}),
+    ("perimeter", {**PER_CFG, "shape": DISC, "epsilons": [0.02, 0.01, 0.005]}),
+    ("sweep", {**SWEEP_CFG, "shape": DISC, "continuum_epsilon": 0.001}),
+    ("sweep", {**SWEEP_CFG, "shape": DISC, "continuum_epsilon": 0.005}),
+], ids=["perimeter", "sweep", "perimeter-shift-0.001", "perimeter-shift-0.005",
+        "sweep-shift-0.001", "sweep-shift-0.005"])
 def test_mesh_coarser_than_shape_exits_one(tmp_path, capsys, subcommand, cfg):
-    # the parent reported a perimeter and a continuum chi of 0.0 here
+    # these reported a perimeter and a continuum chi of 0.0 (a mesh coarser
+    # than the shape), and Per_inf 10.6 and 10.88 and chi -200 and 48 for a
+    # unit disc (a mesh coarser than the shifts)
     code, _, report = run_cli(tmp_path, "coarse", subcommand, cfg)
     assert code == 1
     assert report is None

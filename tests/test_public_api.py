@@ -1,6 +1,11 @@
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +37,52 @@ def test_package_exports_are_listed_at_home():
         home = obj.__module__.removeprefix("eulergram.")
         assert home in LIBRARY, (export, obj.__module__)
         assert export in importlib.import_module(obj.__module__).__all__, export
+
+
+# run in a fresh interpreter: the modules a run loads are the test's subject
+_LOADS = """
+import json, sys
+from pathlib import Path
+import eulergram, eulergram.cli as cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {"import": scipy_loaded()}
+out = Path(sys.argv[1])
+for sub, cfg in json.loads(sys.argv[2]):
+    path = out / f"{sub}.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main([sub, "--config", str(path), "--out", str(out / sub), "--no-timestamp"])
+    seen[sub] = [code, scipy_loaded()]
+print(json.dumps(seen))
+"""
+
+_DISC = {"type": "disc", "center": [0, 0], "r": 0.5}
+_MODEL = {"intensity": 1.0, "lambda": 1.5, "grains": [{"rects": [[0, 1, 0, 1]], "p": 1.0}],
+          "marks": [{"value": 1.0, "p": 1.0}]}
+
+
+def test_scipy_loads_only_where_a_grid_is_labelled(tmp_path):
+    # scipy.ndimage costs most of the start-up; only component counts and
+    # distance transforms import it, so these three runs never load scipy
+    runs = [
+        ("perimeter", {"shape": _DISC, "epsilons": [0.08, 0.04, 0.02], "quad_mesh": 1e-2,
+                       "directions": 8}),
+        ("shotnoise", {"model": _MODEL, "window": {"rects": [[0, 3, 0, 3]]},
+                       "replicates": 4, "seed": 0}),
+        ("densities", {"model": _MODEL, "window": [0, 2, 0, 2], "epsilon": 0.05,
+                       "replicates": 4, "seed": 0}),
+        ("chi", {"shape": _DISC, "epsilon": 0.1}),
+    ]
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", _LOADS, str(tmp_path), json.dumps(runs)],
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen.pop("import") == []
+    chi_code, after_chi = seen.pop("chi")
+    assert seen == {sub: [0, []] for sub in ("perimeter", "shotnoise", "densities")}
+    # the lazy import is reached: a component count loads it
+    assert chi_code == 0 and "scipy.ndimage" in after_chi

@@ -359,6 +359,20 @@ def test_nonfinite_shift_size_rejected_before_sweeping(bad, monkeypatch):
         perimeter_variational(disc(), (bad, 0.05, 0.01), quad_mesh=1e-2)
 
 
+def test_shift_below_quad_mesh_refused():
+    # at mesh 0.01 these returned chi -200 and 48 for a unit disc, and
+    # Per_inf 10.6 and 10.88 against a true 8
+    for e in (0.001, 0.005):
+        with pytest.raises(InvalidSpec, match="coarser"):
+            chi_bicovariogram(disc(), e, quad_mesh=0.01)
+    for eps in ((0.004, 0.002, 0.001), (0.02, 0.01, 0.005)):
+        with pytest.raises(InvalidSpec, match="coarser"):
+            perimeter_axis_sum(disc(), eps, quad_mesh=0.01)
+    # a shift of one whole cell is resolved
+    assert chi_bicovariogram(disc(), 0.01, quad_mesh=0.01) == pytest.approx(1.0)
+    assert perimeter_axis_sum(disc(), (0.04, 0.02, 0.01), quad_mesh=0.01) == pytest.approx(8.0)
+
+
 @pytest.mark.parametrize("quad_mesh", [10.0, math.nan, math.inf])
 def test_chi_bicovariogram_rejects_unusable_mesh(quad_mesh):
     # a mesh coarser than the sweep domain leaves no midpoint to count
