@@ -1,8 +1,8 @@
 """Exact Euler characteristics and perimeters of digitized planar sets.
 
 The package digitizes regular closed sets on square lattices, computes
-their Euler characteristic by three independent routes (local 2x2 window
-counts, vertex/edge/face counts, component labeling), estimates directional
+their Euler characteristic by three routes (local 2x2 window counts,
+vertex/edge/face counts, component counting), estimates directional
 and Euclidean perimeters from variogram asymptotics, bounds the component
 miscount of a coarse digitization by entanglement pair detection, and
 evaluates mean Euler characteristics of shot-noise level sets both in
@@ -36,6 +36,7 @@ from .lattice import (
 from .topology import (
     ComponentLabeling,
     ConfigCounts,
+    chi_components,
     chi_local,
     chi_vef,
     config_counts,

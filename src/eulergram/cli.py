@@ -34,7 +34,7 @@ from .randomsets import (
     stationary_density_closed_form,
 )
 from .shapes import PolyRectangle, _intersect_runs, make_shape
-from .topology import chi_vef, config_counts, label_components
+from .topology import chi_components, chi_vef, config_counts, label_components
 from .variogram import _circle, _circle_mean, chi_bicovariogram, directional_perimeters
 
 __all__ = ["main"]
@@ -183,10 +183,7 @@ def _run_sweep(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     margin = _read(resolved, "margin", _nonnegative)
     rows = []
     for eps in epsilons:
-        grid = _digitize_at(ind, eps, margin=margin)
-        comp = label_components(grid)
-        rows.append((eps, comp.num_set_components
-                     - comp.num_complement_bounded_components))
+        rows.append((eps, chi_components(_digitize_at(ind, eps, margin=margin))))
     chis = [chi for _, chi in rows]
     stabilized = len(chis) >= 3 and len(set(chis[-3:])) == 1
     results = {

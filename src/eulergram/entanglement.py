@@ -54,7 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import MeshMismatch
 from .lattice import BitGrid, Lattice, _whole_multiple
 from .shapes import PolyRectangle, corner_points
-from .topology import label_components
+from .topology import _component_counts, chi_components
 
 __all__ = [
     "BoundReport",
@@ -63,9 +63,8 @@ __all__ = [
     "verify_bounds",
 ]
 
-_EIGHT = np.ones((3, 3), dtype=bool)
 # a stack of boxes: 8-connected within one box, never linking two boxes
-_BOX_STACK = np.pad(_EIGHT[None], ((1, 1), (0, 0), (0, 0)))
+_BOX_STACK = np.pad(np.ones((1, 3, 3), dtype=bool), ((1, 1), (0, 0), (0, 0)))
 
 
 @dataclass(frozen=True)
@@ -172,6 +171,9 @@ def detect_interior_pairs(truth: BitGrid, coarse_epsilon: float,
     the truth grid are skipped (the set is assumed to keep that margin).
     Pairs come in raster order of x, the east neighbour before the north one.
     """
+    # scipy.ndimage is imported where it is used (here and in shapes.morph),
+    # never at module level: it costs most of the start-up of ``import
+    # eulergram``, and no other routine calls it
     from scipy import ndimage
 
     k = _subdivision(truth, coarse_epsilon)
@@ -282,10 +284,7 @@ def _coarse_grid(truth: BitGrid, k: int, mask: np.ndarray) -> BitGrid:
 
 
 def _count8(bits: np.ndarray) -> int:
-    from scipy import ndimage
-
-    _, n = ndimage.label(bits, structure=_EIGHT)
-    return int(n)
+    return _component_counts(bits)[1]
 
 
 def verify_bounds(truth: BitGrid, coarse_epsilons,
@@ -339,8 +338,7 @@ def verify_bounds(truth: BitGrid, coarse_epsilons,
         else:
             bound_rhs = 2 * n_int_f + n_truth
 
-        labeling = label_components(coarse)
-        chi = labeling.num_set_components - labeling.num_complement_bounded_components
+        chi = chi_components(coarse)
         chi_rhs = (3 * corners + 2 * max(n_int_f, n_int_fc) + 2 * max(nb_f, nb_fc)
                    + max(n_truth, n_truth_c))
 

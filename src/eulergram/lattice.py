@@ -103,15 +103,24 @@ class IndicatorSet:
 _DENSE_CELLS = 1 << 20
 
 
-def _runs_of(inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal runs of True in each row of a 2-D bool array, as ``row_runs`` lists them."""
+def _run_list(inside: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of True in the rows of a 2-D bool array, in raster order.
+
+    Returns three flat arrays: each run's row, first column and end column
+    (exclusive).
+    """
     p = np.zeros((len(inside), inside.shape[1] + 2), dtype=bool)
     p[:, 1:-1] = inside
     change = p[:, 1:] != p[:, :-1]
     rows, cols = np.divmod(np.flatnonzero(change), change.shape[1])
     # a row's value changes alternate, starting with a run start, since
     # both of its ends are padded with False
-    rows, lo, hi = rows[::2], cols[::2], cols[1::2]
+    return rows[::2], cols[::2], cols[1::2]
+
+
+def _runs_of(inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs of True in each row of a 2-D bool array, as ``row_runs`` lists them."""
+    rows, lo, hi = _run_list(inside)
     rank = np.arange(rows.size) - np.searchsorted(rows, rows)
     out = np.zeros((2, len(inside), max(1, rank.max(initial=-1) + 1)), dtype=np.intp)
     out[0, rows, rank] = lo

@@ -1,6 +1,6 @@
 """Discrete Euler characteristic of bit grids.
 
-Three independent routes to chi of a bounded lattice set M:
+Three routes to chi of a bounded lattice set M:
 
 * local 2x2 configuration counting (corner bookkeeping),
 * the V - E + F identity on the pixel complex,
@@ -9,6 +9,15 @@ Three independent routes to chi of a bounded lattice set M:
 On admissible grids (no X-configurations) all three agree; the window
 counters also expose the X-configuration counts so callers can detect a
 digitization that is too coarse for its target set.
+
+The component route counts set components by a union-find over the set's
+row runs and takes its holes from the window kernel, not from a labelling
+of the complement: with X the number of X-configurations, chi_vef - X is
+the chi of the union of closed pixels, 8-connected components minus
+4-connected holes (Gray's bit-quad relation).  So it shares the kernel
+with the V - E + F route, and its independence from both window routes
+lives in the tests, whose breadth-first oracles count components and holes
+cell by cell.
 
 Window convention: a window anchored at grid point z reads the four cells
 a = z, b = z + e*u1 (east), c = z + e*u2 (north), d = z + e*(u1+u2).
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MarginViolation, NotAdmissible
-from .lattice import BitGrid
+from .lattice import BitGrid, _run_list
 
 __all__ = [
     "ConfigCounts",
@@ -34,11 +43,9 @@ __all__ = [
     "config_counts",
     "chi_local",
     "chi_vef",
+    "chi_components",
     "label_components",
 ]
-
-# 4-connectivity stencil shared by set and complement labeling.
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -143,6 +150,20 @@ def chi_local(grid: BitGrid) -> int:
     return counts.phi_out - counts.phi_in
 
 
+def _x_count(bits: np.ndarray) -> int:
+    """X-configurations of the set and of the complement: windows (1,0,0,1) and (0,1,1,0).
+
+    Both hold two set cells on a diagonal, so they lie inside the grid and
+    the windows need no padding.
+    """
+    # a != b, c != d and a != c
+    east = bits[:, :-1] ^ bits[:, 1:]
+    x = bits[:-1, :-1] ^ bits[1:, :-1]
+    x &= east[:-1]
+    x &= east[1:]
+    return int(np.count_nonzero(x))
+
+
 def chi_vef(grid: BitGrid) -> int:
     """Euler characteristic of the pixel complex: vertices - edges + faces.
 
@@ -150,12 +171,77 @@ def chi_vef(grid: BitGrid) -> int:
     set 2x2 blocks.  Total on any grid, no margin or admissibility needed;
     on admissible grids it agrees with chi_local.
     """
+    # edges and faces lie inside the grid, so no padding is needed
     bits = grid.bits
-    a, b, c, d = _windows(bits)
-    ab = a & b
-    e = np.count_nonzero(ab) + np.count_nonzero(a & c)
-    f = np.count_nonzero(ab & c & d)
+    across = bits[:, :-1] & bits[:, 1:]
+    e = np.count_nonzero(across) + np.count_nonzero(bits[:-1] & bits[1:])
+    f = np.count_nonzero(across[:-1] & across[1:])
     return int(np.count_nonzero(bits) - e + f)
+
+
+def _merge(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> int:
+    """Join the trees of link ends ``u[i]``, ``v[i]`` in ``parent``; return the root count.
+
+    ``parent`` is a forest in which every node points at its root, never
+    at a larger index.  Each round hooks every root onto the smallest root
+    linked to it, if that one is smaller, then jumps pointers until every
+    node points at its root again.
+    """
+    while True:
+        pu, pv = parent[u], parent[v]
+        apart = pu != pv
+        if not apart.any():
+            return int(np.count_nonzero(parent == np.arange(parent.size)))
+        u, v, pu, pv = u[apart], v[apart], pu[apart], pv[apart]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent[:] = up
+
+
+def _component_counts(bits: np.ndarray) -> tuple[int, int]:
+    """4- and 8-connected component counts of the set bits, from one union-find.
+
+    The nodes are the set's row runs.  Each run is linked to the runs of
+    the next row that meet it at least at a corner; the links sharing an
+    edge are merged first (the 4-connected count), the corner-only ones
+    after, into the same forest (the 8-connected count).
+    """
+    rows, lo, hi = _run_list(bits)
+    n = rows.size
+    if n == 0:
+        return 0, 0
+    # one key space for run ends of all rows, wide enough that a column
+    # one past either end of a row never reaches a neighbouring row's keys
+    w = bits.shape[1] + 2
+    below = (rows + 1) * w
+    first = np.searchsorted(rows * w + hi, below + lo - 1, side="right")
+    stop = np.searchsorted(rows * w + lo, below + hi + 1, side="left")
+    links = np.maximum(stop - first, 0)
+    u = np.repeat(np.arange(n), links)
+    v = np.arange(u.size) + np.repeat(first - (np.cumsum(links) - links), links)
+    corner = (lo[v] == hi[u]) | (hi[v] == lo[u])
+    parent = np.arange(n)
+    n4 = _merge(parent, u[~corner], v[~corner])
+    return n4, _merge(parent, u[corner], v[corner])
+
+
+def chi_components(grid: BitGrid) -> int:
+    """Euler characteristic by component counting: 4-connected set components
+    minus 4-connected bounded holes.
+
+    Equal to chi_vef - X - (n8 - n4), with X the X-configurations and n8,
+    n4 the 8- and 4-connected set components.  On an admissible grid X is 0
+    and n8 = n4, so the answer is chi_vef and no component is counted.
+    Total on any grid; set bits may touch the border.
+    """
+    chi, x = chi_vef(grid), _x_count(grid.bits)
+    if x:
+        n4, n8 = _component_counts(grid.bits)
+        chi -= x + n8 - n4
+    return chi
 
 
 def label_components(grid: BitGrid) -> ComponentLabeling:
@@ -163,20 +249,12 @@ def label_components(grid: BitGrid) -> ComponentLabeling:
 
     The complement's unbounded component is the one reachable from the
     grid border, so cells off the grid count as complement and no margin
-    is needed: set bits may touch the border.
+    is needed: set bits may touch the border.  The holes are read off the
+    kernel: chi_vef - X is 8-connected set components minus 4-connected
+    holes.
     """
-    # scipy.ndimage is imported where a grid is labelled or a distance
-    # transform taken (here, in entanglement and in shapes.morph), never at
-    # module level: it costs most of the start-up of ``import eulergram``,
-    # and the chi kernels, perimeters and shot-noise means never call it
-    from scipy import ndimage
-
-    bits = grid.bits
-    _, n_set = ndimage.label(bits, structure=_CROSS)
-    # complement labeled with a one-cell True frame so everything touching
-    # the border collapses into a single unbounded component
-    _, n_comp = ndimage.label(np.pad(~bits, 1, constant_values=True), structure=_CROSS)
+    n4, n8 = _component_counts(grid.bits)
     return ComponentLabeling(
-        num_set_components=int(n_set),
-        num_complement_bounded_components=int(n_comp) - 1,
+        num_set_components=n4,
+        num_complement_bounded_components=n8 - chi_vef(grid) + _x_count(grid.bits),
     )

@@ -64,8 +64,9 @@ _MODEL = {"intensity": 1.0, "lambda": 1.5, "grains": [{"rects": [[0, 1, 0, 1]], 
 
 
 def test_scipy_loads_only_where_a_grid_is_labelled(tmp_path):
-    # scipy.ndimage costs most of the start-up; only component counts and
-    # distance transforms import it, so these three runs never load scipy
+    # scipy.ndimage costs most of the start-up; only the box labelling of
+    # interior pairs and distance transforms import it, so these five runs
+    # never load scipy: chi and sweep count components without it
     runs = [
         ("perimeter", {"shape": _DISC, "epsilons": [0.08, 0.04, 0.02], "quad_mesh": 1e-2,
                        "directions": 8}),
@@ -74,6 +75,8 @@ def test_scipy_loads_only_where_a_grid_is_labelled(tmp_path):
         ("densities", {"model": _MODEL, "window": [0, 2, 0, 2], "epsilon": 0.05,
                        "replicates": 4, "seed": 0}),
         ("chi", {"shape": _DISC, "epsilon": 0.1}),
+        ("sweep", {"shape": _DISC, "epsilons": [0.2, 0.1, 0.05]}),
+        ("bounds", {"truth": _DISC, "h": 0.0625, "epsilons": [0.25]}),
     ]
     root = Path(__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", _LOADS, str(tmp_path), json.dumps(runs)],
@@ -82,7 +85,8 @@ def test_scipy_loads_only_where_a_grid_is_labelled(tmp_path):
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout)
     assert seen.pop("import") == []
-    chi_code, after_chi = seen.pop("chi")
-    assert seen == {sub: [0, []] for sub in ("perimeter", "shotnoise", "densities")}
-    # the lazy import is reached: a component count loads it
-    assert chi_code == 0 and "scipy.ndimage" in after_chi
+    bounds_code, after_bounds = seen.pop("bounds")
+    assert seen == {sub: [0, []]
+                    for sub in ("perimeter", "shotnoise", "densities", "chi", "sweep")}
+    # the lazy import is reached: detecting interior pairs loads it
+    assert bounds_code == 0 and "scipy.ndimage" in after_bounds

@@ -9,12 +9,13 @@ from eulergram import (
     Lattice,
     MarginViolation,
     NotAdmissible,
+    chi_components,
     chi_local,
     chi_vef,
     config_counts,
     label_components,
 )
-from eulergram.topology import _cell_features
+from eulergram.topology import _cell_features, _component_counts
 
 from gridgen import admissible_random_bits
 from oracles import (
@@ -139,7 +140,96 @@ def test_three_routes_agree_on_admissible_random_grids():
         bits = admissible_random_bits(rng, 16, 16, margin=3, density=0.55)
         g = BitGrid(lattice=Lattice(1.0, (0, 0), 16, 16), bits=bits)
         assert config_counts(g).admissible
-        assert chi_local(g) == chi_vef(g) == chi_by_components(bits)
+        assert chi_local(g) == chi_vef(g) == chi_components(g) == chi_by_components(bits)
+
+
+def _as_grid(bits):
+    bits = np.array(bits, dtype=bool)
+    ny, nx = bits.shape
+    return BitGrid(lattice=Lattice(1.0, (0, 0), nx, ny), bits=bits)
+
+
+def _assert_component_oracles(bits):
+    # the breadth-first oracles share no code with the run counter or the kernel
+    g = _as_grid(bits)
+    n4, n8 = bfs_component_count(g.bits, 4), bfs_component_count(g.bits, 8)
+    holes = bounded_hole_count(g.bits)
+    assert _component_counts(g.bits) == (n4, n8)
+    lab = label_components(g)
+    assert (lab.num_set_components, lab.num_complement_bounded_components) == (n4, holes)
+    assert chi_components(g) == n4 - holes
+
+
+# four pixels N, S, E and W of an empty centre: four 4-connected components
+# around one 4-connected hole, so the 4/4 count is 3 while chi_vef is 4
+NSEW = ["..#..",
+        ".#.#.",
+        "..#.."]
+
+
+def test_nsew_components_differ_from_chi_vef():
+    g = grid_of(NSEW)
+    assert _component_counts(g.bits) == (4, 1)
+    assert chi_components(g) == 3
+    assert chi_vef(g) == 4
+
+
+@settings(max_examples=400, deadline=None)
+@given(hnp.arrays(np.bool_, st.tuples(st.integers(1, 16), st.integers(1, 16)),
+                  elements=st.booleans()))
+@example(np.zeros((1, 1), dtype=bool))
+@example(np.zeros((4, 7), dtype=bool))
+@example(np.ones((1, 9), dtype=bool))
+@example(np.ones((9, 1), dtype=bool))
+@example(np.array([[1, 0, 1, 1, 0, 1]], dtype=bool))
+@example(np.array([[1], [0], [1], [1], [0], [1]], dtype=bool))
+@example(np.ones((5, 6), dtype=bool))
+@example(np.pad(np.zeros((3, 3), dtype=bool), 1, constant_values=True))
+@example(np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1]], dtype=bool))
+@example(np.array([[ch == "#" for ch in row] for row in NSEW]))
+def test_component_counts_match_oracles(bits):
+    _assert_component_oracles(bits)
+
+
+def _spiral(n):
+    """A one-cell-wide square spiral with one-cell gaps between its arms."""
+    bits = np.zeros((n, n), dtype=bool)
+    j, i, dj, di = 1, 1, 0, 1
+    for length in [n - 3] + [m for m in range(n - 3, 0, -2) for _ in (0, 1)]:
+        for _ in range(length):
+            bits[j, i] = True
+            j, i = j + dj, i + di
+        dj, di = di, -dj
+    bits[j, i] = True
+    return bits
+
+
+def _comb(n):
+    bits = np.zeros((n, n), dtype=bool)
+    bits[1:-1, 1:-1:2] = True  # teeth, one column wide
+    bits[-2, 1:-1] = True  # the spine joins them in the last row
+    return bits
+
+
+@pytest.mark.parametrize("bits", [
+    np.indices((40, 40)).sum(axis=0) % 2 == 0,
+    np.indices((41, 39)).sum(axis=0) % 2 == 1,
+    _comb(40),
+    _comb(40)[::-1],
+    _spiral(40),
+], ids=["checkerboard", "checkerboard-odd", "comb", "comb-flipped", "spiral"])
+def test_component_counts_on_run_dense_grids(bits):
+    # every row holds many runs, and the links chain across all rows
+    assert len(bits) * 8 < np.count_nonzero(bits[:, 1:] & ~bits[:, :-1])
+    _assert_component_oracles(bits)
+
+
+def test_component_counts_on_branched_random_grids():
+    # near the site-percolation threshold components are large and branched,
+    # so one merge round hooks long chains of roots
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        _assert_component_oracles(rng.random((60, 60)) < 0.55)
 
 
 def test_x_count_complement_duality():
