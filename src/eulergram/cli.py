@@ -34,7 +34,7 @@ from .randomsets import (
     stationary_density_closed_form,
 )
 from .shapes import PolyRectangle, _intersect_runs, make_shape
-from .topology import chi_components, chi_vef, config_counts, label_components
+from .topology import _labeling, chi_components, chi_vef, config_counts
 from .variogram import _circle, _circle_mean, chi_bicovariogram, directional_perimeters
 
 __all__ = ["main"]
@@ -154,7 +154,8 @@ def _run_chi(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     grid = _digitize_at(_read(resolved, "shape", make_shape), epsilon,
                         margin=_read(resolved, "margin", _nonnegative))
     counts = config_counts(grid)
-    comp = label_components(grid)
+    chi = chi_vef(grid)
+    comp = _labeling(grid.bits, chi, counts.phi_x_set + counts.phi_x_complement)
     chi_comp = comp.num_set_components - comp.num_complement_bounded_components
     results = {
         "epsilon": epsilon,
@@ -162,7 +163,7 @@ def _run_chi(cfg: dict, out_dir: Path, timestamp: bool) -> None:
         "phi_out": counts.phi_out,
         "phi_in": counts.phi_in,
         "chi_local": counts.phi_out - counts.phi_in if counts.admissible else None,
-        "chi_vef": chi_vef(grid),
+        "chi_vef": chi,
         "num_components": comp.num_set_components,
         "num_bounded_holes": comp.num_complement_bounded_components,
         "chi_components": chi_comp,

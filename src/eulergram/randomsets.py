@@ -421,6 +421,16 @@ def _stamped_field(xs, ys, rects, weights):
     return diff[:-1, :-1]
 
 
+def _warn_on_ties(f: np.ndarray, level: float) -> None:
+    """Warn, at the caller's caller, if some cell's field is within 1e-12 max(1, |level|)
+    of the level: such cells are counted as two boolean masks, no float temporary.
+    """
+    tol = 1e-12 * max(1.0, abs(level))
+    if np.count_nonzero(f >= level - tol) > np.count_nonzero(f > level + tol):
+        warnings.warn("field value ties the level on some cell; the closed-set "
+                      "convention decides membership", stacklevel=3)
+
+
 def level_set_features_exact(real: Realization, level: float,
                              window: PolyRectangle) -> dict:
     """Exact chi, directional perimeters and area of {f >= level} in the window.
@@ -433,11 +443,7 @@ def level_set_features_exact(real: Realization, level: float,
     xs, ys = _axes(np.concatenate([np.array(window.rects), real.rects]), window.bounding_box)
     f = _stamped_field(xs, ys, real.rects, real.marks)
     occ = f >= level
-    # cells with |f - level| <= tol, counted as two boolean masks: no float temporary
-    tol = 1e-12 * max(1.0, abs(level))
-    if np.count_nonzero(f >= level - tol) > np.count_nonzero(f > level + tol):
-        warnings.warn("field value ties the level on some cell; the closed-set "
-                      "convention decides membership", stacklevel=2)
+    _warn_on_ties(f, level)
     del f  # the field's pages go back before the kernel allocates
     occ &= window.cells(xs, ys)
     return _cell_features(xs, ys, occ)
@@ -594,15 +600,44 @@ def mc_mean_chi(model: ShotNoiseModel, window: PolyRectangle,
     return _mean_stderr([f["chi"] for f in feats])
 
 
+def _grown(lo: float, hi: float, e: float) -> tuple[float, float]:
+    """Floats a <= lo - e and b >= hi + e with fl(a + e) <= lo and fl(b - e) >= hi,
+    so that every cell of [lo, hi] finds a coarse cell in [a, b] under each shift."""
+    a, b = lo - e, hi + e
+    while a + e > lo:
+        a = np.nextafter(a, -math.inf)
+    while b - e < hi:
+        b = np.nextafter(b, math.inf)
+    return a, b
+
+
+def _translate_maps(coarse: np.ndarray, fine: np.ndarray, e: float) -> list[np.ndarray]:
+    """For each shift o of (0, -e, e), the coarse cell of ``coarse`` that each cell of
+    ``fine`` reads when the rectangles are stamped shifted by o.
+
+    Stamping rects + o on the fine axis evaluates f(x - o), and a rectangle covers
+    fine cell i iff fl(a + o) <= fine[i] < fl(b + o) for its edges a < b.  Every edge
+    is a coarse coordinate or lies beyond the coarse axis, whose ends :func:`_grown`
+    sets, and fl(. + o) is monotone, so this holds iff a <= c < b for the last coarse
+    coordinate c with fl(c + o) <= fine[i]: the same rectangles cover the fine cell
+    and the coarse cell it reads.
+    """
+    return [np.searchsorted(coarse + o, fine[:-1], side="right") - 1 for o in (0.0, -e, e)]
+
+
 def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
                                   replicates: int, seed: int) -> dict:
     """Finite-difference densities of chi, perimeter and volume per unit area.
 
     Per realization, the probability of each membership pattern (point in F
     with its epsilon-translates out, and the reverse) is computed as an exact
-    area fraction of the window via the shifted-copy cell arrangement; the
-    Monte Carlo average over replicates then estimates the densities
-    chi = (P1 - P2)/eps^2, Per_ui = 2 P(in, +eps u_i out)/eps, Vol = P(in).
+    area fraction of the window.  The field is stamped once, on the
+    arrangement of the rectangle edges in the window grown by epsilon; the
+    cells of the finer arrangement that adds the edges' epsilon-translates
+    read their own membership and that of their four translates from it by
+    integer index maps.  The Monte Carlo average over replicates then
+    estimates the densities chi = (P1 - P2)/eps^2, Per_ui = 2 P(in, +eps u_i
+    out)/eps, Vol = P(in).
     Returns a dict with the keys of :func:`stationary_density_closed_form`
     (``chi_bar``, ``per_bar_u1``, ``per_bar_u2``, ``vol_bar``), each holding
     the mean over replicates, and the standard error of each under
@@ -623,15 +658,24 @@ def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
                       stacklevel=2)
 
     w_area = (wx1 - wx0) * (wy1 - wy0)
-    offsets = ((0.0, 0.0), (-e, 0.0), (0.0, -e), (e, 0.0), (0.0, e))
+    gx0, gx1 = _grown(wx0, wx1, e)
+    gy0, gy1 = _grown(wy0, wy1, e)
 
     samples = []
     for real in reals:
         rects = real.rects
         xs, ys = _axes(np.concatenate([rects, rects - e, rects + e]), (wx0, wx1, wy0, wy1))
-        inside, east_in, north_in, east_rev, north_rev = (
-            _stamped_field(xs, ys, rects + (ox, ox, oy, oy), real.marks) >= model.level
-            for ox, oy in offsets)
+        cx = np.unique(np.clip(np.append(rects[:, :2], (gx0, gx1)), gx0, gx1))
+        cy = np.unique(np.clip(np.append(rects[:, 2:], (gy0, gy1)), gy0, gy1))
+        f = _stamped_field(cx, cy, rects, real.marks)
+        occ = f >= model.level
+        _warn_on_ties(f, model.level)
+        del f
+        cols = _translate_maps(cx, xs, e)
+        # a map for shift o reads f(x - o): -e the east or north translate, +e the west or south
+        here, north, south = (occ[r] for r in _translate_maps(cy, ys, e))
+        inside, east_in, east_rev = (np.take(here, c, axis=1) for c in cols)
+        north_in, north_rev = (np.take(rows, cols[0], axis=1) for rows in (north, south))
 
         area = np.diff(ys)[:, None] * np.diff(xs)[None, :]
 

@@ -253,8 +253,11 @@ def label_components(grid: BitGrid) -> ComponentLabeling:
     kernel: chi_vef - X is 8-connected set components minus 4-connected
     holes.
     """
-    n4, n8 = _component_counts(grid.bits)
-    return ComponentLabeling(
-        num_set_components=n4,
-        num_complement_bounded_components=n8 - chi_vef(grid) + _x_count(grid.bits),
-    )
+    return _labeling(grid.bits, chi_vef(grid), _x_count(grid.bits))
+
+
+def _labeling(bits: np.ndarray, chi: int, x: int) -> ComponentLabeling:
+    """The component counts of ``bits``, given its chi_vef and its X-configurations."""
+    n4, n8 = _component_counts(bits)
+    return ComponentLabeling(num_set_components=n4,
+                             num_complement_bounded_components=n8 - chi + x)

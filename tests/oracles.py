@@ -236,6 +236,61 @@ def realization_by_loop(model, domain, seed):
     return np.array(rects, dtype=float).reshape(-1, 4), np.array(row_marks, dtype=float), n
 
 
+def densities_by_five_stamps(model, epsilon, window, replicates, seed) -> dict:
+    """Finite-difference density estimates from five stamped fields per replicate.
+
+    Replicate k is drawn by ``realization_by_loop`` with seed seed + k on
+    the window grown by epsilon.  Its cell arrangement holds the window
+    edges and every rectangle edge with its two epsilon-translates, clipped
+    to the window.  On it, ``stamped_field_by_loop`` stamps the rectangles
+    shifted by 0, -e u1, -e u2, +e u1 and +e u2, so the five fields hold f at
+    a point, at its east and north translates and at its west and south
+    ones.  Membership is f >= level.  Each pattern's probability is the
+    area of its cells over the window's area; the areas are summed by
+    numpy, as the estimator sums them, so that the floats can agree bit for
+    bit.  Returns the densities and their standard errors under the keys of
+    ``estimate_stationary_densities``.
+    """
+    e = float(epsilon)
+    wx0, wx1, wy0, wy1 = (float(v) for v in window)
+    w_area = (wx1 - wx0) * (wy1 - wy0)
+
+    def axis(values, lo, hi):
+        return sorted({min(max(v, lo), hi) for v in values} | {lo, hi})
+
+    samples = []
+    for k in range(replicates):
+        rects, marks, _ = realization_by_loop(
+            model, (wx0 - e, wx1 + e, wy0 - e, wy1 + e), seed + k)
+        rows = [tuple(float(v) for v in r) for r in rects]
+        xs = axis([v + o for r in rows for o in (0.0, -e, e) for v in r[:2]], wx0, wx1)
+        ys = axis([v + o for r in rows for o in (0.0, -e, e) for v in r[2:]], wy0, wy1)
+        inside, east_in, north_in, west_in, south_in = (
+            stamped_field_by_loop(xs, ys, [[(x0 + ox, x1 + ox, y0 + oy, y1 + oy)]
+                                           for x0, x1, y0, y1 in rows],
+                                  marks) >= model.level
+            for ox, oy in ((0.0, 0.0), (-e, 0.0), (0.0, -e), (e, 0.0), (0.0, e)))
+
+        def frac(mask):
+            cells = [(ys[j + 1] - ys[j]) * (xs[i + 1] - xs[i])
+                     for j in range(len(ys) - 1) for i in range(len(xs) - 1) if mask[j, i]]
+            return float(np.sum(np.array(cells, dtype=float))) / w_area
+
+        p_out = frac(inside & ~east_in & ~north_in)
+        p_in = frac(~inside & west_in & south_in)
+        samples.append(((p_out - p_in) / (e * e), 2.0 * frac(inside & ~east_in) / e,
+                        2.0 * frac(inside & ~north_in) / e, frac(inside)))
+
+    out = {}
+    for (density, stderr), col in zip(
+            (("chi_bar", "chi_stderr"), ("per_bar_u1", "per_u1_stderr"),
+             ("per_bar_u2", "per_u2_stderr"), ("vol_bar", "vol_stderr")), zip(*samples)):
+        mean = math.fsum(col) / replicates
+        var = math.fsum((v - mean) ** 2 for v in col) / (replicates - 1)
+        out[density], out[stderr] = mean, math.sqrt(var / replicates)
+    return out
+
+
 def midpoint_shift_counts(contains, domain, h, specs) -> list:
     """Midpoint counts of shifted intersections, one whole-grid array per shift.
 

@@ -31,11 +31,13 @@ from eulergram import (
     sample_realization,
     stationary_density_closed_form,
 )
+from eulergram import randomsets
 from eulergram.randomsets import _stamped_field
 from oracles import (
     LevelIndicator,
     bfs_component_count,
     bounded_hole_count,
+    densities_by_five_stamps,
     poisson_cdf,
     poisson_pmf,
     realization_by_loop,
@@ -781,3 +783,75 @@ def test_density_estimator_guards():
         estimate_stationary_densities(model, epsilon=0.3,
                                       window=(0.0, 2.0, 0.0, 2.0),
                                       replicates=2, seed=0)
+
+
+# the untied models: unit squares, random rectangles with two atoms, uniform and
+# exponential marks (the last on an off-origin window), and a coarse epsilon
+FIVE_STAMP_CASES = {
+    "unit-squares": (square_model(1.5), 0.01, (0.0, 2.0, 0.0, 2.0)),
+    "rect-family": (ShotNoiseModel(2.0, RectFamily(Uniform(0.5, 1.5), Uniform(0.2, 1.0)),
+                                   AtomicMarks((1.0, 2.0), (0.6, 0.4)), 1.5),
+                    0.005, (0.0, 2.0, 0.0, 2.0)),
+    "uniform-marks": (ShotNoiseModel(1.5, RectFamily(Uniform(0.5, 1.5), Uniform(0.2, 1.0)),
+                                     Uniform(0.2, 1.0), 0.7), 0.01, (0.0, 2.0, 0.0, 2.0)),
+    "exponential-marks": (ShotNoiseModel(1.5, RectFamily(Uniform(0.5, 1.5),
+                                                         Uniform(0.2, 1.0)),
+                                         Exponential(1.0), 0.9),
+                          0.01, (0.5, 2.3, -1.0, 0.8)),
+    "epsilon-0.3": (square_model(1.5), 0.3, (0.0, 2.0, 0.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", FIVE_STAMP_CASES)
+def test_densities_match_five_stamp_oracle(name):
+    model, epsilon, window = FIVE_STAMP_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the finite-mesh bias warning at epsilon 0.3
+        assert (estimate_stationary_densities(model, epsilon, window, 3, 11)
+                == densities_by_five_stamps(model, epsilon, window, 3, 11))
+
+
+@settings(max_examples=40, deadline=None)
+@given(epsilon=st.floats(0.001, 0.4), x0=st.floats(-3.0, 3.0), y0=st.floats(-3.0, 3.0),
+       side=st.floats(0.5, 2.0), seed=st.integers(0, 2 ** 16),
+       grain=st.sampled_from([UNIT_SQUARE, TEE]))
+# a window edge whose epsilon-translate rounds inward: fl(fl(0.91 - 0.316) + 0.316) > 0.91
+@example(epsilon=0.316, x0=0.91, y0=0.0, side=1.5, seed=4, grain=UNIT_SQUARE)
+def test_densities_match_five_stamp_oracle_integer_marks(epsilon, x0, y0, side, seed, grain):
+    # integer marks and a half-integer level: no field value comes near the level
+    model = ShotNoiseModel(1.5, GrainMixture((grain,), (1.0,)),
+                           AtomicMarks((1.0, 2.0), (0.5, 0.5)), 1.5)
+    window = (x0, x0 + side, y0, y0 + side)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            got = estimate_stationary_densities(model, epsilon, window, 2, seed)
+        except DegenerateArrangement:
+            assume(False)
+    assert got == densities_by_five_stamps(model, epsilon, window, 2, seed)
+
+
+def test_densities_stamp_once_per_replicate(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _stamped_field(*args)
+
+    monkeypatch.setattr(randomsets, "_stamped_field", counted)
+    estimate_stationary_densities(square_model(1.5), 0.01, (0.0, 2.0, 0.0, 2.0), 5, 0)
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("level,warns", [(0.8, True), (0.85, False)])
+def test_densities_warn_on_level_ties(level, warns):
+    # 0.1 + 0.7 is 0.7999999999999999: cells covered by one grain of each mark tie 0.8
+    model = ShotNoiseModel(0.8, GrainMixture((UNIT_SQUARE,), (1.0,)),
+                           AtomicMarks((0.1, 0.7), (0.5, 0.5)), level)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        estimate_stationary_densities(model, 0.01, (0.0, 2.0, 0.0, 2.0), 4, 0)
+    ties = [w for w in caught if "ties the level" in str(w.message)]
+    assert bool(ties) is warns
+    # the warning points at the caller, as level_set_features_exact's does
+    assert all(w.filename == __file__ for w in ties)
