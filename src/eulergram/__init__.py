@@ -36,7 +36,6 @@ from .lattice import (
 from .topology import (
     ComponentLabeling,
     ConfigCounts,
-    chi_components,
     chi_local,
     chi_vef,
     config_counts,

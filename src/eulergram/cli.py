@@ -34,7 +34,7 @@ from .randomsets import (
     stationary_density_closed_form,
 )
 from .shapes import PolyRectangle, _intersect_runs, make_shape
-from .topology import _labeling, chi_components, chi_vef, config_counts
+from .topology import _x_count, chi_vef, config_counts, label_components
 from .variogram import _circle, _circle_mean, chi_bicovariogram, directional_perimeters
 
 __all__ = ["main"]
@@ -154,9 +154,8 @@ def _run_chi(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     grid = _digitize_at(_read(resolved, "shape", make_shape), epsilon,
                         margin=_read(resolved, "margin", _nonnegative))
     counts = config_counts(grid)
-    chi = chi_vef(grid)
-    comp = _labeling(grid.bits, chi, counts.phi_x_set + counts.phi_x_complement)
-    chi_comp = comp.num_set_components - comp.num_complement_bounded_components
+    comp = label_components(grid)
+    chi = comp.num_set_components - comp.num_complement_bounded_components
     results = {
         "epsilon": epsilon,
         "admissible": counts.admissible,
@@ -166,7 +165,7 @@ def _run_chi(cfg: dict, out_dir: Path, timestamp: bool) -> None:
         "chi_vef": chi,
         "num_components": comp.num_set_components,
         "num_bounded_holes": comp.num_complement_bounded_components,
-        "chi_components": chi_comp,
+        "chi_components": chi,
     }
     _write_report(out_dir, "chi", resolved, resolved.get("seed"), timestamp,
                   results, {})
@@ -184,12 +183,17 @@ def _run_sweep(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     margin = _read(resolved, "margin", _nonnegative)
     rows = []
     for eps in epsilons:
-        rows.append((eps, chi_components(_digitize_at(ind, eps, margin=margin))))
-    chis = [chi for _, chi in rows]
-    stabilized = len(chis) >= 3 and len(set(chis[-3:])) == 1
+        grid = _digitize_at(ind, eps, margin=margin)
+        rows.append((eps, chi_vef(grid), _x_count(grid.bits)))
+    chis = [row[1] for row in rows]
+    xs = [row[2] for row in rows]
+    # a plateau needs admissible meshes: at an X-configuration two cells meet
+    # only at a corner, and the mesh has not resolved the shape there
+    stabilized = len(chis) >= 3 and len(set(chis[-3:])) == 1 and not any(xs[-3:])
     results = {
         "epsilons": epsilons,
         "chi_values": chis,
+        "x_configurations": xs,
         "stabilized": stabilized,
         "plateau": chis[-1] if stabilized else None,
     }
@@ -202,7 +206,7 @@ def _run_sweep(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     elif "continuum_epsilon" in resolved:
         raise ConfigInvalid("'continuum_epsilon' is read only with 'quad_mesh'")
     _write_report(out_dir, "sweep", resolved, resolved.get("seed"), timestamp,
-                  results, {"sweep.csv": (("epsilon", "chi"), rows)})
+                  results, {"sweep.csv": (("epsilon", "chi", "x_configurations"), rows)})
 
 
 def _run_perimeter(cfg: dict, out_dir: Path, timestamp: bool) -> None:

@@ -18,7 +18,7 @@ pass between diagonal pixels, so erring this way keeps every verified upper
 bound sound.  Component counts, of the windowed truth and of its coarse
 digitization alike, are 8-connected too; only the coarse Euler
 characteristic uses the lattice convention, 4-connected set components
-minus 4-connected bounded holes.
+minus 8-connected bounded holes, which is chi_vef.
 
 Each detector returns its pairs as a tuple of point pairs ((x, y), (x', y'))
 in length units, so ``len`` of the result is the pair count.  Both
@@ -54,7 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import MeshMismatch
 from .lattice import BitGrid, Lattice, _whole_multiple
 from .shapes import PolyRectangle, corner_points
-from .topology import _component_counts, chi_components
+from .topology import _component_counts, chi_vef
 
 __all__ = [
     "BoundReport",
@@ -306,7 +306,7 @@ def verify_bounds(truth: BitGrid, coarse_epsilons,
     and truth components are counted on the windowed set.  Both component
     counts, of the truth and of the coarse digitization, use 8-connectivity
     (continuum stand-in); only the coarse chi uses the lattice convention of
-    4-connected set and complement.
+    4-connected set and 8-connected complement: it is chi_vef.
     """
     ks = [_subdivision(truth, eps) for eps in coarse_epsilons]
     lat = truth.lattice
@@ -338,7 +338,7 @@ def verify_bounds(truth: BitGrid, coarse_epsilons,
         else:
             bound_rhs = 2 * n_int_f + n_truth
 
-        chi = chi_components(coarse)
+        chi = chi_vef(coarse)
         chi_rhs = (3 * corners + 2 * max(n_int_f, n_int_fc) + 2 * max(nb_f, nb_fc)
                    + max(n_truth, n_truth_c))
 

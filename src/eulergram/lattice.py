@@ -269,6 +269,9 @@ def read_pgm(path) -> BitGrid:
     # exactly one whitespace byte separates the header from the raster
     data = raw[pos + 1 :]
     row_bytes = (nx + 7) // 8
+    if len(data) < ny * row_bytes:
+        raise ValueError(f"truncated raster: {ny} rows of {nx} bits need "
+                         f"{ny * row_bytes} bytes, the file holds {len(data)}")
     packed = np.frombuffer(data[: ny * row_bytes], dtype=np.uint8).reshape(ny, row_bytes)
     bits = np.unpackbits(packed, axis=1)[:, :nx].astype(bool)
     meta = json.loads(path.with_suffix(".json").read_text())

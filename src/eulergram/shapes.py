@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CornerClash, InvalidSpec, RadiusTooSmall, _kind
-from .lattice import BitGrid, IndicatorSet
+from .lattice import BitGrid, IndicatorSet, _run_list
 from .topology import _cell_features, _windows
 
 __all__ = [
@@ -108,9 +108,7 @@ class PolyRectangle:
         rows = []
         for vertical, edge, fixed, run in ((1.0, (se[1:] ^ sw[1:]).T, xs, ys),
                                            (0.0, nw[:, 1:] ^ sw[:, 1:], ys, xs)):
-            step = np.diff(np.pad(edge, ((0, 0), (1, 1))).astype(np.int8), axis=1)
-            line, lo = np.nonzero(step == 1)
-            _, hi = np.nonzero(step == -1)
+            line, lo, hi = _run_list(edge)
             rows.append(np.stack([np.full(len(line), vertical), fixed[line], run[lo], run[hi]], 1))
         return np.concatenate(rows)
 

@@ -6,18 +6,18 @@ Three routes to chi of a bounded lattice set M:
 * the V - E + F identity on the pixel complex,
 * connected-component counting (set components minus bounded holes).
 
-On admissible grids (no X-configurations) all three agree; the window
-counters also expose the X-configuration counts so callers can detect a
-digitization that is too coarse for its target set.
+All three use one lattice convention: 4-connected set, 8-connected
+complement.  V - E + F and component counting agree on every grid; the
+corner count agrees with them on admissible grids (no X-configurations),
+and the window counters expose the X-configuration counts so callers can
+detect a digitization that is too coarse for its target set.
 
 The component route counts set components by a union-find over the set's
 row runs and takes its holes from the window kernel, not from a labelling
-of the complement: with X the number of X-configurations, chi_vef - X is
-the chi of the union of closed pixels, 8-connected components minus
-4-connected holes (Gray's bit-quad relation).  So it shares the kernel
-with the V - E + F route, and its independence from both window routes
-lives in the tests, whose breadth-first oracles count components and holes
-cell by cell.
+of the complement: 4-connected components minus 8-connected holes is
+chi_vef, so the holes are the component count minus chi_vef.  Its
+independence from the window routes lives in the tests, whose
+breadth-first oracles count components and holes cell by cell.
 
 Window convention: a window anchored at grid point z reads the four cells
 a = z, b = z + e*u1 (east), c = z + e*u2 (north), d = z + e*(u1+u2).
@@ -43,7 +43,6 @@ __all__ = [
     "config_counts",
     "chi_local",
     "chi_vef",
-    "chi_components",
     "label_components",
 ]
 
@@ -64,7 +63,7 @@ class ConfigCounts:
 
 @dataclass(frozen=True)
 class ComponentLabeling:
-    """Counts of the 4-connected components on both sides of a grid.
+    """Counts of the set's 4-connected components and of its complement's 8-connected ones.
 
     ``num_set_components`` counts the set's components;
     ``num_complement_bounded_components`` counts the complement's bounded
@@ -228,36 +227,14 @@ def _component_counts(bits: np.ndarray) -> tuple[int, int]:
     return n4, _merge(parent, u[corner], v[corner])
 
 
-def chi_components(grid: BitGrid) -> int:
-    """Euler characteristic by component counting: 4-connected set components
-    minus 4-connected bounded holes.
-
-    Equal to chi_vef - X - (n8 - n4), with X the X-configurations and n8,
-    n4 the 8- and 4-connected set components.  On an admissible grid X is 0
-    and n8 = n4, so the answer is chi_vef and no component is counted.
-    Total on any grid; set bits may touch the border.
-    """
-    chi, x = chi_vef(grid), _x_count(grid.bits)
-    if x:
-        n4, n8 = _component_counts(grid.bits)
-        chi -= x + n8 - n4
-    return chi
-
-
 def label_components(grid: BitGrid) -> ComponentLabeling:
-    """Count 4-connected components of the set and bounded ones of its complement.
+    """Count 4-connected components of the set and 8-connected bounded ones of its complement.
 
     The complement's unbounded component is the one reachable from the
     grid border, so cells off the grid count as complement and no margin
     is needed: set bits may touch the border.  The holes are read off the
-    kernel: chi_vef - X is 8-connected set components minus 4-connected
-    holes.
+    kernel: set components minus holes is chi_vef.
     """
-    return _labeling(grid.bits, chi_vef(grid), _x_count(grid.bits))
-
-
-def _labeling(bits: np.ndarray, chi: int, x: int) -> ComponentLabeling:
-    """The component counts of ``bits``, given its chi_vef and its X-configurations."""
-    n4, n8 = _component_counts(bits)
+    n4, _ = _component_counts(grid.bits)
     return ComponentLabeling(num_set_components=n4,
-                             num_complement_bounded_components=n8 - chi + x)
+                             num_complement_bounded_components=n4 - chi_vef(grid))

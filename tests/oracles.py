@@ -45,11 +45,11 @@ def bfs_component_count(bits, connectivity: int = 4) -> int:
     return count
 
 
-def bounded_hole_count(bits) -> int:
-    """4-connected complement components not reachable from the border."""
+def bounded_hole_count(bits, connectivity: int = 4) -> int:
+    """Complement components not reachable from the border, ``connectivity``-connected."""
     bits = np.asarray(bits, dtype=bool)
     framed = np.pad(~bits, 1, constant_values=True)
-    total = bfs_component_count(framed, 4)
+    total = bfs_component_count(framed, connectivity)
     return total - 1  # the frame-connected sea is the unbounded one
 
 
@@ -103,7 +103,8 @@ def scan_chi_vef(bits) -> int:
 
 
 def chi_by_components(bits) -> int:
-    return bfs_component_count(bits, 4) - bounded_hole_count(bits)
+    """The lattice convention: 4-connected set components minus 8-connected holes."""
+    return bfs_component_count(bits, 4) - bounded_hole_count(bits, 8)
 
 
 def scan_cell_measures(xs, ys, occ) -> dict:

@@ -60,9 +60,50 @@ def test_sweep_detects_annulus_plateau(tmp_path):
     assert res["chi_values"][-3:] == [0, 0, 0]
     assert res["stabilized"] is True
     assert res["plateau"] == 0
+    assert res["x_configurations"][-3:] == [0, 0, 0]
     lines = (out_dir / "sweep.csv").read_text().strip().splitlines()
-    assert lines[0] == "epsilon,chi"
+    assert lines[0] == "epsilon,chi,x_configurations"
     assert len(lines) == 6
+
+
+# two discs 1.018 apart, chi 2: at meshes 0.04 to 0.02 their digitizations
+# hold X-configurations, where the 4-connected count of holes would make
+# chi negative
+TWO_DISCS = {"type": "union", "members": [
+    {"type": "disc", "center": [0, 0], "r": 0.5},
+    {"type": "disc", "center": [0.72, 0.72], "r": 0.5}]}
+
+
+def test_chi_subcommand_on_two_discs_with_x_configurations(tmp_path):
+    code, _, report = run_cli(tmp_path, "chi", "chi", {"shape": TWO_DISCS, "epsilon": 0.03})
+    assert code == 0
+    res = report["results"]
+    assert res["admissible"] is False
+    assert res["chi_local"] is None
+    assert (res["num_components"], res["num_bounded_holes"]) == (2, 0)
+    assert res["chi_components"] == res["chi_vef"] == 2
+
+
+def test_sweep_needs_admissible_meshes_for_a_plateau(tmp_path):
+    cfg = {"shape": TWO_DISCS, "epsilons": [0.04, 0.03, 0.02]}
+    code, out_dir, report = run_cli(tmp_path, "coarse", "sweep", cfg)
+    assert code == 0
+    res = report["results"]
+    assert res["chi_values"] == [2, 2, 2]
+    assert res["x_configurations"] == [4, 6, 4]
+    assert res["stabilized"] is False
+    assert res["plateau"] is None
+    assert (out_dir / "sweep.csv").read_text() == (
+        "epsilon,chi,x_configurations\n0.04,2,4\n0.03,2,6\n0.02,2,4\n")
+
+    cfg["epsilons"] += [0.01, 0.005, 0.004]
+    code, _, report = run_cli(tmp_path, "fine", "sweep", cfg)
+    assert code == 0
+    res = report["results"]
+    assert res["chi_values"] == [2] * 6
+    assert res["x_configurations"][-3:] == [0, 0, 0]
+    assert res["stabilized"] is True
+    assert res["plateau"] == 2
 
 
 def test_perimeter_subcommand_on_disc(tmp_path):

@@ -237,7 +237,7 @@ def counts_match_oracles(rep, truth, k):
     sub = truth[::k, ::k]
     assert rep.num_components_truth == bfs_component_count(truth, 8)
     assert rep.num_components_digitized == bfs_component_count(sub, 8)
-    assert rep.chi_abs == abs(bfs_component_count(sub, 4) - bounded_hole_count(sub))
+    assert rep.chi_abs == abs(bfs_component_count(sub, 4) - bounded_hole_count(sub, 8))
     return bool(sub[[0, -1]].any() or sub[:, [0, -1]].any())
 
 

@@ -170,6 +170,16 @@ def test_pgm_roundtrip(tmp_path):
     assert back == grid
 
 
+def test_read_pgm_refuses_a_truncated_raster(tmp_path):
+    lat = Lattice(epsilon=1.0, origin=(0.0, 0.0), nx=9, ny=4)
+    path = tmp_path / "grid.pgm"
+    write_pgm(BitGrid(lattice=lat, bits=np.ones((4, 9), dtype=bool)), path)
+    path.write_bytes(path.read_bytes()[:-3])
+    # 4 rows of 2 bytes each, 3 of them cut off
+    with pytest.raises(ValueError, match="need 8 bytes, the file holds 5"):
+        read_pgm(path)
+
+
 @st.composite
 def run_rows(draw):
     nx = draw(st.integers(1, 12))

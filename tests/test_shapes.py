@@ -23,7 +23,8 @@ from eulergram import (
 
 from eulergram.cli import _clip_to_window
 
-from oracles import brute_dilate, brute_erode, rect_union_area, rect_union_perimeters
+from oracles import (brute_dilate, brute_erode, maximal_window_edges, rect_union_area,
+                     rect_union_perimeters)
 
 
 def digitized_chi(w: PolyRectangle, epsilon=0.0625) -> int:
@@ -108,6 +109,22 @@ def test_random_polyrect_features_match_oracles():
         p1, p2 = rect_union_perimeters(w.rects)
         assert f["per1"] == pytest.approx(p1, abs=1e-12)
         assert f["per2"] == pytest.approx(p2, abs=1e-12)
+
+
+def test_maximal_edges_match_oracle():
+    # the windows of the pair-detector tests and of the thin-ring bounds run,
+    # then random unions with touching and overlapping sides
+    windows = [((3.3, 40.1, 2.9, 41.7),),
+               ((3.3, 25.2, 2.9, 44.1), (25.2, 44.6, 2.4, 20.3)),
+               ((0.0, 10.0, 0.0, 32.0), (20.0, 32.0, 4.0, 28.0)),
+               ((-0.6, 0.2, -0.6, 0.6),)]
+    rng = np.random.default_rng(7)
+    polys = [PolyRectangle(rects=r) for r in windows]
+    polys += [random_polyrect(rng) for _ in range(300)]
+    for w in polys:
+        got = sorted(map(tuple, w._maximal_edges.tolist()))
+        ref = sorted((float(v), c, lo, hi) for v, c, lo, hi in maximal_window_edges(w.rects))
+        assert got == ref
 
 
 # ------------------------------------------------------------------- shapes

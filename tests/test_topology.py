@@ -9,7 +9,6 @@ from eulergram import (
     Lattice,
     MarginViolation,
     NotAdmissible,
-    chi_components,
     chi_local,
     chi_vef,
     config_counts,
@@ -121,7 +120,7 @@ def test_counts_match_oracle_on_random_grids():
         assert chi_vef(g) == scan_chi_vef(bits)
         lab = label_components(g)
         assert lab.num_set_components == bfs_component_count(bits, 4)
-        assert lab.num_complement_bounded_components == bounded_hole_count(bits)
+        assert lab.num_complement_bounded_components == bounded_hole_count(bits, 8)
     # no margin: set bits on the border, where config_counts would refuse
     touching = 0
     for _ in range(60):
@@ -130,7 +129,7 @@ def test_counts_match_oracle_on_random_grids():
         touching += bool(bits[[0, -1]].any() or bits[:, [0, -1]].any())
         lab = label_components(BitGrid(lattice=Lattice(1.0, (0, 0), nx, ny), bits=bits))
         assert lab.num_set_components == bfs_component_count(bits, 4)
-        assert lab.num_complement_bounded_components == bounded_hole_count(bits)
+        assert lab.num_complement_bounded_components == bounded_hole_count(bits, 8)
     assert touching > 50
 
 
@@ -140,7 +139,9 @@ def test_three_routes_agree_on_admissible_random_grids():
         bits = admissible_random_bits(rng, 16, 16, margin=3, density=0.55)
         g = BitGrid(lattice=Lattice(1.0, (0, 0), 16, 16), bits=bits)
         assert config_counts(g).admissible
-        assert chi_local(g) == chi_vef(g) == chi_components(g) == chi_by_components(bits)
+        lab = label_components(g)
+        chi_comp = lab.num_set_components - lab.num_complement_bounded_components
+        assert chi_local(g) == chi_vef(g) == chi_comp == chi_by_components(bits)
 
 
 def _as_grid(bits):
@@ -153,15 +154,16 @@ def _assert_component_oracles(bits):
     # the breadth-first oracles share no code with the run counter or the kernel
     g = _as_grid(bits)
     n4, n8 = bfs_component_count(g.bits, 4), bfs_component_count(g.bits, 8)
-    holes = bounded_hole_count(g.bits)
+    holes = bounded_hole_count(g.bits, 8)
     assert _component_counts(g.bits) == (n4, n8)
     lab = label_components(g)
     assert (lab.num_set_components, lab.num_complement_bounded_components) == (n4, holes)
-    assert chi_components(g) == n4 - holes
+    assert n4 - holes == chi_vef(g)
 
 
 # four pixels N, S, E and W of an empty centre: four 4-connected components
-# around one 4-connected hole, so the 4/4 count is 3 while chi_vef is 4
+# and no 8-connected hole, so components minus holes is chi_vef, 4, while
+# the 8-connected component count is 1
 NSEW = ["..#..",
         ".#.#.",
         "..#.."]
@@ -170,7 +172,9 @@ NSEW = ["..#..",
 def test_nsew_components_differ_from_chi_vef():
     g = grid_of(NSEW)
     assert _component_counts(g.bits) == (4, 1)
-    assert chi_components(g) == 3
+    lab = label_components(g)
+    assert lab.num_complement_bounded_components == 0
+    assert lab.num_set_components - lab.num_complement_bounded_components == 4
     assert chi_vef(g) == 4
 
 
@@ -189,6 +193,17 @@ def test_nsew_components_differ_from_chi_vef():
 @example(np.array([[ch == "#" for ch in row] for row in NSEW]))
 def test_component_counts_match_oracles(bits):
     _assert_component_oracles(bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24)),
+                  elements=st.booleans()))
+@example(np.array([[ch == "#" for ch in row] for row in NSEW]))
+def test_components_minus_holes_is_chi_vef(bits):
+    # the identity label_components rests on, between the oracles alone:
+    # 4-connected components minus 8-connected holes is V - E + F, border
+    # bits included
+    assert bfs_component_count(bits, 4) - bounded_hole_count(bits, 8) == scan_chi_vef(bits)
 
 
 def _spiral(n):
