@@ -34,7 +34,7 @@ from .randomsets import (
     stationary_density_closed_form,
 )
 from .shapes import PolyRectangle, _intersect_runs, make_shape
-from .topology import _x_count, chi_vef, config_counts, label_components
+from .topology import _window_counts, config_counts, label_components
 from .variogram import _circle, _circle_mean, chi_bicovariogram, directional_perimeters
 
 __all__ = ["main"]
@@ -183,8 +183,8 @@ def _run_sweep(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     margin = _read(resolved, "margin", _nonnegative)
     rows = []
     for eps in epsilons:
-        grid = _digitize_at(ind, eps, margin=margin)
-        rows.append((eps, chi_vef(grid), _x_count(grid.bits)))
+        counts = _window_counts(_digitize_at(ind, eps, margin=margin).bits)
+        rows.append((eps, counts.chi, counts.phi_x_set + counts.phi_x_complement))
     chis = [row[1] for row in rows]
     xs = [row[2] for row in rows]
     # a plateau needs admissible meshes: at an X-configuration two cells meet

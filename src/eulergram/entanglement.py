@@ -283,10 +283,6 @@ def _coarse_grid(truth: BitGrid, k: int, mask: np.ndarray) -> BitGrid:
     return BitGrid(lattice=coarse, bits=sub)
 
 
-def _count8(bits: np.ndarray) -> int:
-    return _component_counts(bits)[1]
-
-
 def verify_bounds(truth: BitGrid, coarse_epsilons,
                   window: PolyRectangle | None = None) -> list[BoundReport]:
     """Check the digitized-component and Euler-characteristic bounds at each coarse mesh.
@@ -319,8 +315,8 @@ def verify_bounds(truth: BitGrid, coarse_epsilons,
         frame = PolyRectangle(rects=((x0, x1, y0, y1),))
     w_mask = frame.contains(lat.xs()[None, :], lat.ys()[:, None])
     corners = len(corner_points(frame))
-    n_truth = _count8(truth.bits & w_mask)
-    n_truth_c = _count8(~truth.bits & w_mask)
+    n_truth = _component_counts(truth.bits & w_mask, 8)
+    n_truth_c = _component_counts(~truth.bits & w_mask, 8)
     side, comp_side = _Truth(lat, truth.bits), _Truth(lat, ~truth.bits)
 
     reports = []
@@ -331,7 +327,7 @@ def verify_bounds(truth: BitGrid, coarse_epsilons,
         nb_fc = len(detect_boundary_pairs(comp_side, coarse_epsilon, frame))
 
         coarse = _coarse_grid(truth, k, w_mask)
-        n_digitized = _count8(coarse.bits)
+        n_digitized = _component_counts(coarse.bits, 8)
 
         if window is not None:
             bound_rhs = 2 * n_int_f + 2 * nb_f + n_truth + 2 * corners

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CornerClash, InvalidSpec, RadiusTooSmall, _kind
 from .lattice import BitGrid, IndicatorSet, _run_list
-from .topology import _cell_features, _windows
+from .topology import _cell_features, _window_counts
 
 __all__ = [
     "PolyRectangle",
@@ -36,6 +36,12 @@ __all__ = [
     "make_shape",
     "morph",
 ]
+
+
+def _windows(occ: np.ndarray):
+    # the quadrants sw, se, nw, ne of every arrangement vertex, border ones included
+    p = np.pad(occ, 1, constant_values=False)
+    return p[:-1, :-1], p[:-1, 1:], p[1:, :-1], p[1:, 1:]
 
 
 @dataclass(frozen=True)
@@ -118,14 +124,16 @@ def polyrect_features(w: PolyRectangle) -> dict:
 
     Outward corners are arrangement vertices whose only occupied quadrant
     is the south-west one, inward corners those whose only empty quadrant
-    is the north-east one; chi is their difference.
+    is the north-east one; chi is their difference.  Both are read off
+    the window tallies that give chi, as phi_out and phi_in: no two
+    rectangles share a corner, so the arrangement has no X-vertices.
     """
     xs, ys, occ = w._arrangement
-    sw, se, nw, ne = _windows(occ)
+    counts = _window_counts(occ)
     return {
         **_cell_features(xs, ys, occ),
-        "out_corners": int((sw & ~se & ~nw & ~ne).sum()),
-        "in_corners": int((sw & se & nw & ~ne).sum()),
+        "out_corners": counts.phi_out,
+        "in_corners": counts.phi_in,
     }
 
 

@@ -8,9 +8,13 @@ Three routes to chi of a bounded lattice set M:
 
 All three use one lattice convention: 4-connected set, 8-connected
 complement.  V - E + F and component counting agree on every grid; the
-corner count agrees with them on admissible grids (no X-configurations),
-and the window counters expose the X-configuration counts so callers can
-detect a digitization that is too coarse for its target set.
+corner count agrees with them on admissible grids (no X-configurations).
+One kernel, ``_window_counts``, tallies the 2x2 windows, and every window
+route reads a fixed linear form of its four tallies, as Gray's bit-quad
+counts do: the corner count phi_out - phi_in, V - E + F of the pixel
+complex phi_out - phi_in + phi_x_complement, the X count phi_x_set +
+phi_x_complement (a digitization too coarse for its target set), and
+V - E + F of a union of closed cells phi_out - phi_in - phi_x_set.
 
 The component route counts set components by a union-find over the set's
 row runs and takes its holes from the window kernel, not from a labelling
@@ -23,9 +27,9 @@ Window convention: a window anchored at grid point z reads the four cells
 a = z, b = z + e*u1 (east), c = z + e*u2 (north), d = z + e*(u1+u2).
 Outward corners are (a=1, b=0, c=0), inward corners are (b=1, c=1, d=0),
 X-configurations are (1,0,0,1) on the set and (0,1,1,0) on the complement.
-Cells outside the grid read as background, which is only sound when no set
-bit touches the grid border; every operation that relies on it enforces
-that margin rule.
+Cells outside the grid read as background.  ``config_counts`` and
+``chi_local`` refuse set bits on the grid border; chi_vef and the
+closed-cell features take the bits as the whole set.
 """
 
 from __future__ import annotations
@@ -60,6 +64,11 @@ class ConfigCounts:
     def admissible(self) -> bool:
         return self.phi_x_set == 0 and self.phi_x_complement == 0
 
+    @property
+    def chi(self) -> int:
+        """V - E + F of the pixel complex: 4-connected set, 8-connected complement."""
+        return self.phi_out - self.phi_in + self.phi_x_complement
+
 
 @dataclass(frozen=True)
 class ComponentLabeling:
@@ -75,47 +84,52 @@ class ComponentLabeling:
     num_complement_bounded_components: int
 
 
-def _require_margin(bits: np.ndarray) -> None:
-    if bits[0, :].any() or bits[-1, :].any() or bits[:, 0].any() or bits[:, -1].any():
-        raise MarginViolation(
-            "set bits touch the grid border; embed the set with an empty one-cell margin"
-        )
+def _window_counts(bits: np.ndarray) -> ConfigCounts:
+    """Outward, inward and X configurations over all 2x2 windows, cells off the array empty.
 
-
-def _windows(bits: np.ndarray):
-    # Pad one background cell on every side so windows anchored at border
-    # points (and one row/column outside) see off-grid cells as empty.  On a
-    # cell arrangement a, b, c, d are the sw, se, nw, ne quadrants of a vertex.
-    # Tallies use count_nonzero: a boolean .sum() casts through int64 first.
-    p = np.pad(bits, 1, constant_values=False)
-    a = p[:-1, :-1]
-    b = p[:-1, 1:]
-    c = p[1:, :-1]
-    d = p[1:, 1:]
-    return a, b, c, d
+    Nothing is padded: of the windows that reach off the array only outward
+    corners count, the set cells that end a run of the top row or of the
+    right column.  Tallies use count_nonzero: a boolean .sum() casts
+    through int64 first.
+    """
+    a, b, c, d = bits[:-1, :-1], bits[:-1, 1:], bits[1:, :-1], bits[1:, 1:]
+    ends = bits[:, :-1] > bits[:, 1:]  # set cells whose east cell is empty
+    phi_out = (np.count_nonzero(ends[-1]) + np.count_nonzero(bits[:-1, -1] > bits[1:, -1])
+               + bits[-1, -1])
+    # one buffer of window flags, rewritten in place while it is in cache
+    win = ends[:-1]
+    np.greater(win, c, out=win)  # outward corners
+    phi_out += np.count_nonzero(win)
+    win &= d  # X-configurations of the set
+    phi_x_set = np.count_nonzero(win)
+    np.logical_and(b, c, out=win)
+    np.greater(win, d, out=win)  # inward corners
+    phi_in = np.count_nonzero(win)
+    np.greater(win, a, out=win)  # X-configurations of the complement
+    return ConfigCounts(phi_out=int(phi_out), phi_in=int(phi_in), phi_x_set=int(phi_x_set),
+                        phi_x_complement=int(np.count_nonzero(win)))
 
 
 def _cell_features(xs: np.ndarray, ys: np.ndarray, occ: np.ndarray) -> dict:
     """chi, per1, per2 and vol of the union of closed cells [xs[i], xs[i+1]] x
     [ys[j], ys[j+1]] with occ[j, i] set.
 
-    chi is V - E + F of the closed cell complex, so cells meeting only at a
-    corner are connected.  per1 sums boundary edges with horizontal normal,
-    per2 those with vertical normal.  The floats come from integer edge
-    counts per row or column and one matrix-vector product, so no float
-    array of the arrangement's size is built.
+    chi is V - E + F of the closed cell complex, read off the window
+    tallies: cells meeting only at a corner are connected.  per1 sums
+    boundary edges with horizontal normal, per2 those with vertical normal:
+    the changes along each row or column plus its occupied end cells.  The
+    floats come from these integer counts and one matrix-vector product,
+    so no float array of the arrangement's size is built.
     """
-    a, b, c, d = _windows(occ)
-    vb = b[1:] ^ a[1:]
-    hb = c[:, 1:] ^ a[:, 1:]
-    v = np.count_nonzero(a | b | c | d)
-    e = np.count_nonzero(b[1:] | a[1:]) + np.count_nonzero(c[:, 1:] | a[:, 1:])
+    k = _window_counts(occ)
+    rows = np.count_nonzero(occ[:, :-1] ^ occ[:, 1:], axis=1) + occ[:, 0] + occ[:, -1]
+    cols = np.count_nonzero(occ[:-1] ^ occ[1:], axis=0) + occ[0] + occ[-1]
     dx = np.diff(xs)
     dy = np.diff(ys)
     return {
-        "chi": int(v - e + np.count_nonzero(occ)),
-        "per1": float(dy @ np.count_nonzero(vb, axis=1)),
-        "per2": float(np.count_nonzero(hb, axis=0) @ dx),
+        "chi": k.phi_out - k.phi_in - k.phi_x_set,
+        "per1": float(dy @ rows),
+        "per2": float(cols @ dx),
         # einsum casts occ block by block; occ @ dx would copy all of it to float
         "vol": float(dy @ np.einsum("ij,j->i", occ, dx)),
     }
@@ -124,16 +138,11 @@ def _cell_features(xs: np.ndarray, ys: np.ndarray, occ: np.ndarray) -> dict:
 def config_counts(grid: BitGrid) -> ConfigCounts:
     """Count outward, inward and X configurations over all 2x2 windows."""
     bits = grid.bits
-    _require_margin(bits)
-    a, b, c, d = _windows(bits)
-    out = a & ~b & ~c
-    inn = b & c & ~d
-    return ConfigCounts(
-        phi_out=int(np.count_nonzero(out)),
-        phi_in=int(np.count_nonzero(inn)),
-        phi_x_set=int(np.count_nonzero(out & d)),
-        phi_x_complement=int(np.count_nonzero(inn & ~a)),
-    )
+    if bits[0, :].any() or bits[-1, :].any() or bits[:, 0].any() or bits[:, -1].any():
+        raise MarginViolation(
+            "set bits touch the grid border; embed the set with an empty one-cell margin"
+        )
+    return _window_counts(bits)
 
 
 def chi_local(grid: BitGrid) -> int:
@@ -149,33 +158,15 @@ def chi_local(grid: BitGrid) -> int:
     return counts.phi_out - counts.phi_in
 
 
-def _x_count(bits: np.ndarray) -> int:
-    """X-configurations of the set and of the complement: windows (1,0,0,1) and (0,1,1,0).
-
-    Both hold two set cells on a diagonal, so they lie inside the grid and
-    the windows need no padding.
-    """
-    # a != b, c != d and a != c
-    east = bits[:, :-1] ^ bits[:, 1:]
-    x = bits[:-1, :-1] ^ bits[1:, :-1]
-    x &= east[:-1]
-    x &= east[1:]
-    return int(np.count_nonzero(x))
-
-
 def chi_vef(grid: BitGrid) -> int:
     """Euler characteristic of the pixel complex: vertices - edges + faces.
 
     V counts set bits, E counts 4-adjacent set-bit pairs, F counts fully
-    set 2x2 blocks.  Total on any grid, no margin or admissibility needed;
-    on admissible grids it agrees with chi_local.
+    set 2x2 blocks; the sum is read off the window tallies.  Total on any
+    grid, no margin or admissibility needed; on admissible grids it agrees
+    with chi_local.
     """
-    # edges and faces lie inside the grid, so no padding is needed
-    bits = grid.bits
-    across = bits[:, :-1] & bits[:, 1:]
-    e = np.count_nonzero(across) + np.count_nonzero(bits[:-1] & bits[1:])
-    f = np.count_nonzero(across[:-1] & across[1:])
-    return int(np.count_nonzero(bits) - e + f)
+    return _window_counts(grid.bits).chi
 
 
 def _merge(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> int:
@@ -200,31 +191,29 @@ def _merge(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> int:
             parent[:] = up
 
 
-def _component_counts(bits: np.ndarray) -> tuple[int, int]:
-    """4- and 8-connected component counts of the set bits, from one union-find.
+def _component_counts(bits: np.ndarray, connectivity: int) -> int:
+    """Count the 4- or 8-connected components of the set bits by a union-find.
 
     The nodes are the set's row runs.  Each run is linked to the runs of
-    the next row that meet it at least at a corner; the links sharing an
-    edge are merged first (the 4-connected count), the corner-only ones
-    after, into the same forest (the 8-connected count).
+    the next row that share an edge with it, and under 8-connectivity also
+    to those that meet it only at a corner.
     """
     rows, lo, hi = _run_list(bits)
     n = rows.size
     if n == 0:
-        return 0, 0
+        return 0
     # one key space for run ends of all rows, wide enough that a column
-    # one past either end of a row never reaches a neighbouring row's keys
+    # one past either end of a row never reaches a neighbouring row's keys;
+    # a half-open run widened by one column reaches its corner neighbours
     w = bits.shape[1] + 2
+    reach = int(connectivity == 8)
     below = (rows + 1) * w
-    first = np.searchsorted(rows * w + hi, below + lo - 1, side="right")
-    stop = np.searchsorted(rows * w + lo, below + hi + 1, side="left")
+    first = np.searchsorted(rows * w + hi, below + lo - reach, side="right")
+    stop = np.searchsorted(rows * w + lo, below + hi + reach, side="left")
     links = np.maximum(stop - first, 0)
     u = np.repeat(np.arange(n), links)
     v = np.arange(u.size) + np.repeat(first - (np.cumsum(links) - links), links)
-    corner = (lo[v] == hi[u]) | (hi[v] == lo[u])
-    parent = np.arange(n)
-    n4 = _merge(parent, u[~corner], v[~corner])
-    return n4, _merge(parent, u[corner], v[corner])
+    return _merge(np.arange(n), u, v)
 
 
 def label_components(grid: BitGrid) -> ComponentLabeling:
@@ -235,6 +224,6 @@ def label_components(grid: BitGrid) -> ComponentLabeling:
     is needed: set bits may touch the border.  The holes are read off the
     kernel: set components minus holes is chi_vef.
     """
-    n4, _ = _component_counts(grid.bits)
+    n4 = _component_counts(grid.bits, 4)
     return ComponentLabeling(num_set_components=n4,
                              num_complement_bounded_components=n4 - chi_vef(grid))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidSpec, NonLatticeShift, NotAdmissible
 from .lattice import BitGrid, IndicatorSet, _whole_multiple
-from .topology import config_counts
+from .topology import _window_counts
 
 __all__ = [
     "ShiftSpec",
@@ -253,8 +253,8 @@ def chi_bicovariogram(indicator: IndicatorSet, epsilon: float, quad_mesh: float)
 
 
 def chi_bicovariogram_discrete(grid: BitGrid) -> int:
-    """chi of an admissible grid computed purely through lattice variograms."""
-    counts = config_counts(grid)
+    """chi of an admissible grid, set bits on its border included, through lattice variograms."""
+    counts = _window_counts(grid.bits)
     if not counts.admissible:
         raise NotAdmissible(counts.phi_x_set, counts.phi_x_complement)
     out_spec, in_spec = _corner_specs(grid.lattice.epsilon)

@@ -14,7 +14,7 @@ from eulergram import (
     config_counts,
     label_components,
 )
-from eulergram.topology import _cell_features, _component_counts
+from eulergram.topology import _cell_features, _component_counts, _window_counts
 
 from gridgen import admissible_random_bits
 from oracles import (
@@ -155,7 +155,8 @@ def _assert_component_oracles(bits):
     g = _as_grid(bits)
     n4, n8 = bfs_component_count(g.bits, 4), bfs_component_count(g.bits, 8)
     holes = bounded_hole_count(g.bits, 8)
-    assert _component_counts(g.bits) == (n4, n8)
+    assert _component_counts(g.bits, 4) == n4
+    assert _component_counts(g.bits, 8) == n8
     lab = label_components(g)
     assert (lab.num_set_components, lab.num_complement_bounded_components) == (n4, holes)
     assert n4 - holes == chi_vef(g)
@@ -171,7 +172,8 @@ NSEW = ["..#..",
 
 def test_nsew_components_differ_from_chi_vef():
     g = grid_of(NSEW)
-    assert _component_counts(g.bits) == (4, 1)
+    assert _component_counts(g.bits, 4) == 4
+    assert _component_counts(g.bits, 8) == 1
     lab = label_components(g)
     assert lab.num_complement_bounded_components == 0
     assert lab.num_set_components - lab.num_complement_bounded_components == 4
@@ -245,6 +247,41 @@ def test_component_counts_on_branched_random_grids():
     rng = np.random.default_rng(11)
     for _ in range(10):
         _assert_component_oracles(rng.random((60, 60)) < 0.55)
+
+
+def _top_row(ny, nx):
+    bits = np.zeros((ny, nx), dtype=bool)
+    bits[-1] = True
+    return bits
+
+
+def _corner_bits(ny, nx):
+    bits = np.zeros((ny, nx), dtype=bool)
+    bits[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+    return bits
+
+
+@settings(max_examples=500, deadline=None)
+@given(hnp.arrays(np.bool_, st.tuples(st.integers(1, 16), st.integers(1, 16)),
+                  elements=st.booleans()))
+@example(np.ones((1, 1), dtype=bool))
+@example(np.array([[1, 1, 0, 1, 0, 0, 1]], dtype=bool))
+@example(np.array([[1], [1], [0], [1], [0], [0], [1]], dtype=bool))
+@example(_corner_bits(4, 5))
+@example(_corner_bits(1, 3))
+@example(_corner_bits(3, 1))
+@example(_top_row(3, 4))
+@example(_top_row(1, 4))
+@example(np.array([[0, 1], [1, 0]], dtype=bool))
+@example(np.array([[1, 0], [0, 1]], dtype=bool))
+def test_window_kernel_matches_scan(bits):
+    # the unpadded kernel against the padded per-anchor loop, border bits
+    # included: windows reaching off the array count only as outward corners
+    ref = scan_config_counts(bits)
+    got = _window_counts(bits)
+    assert (got.phi_out, got.phi_in, got.phi_x_set, got.phi_x_complement) == (
+        ref["phi_out"], ref["phi_in"], ref["phi_x_set"], ref["phi_x_complement"])
+    assert got.chi == scan_chi_vef(bits)
 
 
 def test_x_count_complement_duality():

@@ -19,6 +19,7 @@ from eulergram import (
     chi_bicovariogram,
     chi_bicovariogram_discrete,
     chi_local,
+    chi_vef,
     config_counts,
     continuous_polyvariogram,
     directional_perimeters,
@@ -31,7 +32,7 @@ from eulergram import (
 from eulergram.cli import _clip_to_window, _polyrect
 from eulergram.variogram import _circle, _circle_mean, _sweep
 
-from gridgen import admissible_random_bits
+from gridgen import admissible_random_bits, repair_admissible
 from oracles import midpoint_shift_counts, polyvariogram_by_loop
 
 
@@ -396,6 +397,23 @@ def test_discrete_route_rejects_x_configuration():
     bits[2, 2] = bits[3, 3] = True
     with pytest.raises(NotAdmissible):
         chi_bicovariogram_discrete(grid_from(bits))
+    # also when the set touches the border, on the set or on the complement
+    for bits, x in (([[1, 0], [0, 1]], (1, 0)), ([[0, 1, 1], [1, 0, 1]], (0, 1))):
+        with pytest.raises(NotAdmissible) as err:
+            chi_bicovariogram_discrete(grid_from(bits))
+        assert (err.value.phi_x_set, err.value.phi_x_complement) == x
+
+
+def test_discrete_route_takes_border_bits():
+    # the polyvariograms pad the grid, so a set on the border keeps its chi
+    bits = np.zeros((3, 4), dtype=bool)
+    bits[0, 0] = bits[0, 1] = bits[2, 3] = True
+    assert chi_bicovariogram_discrete(grid_from(bits)) == chi_vef(grid_from(bits)) == 2
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        ny, nx = rng.integers(1, 9, size=2)
+        bits = repair_admissible(rng.random((ny, nx)) < 0.5)
+        assert chi_bicovariogram_discrete(grid_from(bits)) == chi_vef(grid_from(bits))
 
 
 def test_discrete_route_matches_chi_local_exhaustively_4x4():
