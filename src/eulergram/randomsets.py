@@ -7,6 +7,12 @@ the boolean model.  Everything here is exact per realization: F restricted
 to a polyrectangular window is itself a polyrectangle living on the cell
 arrangement spanned by the germ rectangle edges, so chi, perimeters and
 areas come from integer/float cell bookkeeping rather than digitization.
+The level set is built as row runs, one list per horizontal strip of the
+arrangement, straight from the rectangle edges: each strip sums its own
++w/-w edge events, and no field or mask of the arrangement's size is
+made.  The run kernel of ``topology`` reads chi (runs minus links between
+adjacent strips), perimeters and area off the runs.  The density estimator
+alone stamps a field, once per replicate, on its coarse axes.
 A realization holds its germs as arrays: translated grain rectangles and marks.
 
 Each probability law is one class with ``sample``, ``mean`` and, for the
@@ -49,7 +55,7 @@ from .errors import (
     _only_keys,
 )
 from .shapes import PolyRectangle, polyrect_features
-from .topology import _cell_features
+from .topology import _run_features
 
 __all__ = [
     "AtomicMarks",
@@ -397,6 +403,18 @@ def _axes(rects: np.ndarray, box) -> tuple[np.ndarray, np.ndarray]:
             _arrangement_axis(np.append(rects[:, 2:], (y0, y1)), y0, y1))
 
 
+def _clipped(xs, ys, rects, weights):
+    """Axis indices (i0, i1, j0, j1) and weights w of ``rects`` (n, 4: x0, x1, y0, y1)
+    clipped to the axes, for the rectangles that keep an area."""
+    x0 = np.maximum(rects[:, 0], xs[0])
+    x1 = np.minimum(rects[:, 1], xs[-1])
+    y0 = np.maximum(rects[:, 2], ys[0])
+    y1 = np.minimum(rects[:, 3], ys[-1])
+    keep = (x1 > x0) & (y1 > y0)
+    return (np.searchsorted(xs, x0[keep]), np.searchsorted(xs, x1[keep]),
+            np.searchsorted(ys, y0[keep]), np.searchsorted(ys, y1[keep]), weights[keep])
+
+
 def _stamped_field(xs, ys, rects, weights):
     """Sum of ``weights`` (n,) over the cells each of ``rects`` (n, 4: x0, x1, y0, y1) covers.
 
@@ -404,14 +422,7 @@ def _stamped_field(xs, ys, rects, weights):
     corners of a difference array, in rectangle order, and two cumulative
     sums turn the corners into the cell field.
     """
-    x0 = np.maximum(rects[:, 0], xs[0])
-    x1 = np.minimum(rects[:, 1], xs[-1])
-    y0 = np.maximum(rects[:, 2], ys[0])
-    y1 = np.minimum(rects[:, 3], ys[-1])
-    keep = (x1 > x0) & (y1 > y0)
-    i0, i1 = np.searchsorted(xs, x0[keep]), np.searchsorted(xs, x1[keep])
-    j0, j1 = np.searchsorted(ys, y0[keep]), np.searchsorted(ys, y1[keep])
-    w = weights[keep]
+    i0, i1, j0, j1, w = _clipped(xs, ys, rects, weights)
     diff = np.zeros((len(ys), len(xs)))
     np.add.at(diff, (np.stack([j0, j0, j1, j1], 1).ravel(),
                      np.stack([i0, i1, i0, i1], 1).ravel()),
@@ -421,14 +432,79 @@ def _stamped_field(xs, ys, rects, weights):
     return diff[:-1, :-1]
 
 
-def _warn_on_ties(f: np.ndarray, level: float) -> None:
-    """Warn, at the caller's caller, if some cell's field is within 1e-12 max(1, |level|)
-    of the level: such cells are counted as two boolean masks, no float temporary.
+def _warn_on_ties(f: np.ndarray, level: float, stacklevel: int = 3) -> None:
+    """Warn, at the caller's caller by default, if some value of ``f`` is within
+    1e-12 max(1, |level|) of the level: such values are counted as two boolean
+    masks, no float temporary.
     """
     tol = 1e-12 * max(1.0, abs(level))
     if np.count_nonzero(f >= level - tol) > np.count_nonzero(f > level + tol):
         warnings.warn("field value ties the level on some cell; the closed-set "
-                      "convention decides membership", stacklevel=3)
+                      "convention decides membership", stacklevel=stacklevel)
+
+
+def _level_runs(xs, ys, rects, weights, level):
+    """Row runs (rows, lo, hi) of the cells where the stamped field is >= level.
+
+    The field of :func:`_stamped_field` is summed strip by strip, never
+    built.  Each rectangle adds +w at column i0 and -w at column i1 of every
+    strip it spans; the last axis index is not a cell, so events there are
+    dropped.  A strip's events, by column, fill one row of a buffer headed
+    by a zero at column 0, and one cumulative sum per row gives each
+    stretch of cells from one event column to the next its value, the sum
+    after the last event at its column.  Each strip restarts at 0, so no
+    rounding carries across strips, and cells no rectangle covers read 0.
+    Runs are maximal stretches of values >= level, half-open in columns,
+    in raster order.  Warns, at the caller's caller, when a value ties the
+    level, as :func:`_warn_on_ties` does.
+    """
+    i0, i1, j0, j1, w = _clipped(xs, ys, rects, weights)
+    nx, ny = len(xs) - 1, len(ys) - 1
+    col = np.concatenate([i0, i1])
+    edge = np.flatnonzero(col < nx)
+    edge = edge[np.argsort(col[edge], kind="stable")]
+    col, step = col[edge], np.concatenate([w, -w])[edge]
+    bottom = np.concatenate([j0, j0])[edge]
+    span = np.concatenate([j1 - j0, j1 - j0])[edge]
+    count = np.cumsum(np.bincount(bottom, minlength=ny + 1)
+                      - np.bincount(bottom + span, minlength=ny + 1))[:-1]
+    # the strip of each (edge, strip) event, edge by edge; a stable sort by
+    # strip keeps each strip's events in column order.  Event-sized arrays
+    # go as soon as they are read: with a small peak the heap is not grown
+    # and trimmed again on every call.
+    strip = np.repeat(bottom - np.cumsum(span) + span, span)
+    strip += np.arange(strip.size)
+    order = np.argsort(strip.astype(np.uint16) if ny <= 1 << 16 else strip, kind="stable")
+    del strip
+    src = np.repeat(np.arange(edge.size), span)[order]
+    del order
+    # event k of strip j fills slot (j, k + 1) of the buffers; slot (j, 0) heads the strip
+    width = int(count.max(initial=0)) + 2
+    slot = np.repeat(np.arange(1, ny * width, width) - (np.cumsum(count) - count), count)
+    slot += np.arange(slot.size)
+    value = np.zeros((ny, width))
+    value.ravel()[slot] = step[src]
+    bound = np.full((ny, width), nx)
+    bound[:, 0] = 0
+    bound.ravel()[slot] = col[src]
+    del slot, src
+    np.cumsum(value, axis=1, out=value)
+    # stretch k of a strip holds the cells from bound k to bound k + 1, at value k
+    cells = bound[:, 1:] > bound[:, :-1]
+    ends = np.cumsum(np.count_nonzero(cells, axis=1))
+    value, start = value[:, :-1][cells], bound[:, :-1][cells]
+    del cells, bound
+    _warn_on_ties(value, level, stacklevel=4)
+    inside = value >= level
+    del value
+    # each strip's stretches tile its cells from column 0; a run closes where
+    # its strip ends or the next stretch is outside, and opens after a close
+    nxt = np.append(start[1:], 0)
+    brk = (nxt == 0) | np.append(inside[1:] != inside[:-1], True)
+    opens = inside & np.roll(brk, 1)
+    nxt = nxt[inside & brk]
+    return (np.searchsorted(ends, np.flatnonzero(opens), side="right"), start[opens],
+            np.where(nxt == 0, nx, nxt))
 
 
 def level_set_features_exact(real: Realization, level: float,
@@ -438,15 +514,18 @@ def level_set_features_exact(real: Realization, level: float,
     The field is constant on each open cell of the arrangement spanned by
     the germ and window edges; the level set is the union of the closed
     occupied cells (boundary values only ever exceed the neighbouring cell
-    values, so closure adds nothing in generic position).
+    values, so closure adds nothing in generic position).  Its row runs,
+    cut by the window's runs on the cell midpoints, go to the run kernel.
     """
     xs, ys = _axes(np.concatenate([np.array(window.rects), real.rects]), window.bounding_box)
-    f = _stamped_field(xs, ys, real.rects, real.marks)
-    occ = f >= level
-    _warn_on_ties(f, level)
-    del f  # the field's pages go back before the kernel allocates
-    occ &= window.cells(xs, ys)
-    return _cell_features(xs, ys, occ)
+    rows, lo, hi = _level_runs(xs, ys, real.rects, real.marks, level)
+    win_lo, win_hi = window.row_runs(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]))
+    # maximal runs of two maximal families meet in maximal runs, still in raster order
+    lo = np.maximum(lo[:, None], win_lo[rows])
+    hi = np.minimum(hi[:, None], win_hi[rows])
+    keep = hi > lo
+    rows = np.broadcast_to(rows[:, None], keep.shape)[keep]
+    return _run_features(xs, ys, rows, lo[keep], hi[keep])
 
 
 # ------------------------------------------------------------- closed forms
@@ -662,6 +741,7 @@ def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
     gy0, gy1 = _grown(wy0, wy1, e)
 
     samples = []
+    cell_area = np.empty(0)
     for real in reals:
         rects = real.rects
         xs, ys = _axes(np.concatenate([rects, rects - e, rects + e]), (wx0, wx1, wy0, wy1))
@@ -677,7 +757,13 @@ def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
         inside, east_in, east_rev = (np.take(here, c, axis=1) for c in cols)
         north_in, north_rev = (np.take(rows, cols[0], axis=1) for rows in (north, south))
 
-        area = np.diff(ys)[:, None] * np.diff(xs)[None, :]
+        # one buffer of cell areas serves the replicates, grown to twice the
+        # need when one outgrows it: a fresh array per replicate is often
+        # mapped anew and faulted in page by page
+        if cell_area.size < inside.size:
+            cell_area = np.empty(2 * inside.size)
+        area = np.multiply(np.diff(ys)[:, None], np.diff(xs)[None, :],
+                           out=cell_area[:inside.size].reshape(inside.shape))
 
         def frac(mask: np.ndarray) -> float:
             return float(area[mask].sum()) / w_area

@@ -4,9 +4,10 @@ Polyrectangles (finite unions of axis-aligned rectangles, no two member
 rectangles sharing a corner) get exact geometry from a coordinate-sweep
 arrangement: collect every rectangle edge coordinate, mark the occupied
 cells by their midpoints, classify each arrangement vertex by its four
-quadrant cells.  The 2x2 window kernel of ``topology`` that drives the
-lattice Euler characteristic then yields chi, the directional perimeters
-and the corner census exactly.
+quadrant cells.  The run kernel of ``topology`` reads chi, the
+directional perimeters and the area off the cells' row runs, and the 2x2
+window kernel of the lattice Euler characteristic gives the corner
+census, both exactly.
 
 Smooth shapes (disc, annulus, unions, implicit sets) are exposed as
 predicates with a bounding box, built from plain dicts that hold each
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import CornerClash, InvalidSpec, RadiusTooSmall, _kind
 from .lattice import BitGrid, IndicatorSet, _run_list
-from .topology import _cell_features, _window_counts
+from .topology import _run_features, _window_counts
 
 __all__ = [
     "PolyRectangle",
@@ -124,14 +125,15 @@ def polyrect_features(w: PolyRectangle) -> dict:
 
     Outward corners are arrangement vertices whose only occupied quadrant
     is the south-west one, inward corners those whose only empty quadrant
-    is the north-east one; chi is their difference.  Both are read off
-    the window tallies that give chi, as phi_out and phi_in: no two
-    rectangles share a corner, so the arrangement has no X-vertices.
+    is the north-east one; chi, which the run kernel gives, is their
+    difference.  Both are read off the window tallies, as phi_out and
+    phi_in: no two rectangles share a corner, so the arrangement has no
+    X-vertices.
     """
     xs, ys, occ = w._arrangement
     counts = _window_counts(occ)
     return {
-        **_cell_features(xs, ys, occ),
+        **_run_features(xs, ys, *_run_list(occ)),
         "out_corners": counts.phi_out,
         "in_corners": counts.phi_in,
     }

@@ -12,9 +12,8 @@ corner count agrees with them on admissible grids (no X-configurations).
 One kernel, ``_window_counts``, tallies the 2x2 windows, and every window
 route reads a fixed linear form of its four tallies, as Gray's bit-quad
 counts do: the corner count phi_out - phi_in, V - E + F of the pixel
-complex phi_out - phi_in + phi_x_complement, the X count phi_x_set +
-phi_x_complement (a digitization too coarse for its target set), and
-V - E + F of a union of closed cells phi_out - phi_in - phi_x_set.
+complex phi_out - phi_in + phi_x_complement, and the X count phi_x_set +
+phi_x_complement (a digitization too coarse for its target set).
 
 The component route counts set components by a union-find over the set's
 row runs and takes its holes from the window kernel, not from a labelling
@@ -23,13 +22,19 @@ chi_vef, so the holes are the component count minus chi_vef.  Its
 independence from the window routes lives in the tests, whose
 breadth-first oracles count components and holes cell by cell.
 
+Unions of closed cells of an arrangement (polyrectangles, shot-noise level
+sets) come as row runs, one list per strip, and one run kernel,
+``_run_features``, reads their chi, perimeters and area: chi is runs minus
+links, the pairs of runs in adjacent strips that touch, corners included.
+The link search, ``_links``, is the one the union-find merges over.
+
 Window convention: a window anchored at grid point z reads the four cells
 a = z, b = z + e*u1 (east), c = z + e*u2 (north), d = z + e*(u1+u2).
 Outward corners are (a=1, b=0, c=0), inward corners are (b=1, c=1, d=0),
 X-configurations are (1,0,0,1) on the set and (0,1,1,0) on the complement.
 Cells outside the grid read as background.  ``config_counts`` and
-``chi_local`` refuse set bits on the grid border; chi_vef and the
-closed-cell features take the bits as the whole set.
+``chi_local`` refuse set bits on the grid border; chi_vef takes the bits
+as the whole set.
 """
 
 from __future__ import annotations
@@ -110,31 +115,6 @@ def _window_counts(bits: np.ndarray) -> ConfigCounts:
                         phi_x_complement=int(np.count_nonzero(win)))
 
 
-def _cell_features(xs: np.ndarray, ys: np.ndarray, occ: np.ndarray) -> dict:
-    """chi, per1, per2 and vol of the union of closed cells [xs[i], xs[i+1]] x
-    [ys[j], ys[j+1]] with occ[j, i] set.
-
-    chi is V - E + F of the closed cell complex, read off the window
-    tallies: cells meeting only at a corner are connected.  per1 sums
-    boundary edges with horizontal normal, per2 those with vertical normal:
-    the changes along each row or column plus its occupied end cells.  The
-    floats come from these integer counts and one matrix-vector product,
-    so no float array of the arrangement's size is built.
-    """
-    k = _window_counts(occ)
-    rows = np.count_nonzero(occ[:, :-1] ^ occ[:, 1:], axis=1) + occ[:, 0] + occ[:, -1]
-    cols = np.count_nonzero(occ[:-1] ^ occ[1:], axis=0) + occ[0] + occ[-1]
-    dx = np.diff(xs)
-    dy = np.diff(ys)
-    return {
-        "chi": k.phi_out - k.phi_in - k.phi_x_set,
-        "per1": float(dy @ rows),
-        "per2": float(cols @ dx),
-        # einsum casts occ block by block; occ @ dx would copy all of it to float
-        "vol": float(dy @ np.einsum("ij,j->i", occ, dx)),
-    }
-
-
 def config_counts(grid: BitGrid) -> ConfigCounts:
     """Count outward, inward and X configurations over all 2x2 windows."""
     bits = grid.bits
@@ -191,29 +171,68 @@ def _merge(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> int:
             parent[:] = up
 
 
-def _component_counts(bits: np.ndarray, connectivity: int) -> int:
-    """Count the 4- or 8-connected components of the set bits by a union-find.
+def _links(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, width: int,
+           reach: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (u, v) of linked runs, v in the row after u's.
 
-    The nodes are the set's row runs.  Each run is linked to the runs of
-    the next row that share an edge with it, and under 8-connectivity also
-    to those that meet it only at a corner.
+    Runs are half-open column ranges in raster order.  A run is linked to
+    the runs of the next row that share an edge with it, and with reach 1
+    also to those that meet it only at a corner.  ``width`` exceeds the
+    row length by at least two.
     """
-    rows, lo, hi = _run_list(bits)
-    n = rows.size
-    if n == 0:
-        return 0
     # one key space for run ends of all rows, wide enough that a column
     # one past either end of a row never reaches a neighbouring row's keys;
     # a half-open run widened by one column reaches its corner neighbours
-    w = bits.shape[1] + 2
-    reach = int(connectivity == 8)
-    below = (rows + 1) * w
-    first = np.searchsorted(rows * w + hi, below + lo - reach, side="right")
-    stop = np.searchsorted(rows * w + lo, below + hi + reach, side="left")
+    below = (rows + 1) * width
+    first = np.searchsorted(rows * width + hi, below + lo - reach, side="right")
+    stop = np.searchsorted(rows * width + lo, below + hi + reach, side="left")
     links = np.maximum(stop - first, 0)
-    u = np.repeat(np.arange(n), links)
+    u = np.repeat(np.arange(rows.size), links)
     v = np.arange(u.size) + np.repeat(first - (np.cumsum(links) - links), links)
-    return _merge(np.arange(n), u, v)
+    return u, v
+
+
+def _run_features(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> dict:
+    """chi, per1, per2 and vol of the union of closed cells [xs[i], xs[i+1]] x
+    [ys[j], ys[j+1]] listed as maximal runs: cells lo[k] <= i < hi[k] of row rows[k].
+
+    The runs of a strip are disjoint closed rectangles, and two strips meet
+    only if adjacent, in the pairs of runs that touch, corners included
+    (links).  Each run and each link is contractible, so by Mayer-Vietoris
+    over the strips chi is runs minus links.  per1 counts two vertical sides
+    per run; per2 counts per column two horizontal sides per occupied cell,
+    less the sides that the two strips of a link share.  The floats come
+    from these integer counts, the run lengths and one product per feature,
+    so nothing of the arrangement's size is built.
+    """
+    nx, ny = len(xs) - 1, len(ys) - 1
+    u, v = _links(rows, lo, hi, nx + 2, 1)
+    a, b = np.maximum(lo[u], lo[v]), np.minimum(hi[u], hi[v])
+    shared = a < b
+    # difference array of occupied cells less shared sides, per column
+    cols = (np.bincount(lo, minlength=nx + 1) - np.bincount(hi, minlength=nx + 1)
+            - np.bincount(a[shared], minlength=nx + 1) + np.bincount(b[shared], minlength=nx + 1))
+    dy = np.diff(ys)
+    return {
+        "chi": int(rows.size - u.size),
+        "per1": float(dy @ (2 * np.bincount(rows, minlength=ny))),
+        "per2": float((2 * np.cumsum(cols[:-1])) @ np.diff(xs)),
+        "vol": float(dy @ np.bincount(rows, weights=xs[hi] - xs[lo], minlength=ny)),
+    }
+
+
+def _component_counts(bits: np.ndarray, connectivity: int) -> int:
+    """Count the 4- or 8-connected components of the set bits by a union-find.
+
+    The nodes are the set's row runs, and the edges their links to the
+    runs of the next row (corner links under 8-connectivity).
+    """
+    rows, lo, hi = _run_list(bits)
+    if rows.size == 0:
+        return 0
+    u, v = _links(rows, lo, hi, bits.shape[1] + 2, int(connectivity == 8))
+    return _merge(np.arange(rows.size), u, v)
 
 
 def label_components(grid: BitGrid) -> ComponentLabeling:

@@ -32,7 +32,8 @@ from eulergram import (
     stationary_density_closed_form,
 )
 from eulergram import randomsets
-from eulergram.randomsets import _stamped_field
+from eulergram.lattice import _run_list
+from eulergram.randomsets import _level_runs, _stamped_field
 from oracles import (
     LevelIndicator,
     bfs_component_count,
@@ -485,14 +486,17 @@ def test_tie_check_tolerance(mark, level, warns, chi):
         got = level_set_features_exact(
             real, level, PolyRectangle(rects=((0.0, 2.0, 0.0, 2.0),)))["chi"]
     assert any("tie" in str(w.message) for w in caught) is warns
+    # the warning points at the caller
+    assert all(w.filename == __file__ for w in caught if "tie" in str(w.message))
     # membership is f >= level whether or not the check warns
     assert got == chi
 
 
 @st.composite
 def level_set_cases(draw):
-    """Unit-square and tee germs with unequal non-dyadic marks, a rectangular
-    or L-shaped window, and a level half-way between two attainable mark sums."""
+    """Unit-square and tee germs with unequal non-dyadic marks, a rectangular,
+    L-shaped or two-piece window, and a level half-way between two attainable
+    mark sums or below zero, where every uncovered cell is in the level set."""
     coord = st.floats(-1.5, 4.5)
     germs = [((draw(coord), draw(coord)), draw(st.sampled_from([UNIT_SQUARE, TEE])),
               draw(st.sampled_from([0.7, 1.3, 2.9])))
@@ -500,12 +504,18 @@ def level_set_cases(draw):
     x0, y0 = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
     w1, h1 = draw(st.floats(1.0, 4.0)), draw(st.floats(0.5, 2.0))
     rects = [(x0, x0 + w1, y0, y0 + h1)]
-    if draw(st.booleans()):
+    second = draw(st.sampled_from(["none", "arm", "apart"]))
+    if second == "arm":
         # a narrower arm that starts inside the first rectangle and rises above it
         w2 = w1 * draw(st.floats(0.3, 0.9))
         t = h1 * draw(st.floats(0.2, 0.8))
         rects.append((x0, x0 + w2, y0 + t, y0 + h1 + draw(st.floats(0.5, 2.0))))
-    level = draw(st.sampled_from([0.65, 1.45, 2.05, 3.35]))
+    elif second == "apart":
+        # a rectangle right of the first, a gap away, overlapping it in height or not
+        x2 = x0 + w1 + draw(st.floats(0.1, 1.0))
+        y2 = y0 + draw(st.floats(-1.0, 2.5))
+        rects.append((x2, x2 + draw(st.floats(0.5, 2.0)), y2, y2 + draw(st.floats(0.5, 2.0))))
+    level = draw(st.sampled_from([0.65, 1.45, 2.05, 3.35, -0.35]))
     return germs, PolyRectangle(rects=tuple(rects)), level
 
 
@@ -724,6 +734,46 @@ def test_stamper_matches_loop_oracle(case):
     got = _stamped_field(xs, ys, rects, marks)
     assert got.shape == (len(ys) - 1, len(xs) - 1)
     assert np.array_equal(got, stamped_field_by_loop(xs, ys, grains, weights))
+
+
+@st.composite
+def level_run_cases(draw):
+    """A stamp case and a level: any, at or below zero, where uncovered cells
+    are inside, or the first grain's weight, which the cells it alone covers tie."""
+    xs, ys, grains, weights = draw(stamp_cases())
+    level = draw(st.one_of(st.floats(-1.0, 30.0), st.sampled_from([-1.0, 0.0] + weights[:1])))
+    return xs, ys, grains, weights, level
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_run_cases())
+@example((np.arange(4.0), np.arange(3.0), [], [], -1.0))
+@example((np.arange(4.0), np.arange(3.0), [], [], 0.5))
+# rectangles clipped at each window edge and at all four, non-integer marks
+@example((np.arange(4.0), np.arange(3.0),
+          [[(-1.0, 5.0, -2.0, 4.0)], [(-2.0, 1.5, 0.5, 1.0)], [(2.0, 9.0, 1.0, 2.5)],
+           [(0.5, 2.5, -1.0, 1.0)], [(1.0, 2.0, 1.0, 7.0)]],
+          [0.1, 0.7, 1.3, 0.2, 2.9], 1.35))
+@example((np.arange(4.0), np.arange(3.0),
+          [[(-1.0, 5.0, -2.0, 4.0)], [(-2.0, 1.5, 0.5, 1.0)], [(2.0, 9.0, 1.0, 2.5)]],
+          [0.1, 0.7, 1.3], -0.5))
+def test_level_runs_match_loop_oracle(case):
+    xs, ys, grains, weights, level = case
+    rects = np.array([r for g in grains for r in g], dtype=float).reshape(-1, 4)
+    marks = np.array([wgt for g, wgt in zip(grains, weights) for _ in g], dtype=float)
+    field = stamped_field_by_loop(xs, ys, grains, weights)
+    gap = np.abs(field - level)
+    tol = 1e-12 * max(1.0, abs(level))
+    # strip sums and the loop's running sums round apart: keep clear of the tolerance's edge
+    assume(not ((gap > 0.5 * tol) & (gap < 1e-9)).any())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _level_runs(xs, ys, rects, marks, level)
+    ties = bool((gap <= 0.5 * tol).any())
+    assert any("ties the level" in str(w.message) for w in caught) is ties
+    if not ties:
+        want = _run_list(field >= level)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # ----------------------------------------------------------- density estimates

@@ -14,7 +14,8 @@ from eulergram import (
     config_counts,
     label_components,
 )
-from eulergram.topology import _cell_features, _component_counts, _window_counts
+from eulergram.lattice import _run_list
+from eulergram.topology import _component_counts, _run_features, _window_counts
 
 from gridgen import admissible_random_bits
 from oracles import (
@@ -366,7 +367,7 @@ def _unit_axes(occ):
 def test_cell_features_match_oracles(arrangement):
     xs, ys, occ = arrangement
     assert (np.diff(xs) > 0).all() and (np.diff(ys) > 0).all()
-    got = _cell_features(xs, ys, occ)
+    got = _run_features(xs, ys, *_run_list(occ))
     # closed cells meeting at a corner are connected, so the set is
     # 8-connected and its complement 4-connected
     assert got["chi"] == bfs_component_count(occ, 8) - bounded_hole_count(occ)
