@@ -11,8 +11,11 @@ The level set is built as row runs, one list per horizontal strip of the
 arrangement, straight from the rectangle edges: each strip sums its own
 +w/-w edge events, and no field or mask of the arrangement's size is
 made.  The run kernel of ``topology`` reads chi (runs minus links between
-adjacent strips), perimeters and area off the runs.  The density estimator
-alone stamps a field, once per replicate, on its coarse axes.
+adjacent strips), perimeters and area off the runs.  The Monte Carlo makes
+one such strip-run pass per batch of replicates, their arrangements side
+by side with an empty strip between two, and a single realization is a
+batch of one.  The density estimator alone stamps a field, once per
+replicate, on its coarse axes.
 A realization holds its germs as arrays: translated grain rectangles and marks.
 
 Each probability law is one class with ``sample``, ``mean`` and, for the
@@ -39,6 +42,7 @@ and are the measuring stick the closed forms are compared against.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import warnings
@@ -167,6 +171,15 @@ class Exponential:
 
 # ------------------------------------------------------- grain distributions
 
+def _overlapping(rects) -> bool:
+    """Whether two of the rectangles (x0, x1, y0, y1) share interior points."""
+    r = np.array(rects)
+    lo = np.maximum(r[:, None, ::2], r[None, :, ::2])
+    hi = np.minimum(r[:, None, 1::2], r[None, :, 1::2])
+    # every rectangle shares interior points with itself
+    return np.count_nonzero((hi > lo).all(axis=2)) > len(r)
+
+
 @dataclass(frozen=True)
 class GrainMixture:
     """Finite mixture of fixed polyrectangles with probabilities."""
@@ -183,6 +196,12 @@ class GrainMixture:
             raise InvalidSpec("grain probabilities must be nonnegative and sum to 1")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "probs", ps)
+        # the sampler's rows: a component whose rectangles overlap gives its
+        # interior-disjoint pieces instead, so that no point of a grain takes
+        # its germ's mark twice; the others give their rectangles as they are
+        tables = [w._pieces if _overlapping(w.rects) else np.array(w.rects) for w in comps]
+        object.__setattr__(self, "_table", np.concatenate(tables))
+        object.__setattr__(self, "_sizes", np.array([len(t) for t in tables]))
 
     def moments(self) -> dict:
         out = {"chi": 0.0, "per1": 0.0, "per2": 0.0, "vol": 0.0}
@@ -205,12 +224,11 @@ class GrainMixture:
         """Rectangles of n drawn grains, (m, 4) in germ then grain order, with each row's germ."""
         idx = (rng.choice(len(self.components), size=n, p=np.array(self.probs))
                if len(self.components) > 1 else np.zeros(n, dtype=int))
-        table = np.array([r for w in self.components for r in w.rects])
-        sizes = np.array([len(w.rects) for w in self.components])
+        sizes = self._sizes
         owner = np.repeat(np.arange(n), sizes[idx])
         # per germ, its component's first table row minus its own first output row
         shift = np.cumsum(sizes)[idx] - np.cumsum(sizes[idx])
-        return table[shift[owner] + np.arange(owner.size)], owner
+        return self._table[shift[owner] + np.arange(owner.size)], owner
 
 
 @dataclass(frozen=True)
@@ -443,25 +461,27 @@ def _warn_on_ties(f: np.ndarray, level: float, stacklevel: int = 3) -> None:
                       "convention decides membership", stacklevel=stacklevel)
 
 
-def _level_runs(xs, ys, rects, weights, level):
-    """Row runs (rows, lo, hi) of the cells where the stamped field is >= level.
+def _level_runs(i0, i1, j0, j1, w, first, stop, level):
+    """Row runs (rows, lo, hi) of the cells where the summed weights are >= level.
 
+    Strip g holds the cells first[g] <= i < stop[g], and rectangle k adds
+    w[k] to the cells i0[k] <= i < i1[k] of the strips j0[k] <= g < j1[k],
+    with j0[k] < j1[k] and first[g] <= i0[k] <= i1[k] <= stop[g] on each.
     The field of :func:`_stamped_field` is summed strip by strip, never
-    built.  Each rectangle adds +w at column i0 and -w at column i1 of every
-    strip it spans; the last axis index is not a cell, so events there are
-    dropped.  A strip's events, by column, fill one row of a buffer headed
-    by a zero at column 0, and one cumulative sum per row gives each
-    stretch of cells from one event column to the next its value, the sum
-    after the last event at its column.  Each strip restarts at 0, so no
-    rounding carries across strips, and cells no rectangle covers read 0.
-    Runs are maximal stretches of values >= level, half-open in columns,
-    in raster order.  Warns, at the caller's caller, when a value ties the
-    level, as :func:`_warn_on_ties` does.
+    built.  Each rectangle adds +w at column i0 and -w at column i1 of
+    every strip it spans; events at a strip's stop are dropped.  A strip's
+    events, by column, fill one row of a buffer headed by first[g], and one
+    cumulative sum per row gives each stretch of cells from one event
+    column to the next its value, the sum after the last event at its
+    column.  Each strip restarts at 0, so no rounding carries across
+    strips, and cells no rectangle covers read 0.  Only ``value >= level``
+    reads the level.  Runs are maximal stretches of values >= level,
+    half-open in columns, in raster order.  Warns, three frames above the
+    caller, when a value ties the level, as :func:`_warn_on_ties` does.
     """
-    i0, i1, j0, j1, w = _clipped(xs, ys, rects, weights)
-    nx, ny = len(xs) - 1, len(ys) - 1
+    ny = len(first)
     col = np.concatenate([i0, i1])
-    edge = np.flatnonzero(col < nx)
+    edge = np.flatnonzero(col < np.tile(stop[j0], 2))
     edge = edge[np.argsort(col[edge], kind="stable")]
     col, step = col[edge], np.concatenate([w, -w])[edge]
     bottom = np.concatenate([j0, j0])[edge]
@@ -484,8 +504,9 @@ def _level_runs(xs, ys, rects, weights, level):
     slot += np.arange(slot.size)
     value = np.zeros((ny, width))
     value.ravel()[slot] = step[src]
-    bound = np.full((ny, width), nx)
-    bound[:, 0] = 0
+    bound = np.empty((ny, width), dtype=np.int64)
+    bound[:] = stop[:, None]
+    bound[:, 0] = first
     bound.ravel()[slot] = col[src]
     del slot, src
     np.cumsum(value, axis=1, out=value)
@@ -494,17 +515,100 @@ def _level_runs(xs, ys, rects, weights, level):
     ends = np.cumsum(np.count_nonzero(cells, axis=1))
     value, start = value[:, :-1][cells], bound[:, :-1][cells]
     del cells, bound
-    _warn_on_ties(value, level, stacklevel=4)
+    _warn_on_ties(value, level, stacklevel=5)
     inside = value >= level
     del value
-    # each strip's stretches tile its cells from column 0; a run closes where
-    # its strip ends or the next stretch is outside, and opens after a close
-    nxt = np.append(start[1:], 0)
-    brk = (nxt == 0) | np.append(inside[1:] != inside[:-1], True)
+    # each strip's stretches tile its cells; a run closes where its strip
+    # ends or the next stretch is outside, and opens after a close
+    last = np.zeros(start.size + 1, dtype=bool)
+    last[ends] = True
+    last = last[1:]
+    brk = last | np.append(inside[1:] != inside[:-1], True)
     opens = inside & np.roll(brk, 1)
-    nxt = nxt[inside & brk]
-    return (np.searchsorted(ends, np.flatnonzero(opens), side="right"), start[opens],
-            np.where(nxt == 0, nx, nxt))
+    close = np.flatnonzero(inside & brk)
+    rows = np.searchsorted(ends, np.flatnonzero(opens), side="right")
+    # a run that does not end its strip ends where the next stretch starts
+    return (rows, start[opens],
+            np.where(last[close], stop[rows], start[np.minimum(close + 1, start.size - 1)]))
+
+
+def _batch_axis(raw, owner, count, lo, hi):
+    """Arrangement axes of ``count`` replicates side by side, and where each coordinate went.
+
+    ``raw`` are the coordinates of all replicates, ``owner`` the replicate of
+    each; every replicate owns some.  A sort of the coordinates clipped to
+    [lo, hi], a stable sort of that order by replicate, and one dedupe give
+    the axes: replicate r's is axis[cut[r]:cut[r + 1]], and raw[k] clipped
+    is axis[index[k]].  Two distinct coordinates of one replicate closer
+    than 1e-12 raise :class:`DegenerateArrangement`.
+    """
+    vals = np.clip(raw, lo, hi)
+    order = np.argsort(vals)
+    order = order[np.argsort(owner[order].astype(np.uint16) if count <= 1 << 16
+                             else owner[order], kind="stable")]
+    vals, owner = vals[order], owner[order]
+    new = np.ones(vals.size, dtype=bool)
+    new[1:] = (vals[1:] != vals[:-1]) | (owner[1:] != owner[:-1])
+    index = np.empty(vals.size, dtype=np.int64)
+    index[order] = np.cumsum(new) - 1
+    axis, owner = vals[new], owner[new]
+    if (np.diff(axis)[owner[1:] == owner[:-1]] < 1e-12).any():
+        raise DegenerateArrangement(
+            "two distinct arrangement coordinates closer than 1e-12; "
+            "resample or nudge germ locations by less than 1e-9")
+    return axis, np.searchsorted(owner, np.arange(count + 1)), index
+
+
+def _batch_features(reals, level: float, window: PolyRectangle) -> tuple[list[dict], int]:
+    """Exact features of {f >= level} in the window for each realization, and the
+    batch's event count, from one strip-run pass over the batch.
+
+    Each replicate's axes hold its rectangle and window edges clipped to the
+    window's box.  The axes lie side by side, so strip j of replicate r is
+    strip cut[r] + j of the batch.  The window's pieces are index boxes on
+    each replicate's axes, and the runs they give each strip cut the level
+    runs; none covers the strip between two replicates, so the cut empties
+    it even at levels <= 0, and no link joins two replicates.
+    """
+    win = window._pieces
+    n, k = len(reals), len(win)
+    rects = np.concatenate([real.rects for real in reals])
+    marks = np.concatenate([real.marks for real in reals])
+    owner = np.concatenate([np.repeat(np.arange(n), 2 * k),
+                            np.tile(np.repeat(np.arange(n), [len(real.rects) for real in reals]),
+                                    2)])
+    x0, x1, y0, y1 = window.bounding_box
+    # window edges first, then the rectangles' low edges, then their high edges
+    xs, x_cut, col = _batch_axis(np.concatenate([np.tile(win[:, :2].ravel(), n),
+                                                 rects[:, 0], rects[:, 1]]), owner, n, x0, x1)
+    ys, y_cut, row = _batch_axis(np.concatenate([np.tile(win[:, 2:].ravel(), n),
+                                                 rects[:, 2], rects[:, 3]]), owner, n, y0, y1)
+    i0, i1 = col[2 * k * n:].reshape(2, -1)
+    j0, j1 = row[2 * k * n:].reshape(2, -1)
+    keep = (i1 > i0) & (j1 > j0)
+    i0, i1, j0, j1 = i0[keep], i1[keep], j0[keep], j1[keep]
+
+    # strip g of replicate r holds the columns x_cut[r] to x_cut[r + 1] - 1;
+    # no rectangle or window piece covers the strip above r's top edge
+    strips = np.arange(len(ys) - 1)
+    rep = np.repeat(np.arange(n), np.diff(y_cut))[:-1]
+    rows, lo, hi = _level_runs(i0, i1, j0, j1, marks[keep], x_cut[rep], x_cut[rep + 1] - 1,
+                               level)
+
+    # window piece q covers the columns wx[g, q, 0] to wx[g, q, 1] of the
+    # strips g with wy[g, q, 0] <= g < wy[g, q, 1]; the pieces that cover a
+    # strip are its maximal runs, in column order, and the others are empty
+    wx = col[:2 * k * n].reshape(n, k, 2)[rep]
+    wy = row[:2 * k * n].reshape(n, k, 2)[rep]
+    inside = (wy[:, :, 0] <= strips[:, None]) & (strips[:, None] < wy[:, :, 1])
+    win_lo, win_hi = np.where(inside, wx[:, :, 0], 0), np.where(inside, wx[:, :, 1], 0)
+    # maximal runs of two maximal families meet in maximal runs, still in raster order
+    lo = np.maximum(lo[:, None], win_lo[rows])
+    hi = np.minimum(hi[:, None], win_hi[rows])
+    keep = hi > lo
+    rows = np.broadcast_to(rows[:, None], keep.shape)[keep]
+    return (_run_features(xs, ys, rows, lo[keep], hi[keep], x_cut, y_cut),
+            2 * int((j1 - j0).sum()))
 
 
 def level_set_features_exact(real: Realization, level: float,
@@ -515,17 +619,10 @@ def level_set_features_exact(real: Realization, level: float,
     the germ and window edges; the level set is the union of the closed
     occupied cells (boundary values only ever exceed the neighbouring cell
     values, so closure adds nothing in generic position).  Its row runs,
-    cut by the window's runs on the cell midpoints, go to the run kernel.
+    cut by the window's runs, go to the run kernel.  This is the strip-run
+    pass of the Monte Carlo on a batch of one.
     """
-    xs, ys = _axes(np.concatenate([np.array(window.rects), real.rects]), window.bounding_box)
-    rows, lo, hi = _level_runs(xs, ys, real.rects, real.marks, level)
-    win_lo, win_hi = window.row_runs(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]))
-    # maximal runs of two maximal families meet in maximal runs, still in raster order
-    lo = np.maximum(lo[:, None], win_lo[rows])
-    hi = np.minimum(hi[:, None], win_hi[rows])
-    keep = hi > lo
-    rows = np.broadcast_to(rows[:, None], keep.shape)[keep]
-    return _run_features(xs, ys, rows, lo[keep], hi[keep])
+    return _batch_features([real], level, window)[0][0]
 
 
 # ------------------------------------------------------------- closed forms
@@ -652,11 +749,37 @@ def _realizations(model: ShotNoiseModel, domain, replicates: int, seed: int):
     return (sample_realization(model, domain, seed + i) for i in range(replicates))
 
 
+# the event count, rectangle edges times the strips they cross, that a batch
+# of replicates is sized to: large enough that the per-pass cost is shared,
+# small enough that the pass's buffers stay in the heap the allocator keeps.
+# A replicate of 145 unit squares on [0, 10]^2 makes about 5,600 events and
+# one of 240 squares and tees on [0, 7]^2 about 22,000, so a batch holds
+# eight or two of them; a bound of 32,768 left the second kind one a batch
+_BATCH_EVENTS = 49152
+
+
 def _replicate_features(model: ShotNoiseModel, window: PolyRectangle,
                         replicates: int, seed: int) -> list[dict]:
-    """Exact level-set features of replicates drawn with seeds seed, seed+1, ..."""
-    return [level_set_features_exact(real, model.level, window)
-            for real in _realizations(model, window.bounding_box, replicates, seed)]
+    """Exact level-set features of replicates drawn with seeds seed, seed+1, ...
+
+    Replicates go through the strip-run pass in batches.  A batch closes
+    before it would pass ``_BATCH_EVENTS`` at the events per rectangle,
+    at least one, of the last batch that held a rectangle; until then each
+    batch is one replicate.  The features do not depend on the batches.
+    """
+    feats, batch, rects, per_rect = [], [], 0, None
+    for real in itertools.chain(_realizations(model, window.bounding_box, replicates, seed),
+                                [None]):
+        if batch and (real is None or per_rect is None
+                      or (rects + len(real.rects)) * per_rect > _BATCH_EVENTS):
+            out, events = _batch_features(batch, model.level, window)
+            feats += out
+            per_rect = max(events, rects) / rects if rects else per_rect
+            batch, rects = [], 0
+        if real is not None:
+            batch.append(real)
+            rects += len(real.rects)
+    return feats
 
 
 def _mean_stderr(vals) -> dict:

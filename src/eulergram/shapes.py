@@ -104,6 +104,15 @@ class PolyRectangle:
         return xs, ys, self.cells(xs, ys)
 
     @cached_property
+    def _pieces(self) -> np.ndarray:
+        """Interior-disjoint rectangles (p, 4) whose union is the set, one per row run
+        of the arrangement, in raster order; the runs of one strip neither overlap
+        nor touch, so no column of a strip lies in two pieces."""
+        xs, ys, occ = self._arrangement
+        rows, lo, hi = _run_list(occ)
+        return np.stack([xs[lo], xs[hi], ys[rows], ys[rows + 1]], 1)
+
+    @cached_property
     def _maximal_edges(self) -> np.ndarray:
         """Boundary edges merged into maximal axis-aligned segments.
 
@@ -133,7 +142,7 @@ def polyrect_features(w: PolyRectangle) -> dict:
     xs, ys, occ = w._arrangement
     counts = _window_counts(occ)
     return {
-        **_run_features(xs, ys, *_run_list(occ)),
+        **_run_features(xs, ys, *_run_list(occ))[0],
         "out_corners": counts.phi_out,
         "in_corners": counts.phi_in,
     }

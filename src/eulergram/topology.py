@@ -193,33 +193,49 @@ def _links(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, width: int,
 
 
 def _run_features(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray) -> dict:
-    """chi, per1, per2 and vol of the union of closed cells [xs[i], xs[i+1]] x
+                  hi: np.ndarray, x_cut=None, y_cut=None) -> list[dict]:
+    """chi, per1, per2 and vol of unions of closed cells [xs[i], xs[i+1]] x
     [ys[j], ys[j+1]] listed as maximal runs: cells lo[k] <= i < hi[k] of row rows[k].
+
+    The axes may hold a batch of arrangements side by side: arrangement r
+    has the axes xs[x_cut[r]:x_cut[r + 1]] and ys[y_cut[r]:y_cut[r + 1]]
+    (by default one, on the whole axes), and its runs index into them.  Row
+    y_cut[r + 1] - 1, between two arrangements, holds no run, so no link
+    joins two of them.  One dict per arrangement is returned.
 
     The runs of a strip are disjoint closed rectangles, and two strips meet
     only if adjacent, in the pairs of runs that touch, corners included
     (links).  Each run and each link is contractible, so by Mayer-Vietoris
     over the strips chi is runs minus links.  per1 counts two vertical sides
     per run; per2 counts per column two horizontal sides per occupied cell,
-    less the sides that the two strips of a link share.  The floats come
-    from these integer counts, the run lengths and one product per feature,
-    so nothing of the arrangement's size is built.
+    less the sides that the two strips of a link share.  The integer counts
+    are taken once for the batch; the floats come from them, the run lengths
+    and one product per feature and arrangement, on that arrangement's own
+    axes, so nothing of the arrangement's size is built.
     """
-    nx, ny = len(xs) - 1, len(ys) - 1
-    u, v = _links(rows, lo, hi, nx + 2, 1)
+    x_cut = (0, len(xs)) if x_cut is None else x_cut
+    y_cut = (0, len(ys)) if y_cut is None else y_cut
+    u, v = _links(rows, lo, hi, len(xs) + 1, 1)
     a, b = np.maximum(lo[u], lo[v]), np.minimum(hi[u], hi[v])
     shared = a < b
     # difference array of occupied cells less shared sides, per column
-    cols = (np.bincount(lo, minlength=nx + 1) - np.bincount(hi, minlength=nx + 1)
-            - np.bincount(a[shared], minlength=nx + 1) + np.bincount(b[shared], minlength=nx + 1))
-    dy = np.diff(ys)
-    return {
-        "chi": int(rows.size - u.size),
-        "per1": float(dy @ (2 * np.bincount(rows, minlength=ny))),
-        "per2": float((2 * np.cumsum(cols[:-1])) @ np.diff(xs)),
-        "vol": float(dy @ np.bincount(rows, weights=xs[hi] - xs[lo], minlength=ny)),
-    }
+    n = len(xs)
+    cols = (np.bincount(lo, minlength=n) - np.bincount(hi, minlength=n)
+            - np.bincount(a[shared], minlength=n) + np.bincount(b[shared], minlength=n))
+    strip_runs = 2 * np.bincount(rows, minlength=len(ys))
+    strip_vol = np.bincount(rows, weights=xs[hi] - xs[lo], minlength=len(ys))
+    run_cut = np.searchsorted(rows, y_cut)
+    chi = np.diff(run_cut) - np.diff(np.searchsorted(u, run_cut))
+    out = []
+    for r, (x0, x1, y0, y1) in enumerate(zip(x_cut[:-1], x_cut[1:], y_cut[:-1], y_cut[1:])):
+        dy = np.diff(ys[y0:y1])
+        out.append({
+            "chi": int(chi[r]),
+            "per1": float(dy @ strip_runs[y0:y1 - 1]),
+            "per2": float((2 * np.cumsum(cols[x0:x1 - 1])) @ np.diff(xs[x0:x1])),
+            "vol": float(dy @ strip_vol[y0:y1 - 1]),
+        })
+    return out
 
 
 def _component_counts(bits: np.ndarray, connectivity: int) -> int:

@@ -33,7 +33,7 @@ from eulergram import (
 )
 from eulergram import randomsets
 from eulergram.lattice import _run_list
-from eulergram.randomsets import _level_runs, _stamped_field
+from eulergram.randomsets import _clipped, _level_runs, _stamped_field
 from oracles import (
     LevelIndicator,
     bfs_component_count,
@@ -492,15 +492,16 @@ def test_tie_check_tolerance(mark, level, warns, chi):
     assert got == chi
 
 
-@st.composite
-def level_set_cases(draw):
-    """Unit-square and tee germs with unequal non-dyadic marks, a rectangular,
-    L-shaped or two-piece window, and a level half-way between two attainable
-    mark sums or below zero, where every uncovered cell is in the level set."""
+def _germs(draw):
+    """Up to six unit-square and tee germs with unequal non-dyadic marks."""
     coord = st.floats(-1.5, 4.5)
-    germs = [((draw(coord), draw(coord)), draw(st.sampled_from([UNIT_SQUARE, TEE])),
-              draw(st.sampled_from([0.7, 1.3, 2.9])))
-             for _ in range(draw(st.integers(0, 6)))]
+    return [((draw(coord), draw(coord)), draw(st.sampled_from([UNIT_SQUARE, TEE])),
+             draw(st.sampled_from([0.7, 1.3, 2.9])))
+            for _ in range(draw(st.integers(0, 6)))]
+
+
+def _window(draw):
+    """A rectangular, L-shaped or two-piece window."""
     x0, y0 = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
     w1, h1 = draw(st.floats(1.0, 4.0)), draw(st.floats(0.5, 2.0))
     rects = [(x0, x0 + w1, y0, y0 + h1)]
@@ -515,8 +516,20 @@ def level_set_cases(draw):
         x2 = x0 + w1 + draw(st.floats(0.1, 1.0))
         y2 = y0 + draw(st.floats(-1.0, 2.5))
         rects.append((x2, x2 + draw(st.floats(0.5, 2.0)), y2, y2 + draw(st.floats(0.5, 2.0))))
-    level = draw(st.sampled_from([0.65, 1.45, 2.05, 3.35, -0.35]))
-    return germs, PolyRectangle(rects=tuple(rects)), level
+    return PolyRectangle(rects=tuple(rects))
+
+
+# half-way between two attainable mark sums, or below zero, where every
+# uncovered cell is in the level set
+LEVELS = st.sampled_from([0.65, 1.45, 2.05, 3.35, -0.35])
+
+
+@st.composite
+def level_set_cases(draw):
+    """Germs, a window and a level: see :func:`_germs`, :func:`_window` and LEVELS."""
+    germs = _germs(draw)
+    window = _window(draw)
+    return germs, window, draw(LEVELS)
 
 
 def _oracle_axis(values, lo, hi):
@@ -556,6 +569,74 @@ def test_level_set_features_match_loop_oracles(case):
     want = scan_cell_measures(xs, ys, occ)
     for key in ("per1", "per2", "vol"):
         assert math.isclose(got[key], want[key], rel_tol=1e-12), key
+
+
+@st.composite
+def batch_cases(draw):
+    """Replicates of level_set_cases' germs, some without any, on one window at one
+    level, and a batch bound: one event, which gives each replicate with germs a
+    batch of its own, a few dozen or hundred, which split the list between
+    batches, or one that holds it all."""
+    replicates = [_germs(draw) if draw(st.booleans()) else []
+                  for _ in range(draw(st.integers(1, 7)))]
+    return replicates, _window(draw), draw(LEVELS), draw(st.sampled_from([1, 40, 150, 1 << 30]))
+
+
+def _batched(monkeypatch, reals, level, window, bound):
+    """``_replicate_features`` on the given realizations under the batch bound, and
+    the size of each batch it ran."""
+    sizes = []
+
+    def spy(batch, *args):
+        sizes.append(len(batch))
+        return batch_features(batch, *args)
+
+    batch_features = randomsets._batch_features
+    monkeypatch.setattr(randomsets, "_BATCH_EVENTS", bound)
+    monkeypatch.setattr(randomsets, "_batch_features", spy)
+    monkeypatch.setattr(randomsets, "_realizations", lambda *args: iter(reals))
+    return randomsets._replicate_features(square_model(level), window, len(reals), 0), sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch_cases())
+def test_replicate_batches_equal_one_pass_per_replicate(case):
+    germ_lists, window, level, bound = case
+    reals = [hand_realization(germs, window.bounding_box) for germs in germ_lists]
+    try:
+        want = [level_set_features_exact(real, level, window) for real in reals]
+    except DegenerateArrangement as err:
+        # germ edges within 1e-12 of each other or of the window's: the batch refuses too
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(DegenerateArrangement) as batched:
+            _batched(mp, reals, level, window, bound)
+        assert str(batched.value) == str(err)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        got, sizes = _batched(mp, reals, level, window, bound)
+    assert sum(sizes) == len(reals) and sizes[0] == 1
+    assert got == want
+
+
+def test_replicate_batches_split_and_keep_errors(monkeypatch):
+    """Seeded replicates, a zero-germ one among them, split mid-list by a small
+    bound; a near-coincident pair in the third replicate of a batch raises the
+    error that replicate raises alone."""
+    window = PolyRectangle(rects=((0.0, 4.0, 0.0, 1.0), (0.5, 1.5, 0.5, 4.0)))
+    model = square_model(0.65, intensity=0.5)
+    reals = [sample_realization(model, window.bounding_box, seed) for seed in range(8)]
+    reals.insert(3, sample_realization(square_model(0.65, intensity=0.0), window.bounding_box, 0))
+    got, sizes = _batched(monkeypatch, reals, 0.65, window, 400)
+    assert sizes[0] == 1 and max(sizes) > 1 and len(sizes) > 2
+    assert got == [level_set_features_exact(real, 0.65, window) for real in reals]
+
+    bad = hand_realization([((0.0, 0.0), UNIT_SQUARE, 1.0), ((5e-13, 0.5), UNIT_SQUARE, 1.0)],
+                           window.bounding_box)
+    with pytest.raises(DegenerateArrangement) as alone:
+        level_set_features_exact(bad, 0.65, window)
+    with pytest.raises(DegenerateArrangement) as batched:
+        # the first batch is one replicate; bad is the third of the second
+        _batched(monkeypatch, reals[:3] + [bad] + reals[3:], 0.65, window, 1 << 30)
+    assert str(batched.value) == str(alone.value)
 
 
 def test_closed_form_inputs_keep_their_bits():
@@ -612,6 +693,43 @@ def test_exact_chi_matches_fine_digitization():
 
 
 # ---------------------------------------------------------------- sampling MC
+
+
+# a grain whose two rectangles overlap: its union has chi 1, per1 2, per2 3, vol 1.25
+OVERLAPPING = PolyRectangle(rects=((0.0, 1.0, 0.0, 1.0), (0.5, 1.5, 0.25, 0.75)))
+
+
+def test_overlapping_grain_takes_its_mark_once():
+    rects, _ = GrainMixture(components=(OVERLAPPING,), probs=(1.0,)).sample(
+        np.random.default_rng(0), 1)
+    real = Realization(rects=rects + (0.2, 0.2, 0.3, 0.3), marks=np.ones(len(rects)), count=1,
+                       padded_domain=(-1.5, 3.5, -1.0, 3.0), expected_count=1.0)
+    window = PolyRectangle(rects=((0.0, 2.0, 0.0, 2.0),))
+    assert level_set_features_exact(real, 1.5, window) == {
+        "chi": 0, "per1": 0.0, "per2": 0.0, "vol": 0.0}
+    got, want = level_set_features_exact(real, 0.5, window), polyrect_features(OVERLAPPING)
+    assert got["chi"] == want["chi"] == 1
+    for key in ("per1", "per2", "vol"):
+        assert got[key] == pytest.approx(want[key], abs=1e-12), key
+    # a grain without overlaps keeps its rectangles, and min_edge reads the given ones
+    mixture = GrainMixture(components=(OVERLAPPING, TEE), probs=(0.5, 0.5))
+    assert np.array_equal(mixture._table[-2:], TEE.rects)
+    assert GrainMixture(components=(OVERLAPPING,), probs=(1.0,)).min_edge() == 0.5
+
+
+def test_overlapping_grain_mc_matches_closed_form():
+    model = ShotNoiseModel(intensity=0.2,
+                           grain_dist=GrainMixture(components=(OVERLAPPING,), probs=(1.0,)),
+                           mark_dist=AtomicMarks(values=(1.0,), probs=(1.0,)), level=1.5)
+    window = PolyRectangle(rects=((0.0, 5.0, 0.0, 5.0),))
+    feats = randomsets._replicate_features(model, window, 200, 0)
+    chi = randomsets._mean_stderr([f["chi"] for f in feats])
+    vol = randomsets._mean_stderr([f["vol"] for f in feats])
+    assert abs(chi["mean"] - mean_chi_closed_form(model, window)) <= 4 * chi["stderr"]
+    want = 25.0 * stationary_density_closed_form(model)["vol_bar"]
+    assert abs(vol["mean"] - want) <= 4 * vol["stderr"]
+
+
 
 
 def test_mc_matches_closed_form_at_rate_one():
@@ -768,7 +886,13 @@ def test_level_runs_match_loop_oracle(case):
     assume(not ((gap > 0.5 * tol) & (gap < 1e-9)).any())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = _level_runs(xs, ys, rects, marks, level)
+        # one arrangement, whose strips all hold the columns 0 to len(xs) - 1;
+        # a rectangle between two coordinates of ys covers no strip
+        i0, i1, j0, j1, w = _clipped(xs, ys, rects, marks)
+        some = j1 > j0
+        got = _level_runs(i0[some], i1[some], j0[some], j1[some], w[some],
+                          np.zeros(len(ys) - 1, dtype=int), np.full(len(ys) - 1, len(xs) - 1),
+                          level)
     ties = bool((gap <= 0.5 * tol).any())
     assert any("ties the level" in str(w.message) for w in caught) is ties
     if not ties:

@@ -367,7 +367,7 @@ def _unit_axes(occ):
 def test_cell_features_match_oracles(arrangement):
     xs, ys, occ = arrangement
     assert (np.diff(xs) > 0).all() and (np.diff(ys) > 0).all()
-    got = _run_features(xs, ys, *_run_list(occ))
+    got, = _run_features(xs, ys, *_run_list(occ))
     # closed cells meeting at a corner are connected, so the set is
     # 8-connected and its complement 4-connected
     assert got["chi"] == bfs_component_count(occ, 8) - bounded_hole_count(occ)
