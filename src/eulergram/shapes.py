@@ -189,8 +189,8 @@ def _d2(x, y, cx, cy):
 
 
 def _settle(p, d, n, inside):
-    # move run end p outward (d = -1 or +1) while the next cell is inside,
-    # then inward while p itself is outside; this stops at the centre cell
+    # move each run end p outward (its d is -1 or +1) while the next cell is
+    # inside, then inward while p itself is outside; this stops at the centre cell
     while True:
         q = p + d
         out = (q >= 0) & (q < n) & inside(np.clip(q, 0, n - 1))
@@ -221,16 +221,18 @@ def _ball_run(xs, ys, cx, cy, r2, within):
     rows = np.flatnonzero(within(_d2(xs[c], ys, cx, cy), r2))
     if rows.size:
         y = ys[rows]
-
-        def inside(cols):
-            return within(_d2(xs[cols], y, cx, cy), r2)
-
         w = np.sqrt(np.maximum(r2 - (y - cy) ** 2, 0.0))
         step = (xs[-1] - xs[0]) / (n - 1) if n > 1 else 1.0
         first = np.clip(np.ceil((cx - w - xs[0]) / step), 0, c).astype(np.intp)
         last = np.clip(np.floor((cx + w - xs[0]) / step), c, n - 1).astype(np.intp)
-        lo[rows] = _settle(first, -1, n, inside)
-        hi[rows] = _settle(last, 1, n, inside) + 1
+        # both ends of every row settle together, the low ends moving down
+        y2 = np.concatenate([y, y])
+
+        def inside(cols):
+            return within(_d2(xs[cols], y2, cx, cy), r2)
+
+        ends = _settle(np.concatenate([first, last]), np.repeat([-1, 1], rows.size), n, inside)
+        lo[rows], hi[rows] = ends[:rows.size], ends[rows.size:] + 1
     return lo, hi
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from eulergram import (
     AtomicMarks,
+    CornerClash,
     DegenerateArrangement,
     Exponential,
     GrainMixture,
@@ -728,6 +729,69 @@ def test_overlapping_grain_mc_matches_closed_form():
     assert abs(chi["mean"] - mean_chi_closed_form(model, window)) <= 4 * chi["stderr"]
     want = 25.0 * stationary_density_closed_form(model)["vol_bar"]
     assert abs(vol["mean"] - want) <= 4 * vol["stderr"]
+
+
+def test_overlapping_grain_density_matches_closed_form():
+    # the stamped field of densities gives the overlap one mark too
+    model = ShotNoiseModel(intensity=0.2,
+                           grain_dist=GrainMixture(components=(OVERLAPPING,), probs=(1.0,)),
+                           mark_dist=AtomicMarks(values=(1.0,), probs=(1.0,)), level=1.5)
+    est = estimate_stationary_densities(model, epsilon=0.02, window=(0.0, 5.0, 0.0, 5.0),
+                                        replicates=200, seed=0)
+    want = stationary_density_closed_form(model)["vol_bar"]
+    assert abs(est["vol_bar"] - want) <= 4 * est["vol_stderr"]
+
+
+def _random_model(rng) -> ShotNoiseModel:
+    # one or two components of one to three rectangles with corners on a
+    # 0.25 grid and sides 0.25 to 1, overlaps allowed (a component whose
+    # rectangles share a corner is drawn again); one or two mark atoms
+    # from {1, 2, 3} and a level between them, so no mark sum ties it
+    comps, n_comps = [], rng.integers(1, 3)
+    while len(comps) < n_comps:
+        rects = []
+        for _ in range(rng.integers(1, 4)):
+            (x0, y0), (w, h) = rng.integers(0, 4, 2), rng.integers(1, 5, 2)
+            rects.append((0.25 * x0, 0.25 * (x0 + w), 0.25 * y0, 0.25 * (y0 + h)))
+        try:
+            comps.append(PolyRectangle(rects=tuple(rects)))
+        except CornerClash:
+            continue
+
+    def probs(n):
+        p = rng.dirichlet(np.ones(n))
+        return (*p[:-1], 1.0 - p[:-1].sum())
+    atoms = tuple(float(v) for v in rng.choice([1, 2, 3], rng.integers(1, 3), replace=False))
+    return ShotNoiseModel(intensity=float(rng.choice([0.5, 1.0, 2.0, 3.0])),
+                          grain_dist=GrainMixture(components=tuple(comps),
+                                                  probs=probs(len(comps))),
+                          mark_dist=AtomicMarks(values=atoms, probs=probs(len(atoms))),
+                          level=float(rng.choice([0.5, 1.5, 2.5, 3.5])))
+
+
+def test_random_mixtures_match_window_closed_forms():
+    """Random grain mixtures, overlapping rectangles among them: the Monte
+    Carlo means of chi, per1, per2 and vol in the window sit within 4.5
+    stderr of E chi (mean_chi_closed_form), E Per_i = Vol(V) per_bar_ui +
+    Per_i(V) vol_bar and E Vol = Vol(V) vol_bar."""
+    rng = np.random.default_rng(2027)
+    window = PolyRectangle(rects=((0.0, 5.0, 0.0, 5.0),))
+    v = polyrect_features(window)
+    overlapping = 0
+    for k in range(20):
+        model = _random_model(rng)
+        d = stationary_density_closed_form(model)
+        want = {"chi": mean_chi_closed_form(model, window),
+                "per1": v["vol"] * d["per_bar_u1"] + v["per1"] * d["vol_bar"],
+                "per2": v["vol"] * d["per_bar_u2"] + v["per2"] * d["vol_bar"],
+                "vol": v["vol"] * d["vol_bar"]}
+        feats = randomsets._replicate_features(model, window, 200, 1000 * k)
+        for key, target in want.items():
+            got = randomsets._mean_stderr([f[key] for f in feats])
+            assert abs(got["mean"] - target) <= 4.5 * got["stderr"], (k, key)
+        overlapping += any(randomsets._overlapping(w.rects)
+                           for w in model.grain_dist.components)
+    assert overlapping >= 3
 
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -29,8 +30,9 @@ from eulergram import (
     perimeter_axis_sum,
     perimeter_variational,
 )
+from eulergram import variogram
 from eulergram.cli import _clip_to_window, _polyrect
-from eulergram.variogram import _circle, _circle_mean, _sweep
+from eulergram.variogram import _circle, _circle_mean, _sweep, _unit
 
 from gridgen import admissible_random_bits, repair_admissible
 from oracles import midpoint_shift_counts, polyvariogram_by_loop
@@ -276,15 +278,19 @@ def run_sweep_cases(draw):
         # built without row runs: the whole set's runs are read off cell by cell
         shape = dataclasses.replace(shape, row_runs=None)
 
-    def coord():
-        k = draw(st.integers(-6, 6))
-        return draw(st.sampled_from([k * h, (k + 1.0 / 3.0) * h, (k + 1e-12) * h]))
-
-    pool = [(0.0, 0.0)] + [(coord(), coord()) for _ in range(draw(st.integers(1, 4)))]
+    pool = [(0.0, 0.0)] + [_mesh_shift(draw, h) for _ in range(draw(st.integers(1, 4)))]
     shifts = st.sampled_from(pool)
     specs = [(draw(st.lists(shifts, min_size=1, max_size=2)), draw(st.lists(shifts, max_size=2)))
              for _ in range(draw(st.integers(1, 4)))]
     return shape, domain, h, specs
+
+
+def _mesh_shift(draw, h):
+    # whole cells, a third of a cell off them, or a rounding error off them
+    def coord():
+        k = draw(st.integers(-6, 6))
+        return draw(st.sampled_from([k * h, (k + 1.0 / 3.0) * h, (k + 1e-12) * h]))
+    return coord(), coord()
 
 
 @settings(max_examples=200, deadline=None)
@@ -294,6 +300,100 @@ def test_run_sweep_matches_whole_grid_oracle(case):
     specs = [ShiftSpec(plus_shifts=plus, minus_shifts=minus) for plus, minus in raw_specs]
     assert _sweep(shape, specs, h, domain) == midpoint_shift_counts(
         shape.contains, domain, h, raw_specs)
+
+
+@st.composite
+def three_copy_cases(draw):
+    # run_sweep_cases' sets with specs of three plus and three minus copies:
+    # a plus shift repeated, and a minus shift that is also a plus one
+    shape, domain, h, _ = draw(run_sweep_cases())
+    pool = [(0.0, 0.0)] + [_mesh_shift(draw, h) for _ in range(draw(st.integers(1, 3)))]
+    shifts = st.sampled_from(pool)
+    specs = []
+    for _ in range(draw(st.integers(1, 3))):
+        plus = draw(st.lists(shifts, min_size=2, max_size=2))
+        plus.append(draw(st.sampled_from(plus)))
+        minus = [draw(st.sampled_from(plus))] + draw(st.lists(shifts, min_size=2, max_size=2))
+        specs.append((draw(st.permutations(plus)), draw(st.permutations(minus))))
+    return shape, domain, h, specs
+
+
+@settings(max_examples=60, deadline=None)
+@given(three_copy_cases())
+def test_three_plus_three_minus_copies_match_whole_grid_oracle(case):
+    shape, domain, h, raw_specs = case
+    specs = [ShiftSpec(plus_shifts=plus, minus_shifts=minus) for plus, minus in raw_specs]
+    assert _sweep(shape, specs, h, domain) == midpoint_shift_counts(
+        shape.contains, domain, h, raw_specs)
+
+
+def test_row_of_discs_counts_hold_in_every_block_size(monkeypatch):
+    # twelve discs in a row: rows through them hold twelve runs, so the
+    # intersections of several copies are packed, and a lowered cell cap
+    # cuts the sweep into blocks of a few rows, down to one
+    row = make_shape({"type": "union", "members": [
+        {"type": "disc", "center": [0.25 * i, 0.0], "r": 0.11} for i in range(12)]})
+    h = 0.01
+    raw = [([(0.0, 0.0)], [(-2 * h, 0.0), (0.0, -2 * h)]),
+           ([(2 * h, 0.0), (0.0, 2 * h)], [(0.0, 0.0)]),
+           ([(0.0, 0.0), (h / 3, 0.5 * h), (0.0, 0.0)],
+            [(-h, 0.0), (0.0, -2 * h), (-h, 0.0)])]
+    specs = [ShiftSpec(plus_shifts=plus, minus_shifts=minus) for plus, minus in raw]
+    domain = (-0.2, 2.95, -0.2, 0.2)
+    want = midpoint_shift_counts(row.contains, domain, h, raw)
+    assert _sweep(row, specs, h, domain) == want
+    assert want[0] > 0 and want[2] > 0
+    # the widest intersection the sweep makes stays within the bound the
+    # block rule divides by, well below the product of the copies' runs
+    widths = []
+
+    def intersect(a, b):
+        widths.append(a[0].shape[1] * b[0].shape[1])
+        return intersect_runs(a, b)
+
+    intersect_runs = variogram._intersect_runs
+    monkeypatch.setattr(variogram, "_intersect_runs", intersect)
+    widest = 12 * 5 * 12  # one copy of twelve runs times five others packed
+    assert _sweep(row, specs, h, domain) == want
+    assert variogram._PACK_WIDTH < max(widths) <= widest < 12 ** 6
+    blocks = []
+
+    def counting(xs, ys):
+        blocks.append(len(ys))
+        return row.row_runs(xs, ys)
+
+    spy = dataclasses.replace(row, row_runs=counting)
+    for rows in (5, 1):
+        monkeypatch.setattr(variogram, "_DENSE_CELLS", rows * widest)
+        blocks.clear()
+        assert _sweep(spy, specs, h, domain) == want
+        # the master's runs, then one call per block for the unaligned shift
+        assert blocks[0] == 40 and max(blocks[1:]) == rows
+        assert len(blocks) == 1 + -(-40 // rows)
+
+
+def test_each_unaligned_shift_is_read_once_per_block(monkeypatch):
+    ring = make_shape({"type": "annulus", "center": [0.1, -0.2], "r_in": 0.25, "r_out": 0.6})
+    h = 0.01
+    u, v = (0.3 * h, 0.7 * h), (-1.6 * h, 2.0 * h)
+    raw = [([(0.0, 0.0)], [u]), ([u], [(0.0, 0.0)]), ([(0.0, 0.0), u], [v, (h, 0.0)]),
+           ([v, (0.0, h)], [u, v]), ([(2 * h, -h)], [(0.0, 0.0)])]
+    specs = [ShiftSpec(plus_shifts=plus, minus_shifts=minus) for plus, minus in raw]
+    domain = (-0.6, 0.8, -0.9, 0.5)
+    calls = []
+
+    def counting(xs, ys):
+        calls.append((xs[0], len(ys)))
+        return ring.row_runs(xs, ys)
+
+    monkeypatch.setattr(variogram, "_BLOCK_ROWS", 16)
+    got = _sweep(dataclasses.replace(ring, row_runs=counting), specs, h, domain)
+    assert got == midpoint_shift_counts(ring.contains, domain, h, raw)
+    # 140 rows make 9 blocks; u and v are asked for once in each, the
+    # whole-cell shifts never, as they move the master's runs
+    assert calls[0] == (-0.6 + 0.5 * h, 140)
+    starts = collections.Counter(x0 for x0, _ in calls[1:])
+    assert sorted(starts.values()) == [9, 9] and len(calls) == 1 + 2 * 9
 
 
 def test_replaced_predicate_drives_the_sweep():
@@ -489,6 +589,22 @@ def test_perimeter_estimate_validation():
     with pytest.raises(InvalidSpec):
         PerimeterEstimate(direction=(1.0, 0.0), epsilons=(0.1, 0.05),
                           values=(0.2, 0.2), extrapolated=-1.0)
+
+
+def test_directions_must_be_unit_vectors():
+    # Per_u scales with |u|: on the unit disc (2, 0) would read 8, not 4,
+    # and (0, 0) would read 0
+    for u in [(2.0, 0.0), (0.0, 0.0), (1.0, 1e-5), (math.nan, 0.0), (math.inf, 0.0)]:
+        with pytest.raises(InvalidSpec, match="unit vector"):
+            directional_perimeters(disc(), [(1.0, 0.0), u], EPS, quad_mesh=0.005)
+    # the circle's directions pass, and estimate_perimeter normalizes its own
+    rng = np.random.default_rng(5)
+    for n in (4, 7, 64, 1000, 1 << 16):
+        assert max(abs(math.hypot(*u) - 1.0) for u in _circle(n)) <= 1e-12
+    for u in rng.normal(size=(200, 2)) * 10.0 ** rng.integers(-6, 6, size=(200, 1)):
+        assert abs(math.hypot(*_unit(u)) - 1.0) <= 1e-12
+    est = estimate_perimeter(disc(), (3.0, 4.0), EPS, quad_mesh=0.005)
+    assert est.extrapolated == pytest.approx(4.0, rel=0.02)
 
 
 def test_epsilon_sequence_validation():
