@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -323,14 +324,30 @@ def three_copy_cases(draw):
 def test_three_plus_three_minus_copies_match_whole_grid_oracle(case):
     shape, domain, h, raw_specs = case
     specs = [ShiftSpec(plus_shifts=plus, minus_shifts=minus) for plus, minus in raw_specs]
-    assert _sweep(shape, specs, h, domain) == midpoint_shift_counts(
-        shape.contains, domain, h, raw_specs)
+    want = midpoint_shift_counts(shape.contains, domain, h, raw_specs)
+    assert _sweep(shape, specs, h, domain) == want
+    # every spec counted by sorting run ends instead of expanding
+    with mock.patch.object(variogram, "_EXPAND_RUNS", 0):
+        assert _sweep(shape, specs, h, domain) == want
 
 
-def test_row_of_discs_counts_hold_in_every_block_size(monkeypatch):
-    # twelve discs in a row: rows through them hold twelve runs, so the
-    # intersections of several copies are packed, and a lowered cell cap
-    # cuts the sweep into blocks of a few rows, down to one
+def _spy_intersections(monkeypatch):
+    # record every intersection the inclusion-exclusion count makes
+    calls = []
+    intersect_runs = variogram._intersect_runs
+
+    def intersect(a, b):
+        calls.append(a[0].shape[1] * b[0].shape[1])
+        return intersect_runs(a, b)
+
+    monkeypatch.setattr(variogram, "_intersect_runs", intersect)
+    return calls
+
+
+def test_row_of_discs_is_counted_alike_by_both_counts(monkeypatch):
+    # twelve discs in a row: rows through them hold twelve runs, so every
+    # spec's expansion would hold thousands of runs per row and the sweep
+    # sorts run ends instead; forcing either count gives the same numbers
     row = make_shape({"type": "union", "members": [
         {"type": "disc", "center": [0.25 * i, 0.0], "r": 0.11} for i in range(12)]})
     h = 0.01
@@ -341,35 +358,43 @@ def test_row_of_discs_counts_hold_in_every_block_size(monkeypatch):
     specs = [ShiftSpec(plus_shifts=plus, minus_shifts=minus) for plus, minus in raw]
     domain = (-0.2, 2.95, -0.2, 0.2)
     want = midpoint_shift_counts(row.contains, domain, h, raw)
-    assert _sweep(row, specs, h, domain) == want
     assert want[0] > 0 and want[2] > 0
-    # the widest intersection the sweep makes stays within the bound the
-    # block rule divides by, well below the product of the copies' runs
-    widths = []
-
-    def intersect(a, b):
-        widths.append(a[0].shape[1] * b[0].shape[1])
-        return intersect_runs(a, b)
-
-    intersect_runs = variogram._intersect_runs
-    monkeypatch.setattr(variogram, "_intersect_runs", intersect)
-    widest = 12 * 5 * 12  # one copy of twelve runs times five others packed
+    calls = _spy_intersections(monkeypatch)
     assert _sweep(row, specs, h, domain) == want
-    assert variogram._PACK_WIDTH < max(widths) <= widest < 12 ** 6
-    blocks = []
+    assert calls == []
+    monkeypatch.setattr(variogram, "_EXPAND_RUNS", 10 ** 9)
+    assert _sweep(row, specs, h, domain) == want
+    # the repeated shifts of the third spec are expanded once: its widest
+    # term meets two plus and two minus copies of twelve runs, not six
+    assert max(calls) == 12 ** 4
 
-    def counting(xs, ys):
-        blocks.append(len(ys))
-        return row.row_runs(xs, ys)
 
-    spy = dataclasses.replace(row, row_runs=counting)
-    for rows in (5, 1):
-        monkeypatch.setattr(variogram, "_DENSE_CELLS", rows * widest)
-        blocks.clear()
-        assert _sweep(spy, specs, h, domain) == want
-        # the master's runs, then one call per block for the unaligned shift
-        assert blocks[0] == 40 and max(blocks[1:]) == rows
-        assert len(blocks) == 1 + -(-40 // rows)
+def test_many_minus_copies_are_sorted_not_expanded(monkeypatch):
+    # twenty minus copies would make 2**20 inclusion-exclusion terms; a disc
+    # has one run per row, so the expansion holds 2**20 runs per row and the
+    # sweep sorts the 42 run ends of a row instead
+    d = disc(0.6, (0.05, -0.1))
+    h = 0.01
+    # whole cells, a third of a cell off them, or a rounding error off them,
+    # all to the right, so that cells on the disc's right edge stay counted
+    rng = np.random.default_rng(3)
+    cells = np.stack([rng.integers(1, 7, 20), rng.integers(-6, 7, 20)], axis=1)
+    cells = cells + rng.choice([0.0, 1.0 / 3.0, 1e-12], size=(20, 2))
+    minus = [(float(kx * h), float(ky * h)) for kx, ky in cells]
+    raw = [([(0.0, 0.0)], minus), ([(0.0, 0.0), (0.0, 0.5 * h)], minus + minus[:5])]
+    specs = [ShiftSpec(plus_shifts=plus, minus_shifts=m) for plus, m in raw]
+    domain = (-0.7, 0.8, -0.8, 0.6)
+    want = midpoint_shift_counts(d.contains, domain, h, raw)
+    assert want[0] > 0 and want[1] > 0
+    calls = _spy_intersections(monkeypatch)
+    assert _sweep(d, specs, h, domain) == want
+    assert calls == []
+    # a minus shift listed twice is expanded once: {u, v} make three terms
+    u, v = minus[0], minus[1]
+    raw = [([(0.0, 0.0)], [u, u, v, u])]
+    assert _sweep(d, [ShiftSpec(*raw[0])], h, domain) == midpoint_shift_counts(
+        d.contains, domain, h, raw)
+    assert len(calls) == 3
 
 
 def test_each_unaligned_shift_is_read_once_per_block(monkeypatch):
