@@ -116,8 +116,8 @@ def _clip_to_window(ind: IndicatorSet, w: PolyRectangle) -> IndicatorSet:
     def contains(x, y):
         return ind.contains(x, y) & w.contains(x, y)
 
-    def row_runs(xs, ys):
-        return _intersect_runs(ind.row_runs(xs, ys), w.row_runs(xs, ys))
+    def row_runs(xs, ys, dx):
+        return _intersect_runs(ind.row_runs(xs, ys, dx), w.row_runs(xs, ys, dx))
 
     return IndicatorSet(contains=contains, bounding_box=_window_box(ind, w), row_runs=row_runs)
 

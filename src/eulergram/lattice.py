@@ -75,21 +75,24 @@ class IndicatorSet:
     ``(x0, x1, y0, y1)`` with the set contained in the closed box; a union
     relies on it, evaluating each member only where its box can hold points.
 
-    ``row_runs(xs, ys)`` lists the set's cells row by row: ``xs`` are
-    ascending, evenly spaced column coordinates and ``ys`` the row
-    coordinates, and it returns ``(lo, hi)``, two ``(len(ys), k)`` int
-    arrays of half-open column ranges such that ``contains(xs[i], y)``
-    holds exactly for the columns of row ``y``'s ranges.  A row's ranges
-    are disjoint and never touch; empty ranges (``lo == hi``) may sit
-    among them and pad rows with fewer than ``k``.  Every set has it:
-    discs, annuli, their unions and their window clips give it in closed
-    form, and a set built without one reads it off ``contains`` cell by
-    cell.
+    ``row_runs(xs, ys, dx)`` lists the cells of a stack of copies of one
+    row grid, row by row.  ``xs`` are ascending, evenly spaced column
+    coordinates; copy ``q`` has the rows ``ys[q]`` of the ``(copies,
+    rows)`` array ``ys`` and the x-offset ``dx[q]``.  It returns ``(lo,
+    hi)``, two ``(copies * rows, k)`` int arrays of half-open column
+    ranges, the rows of copy 0 first, such that ``contains(xs[i] - dx[q],
+    y)`` holds exactly for the columns of the ranges of row ``y`` of copy
+    ``q``: each point is the float ``xs[i] - dx[q]``, as a caller shifting
+    the columns itself would make it.  A row's ranges are disjoint and
+    never touch; empty ranges (``lo == hi``) may sit among them and pad
+    rows with fewer than ``k``.  Every set has it: discs, annuli, their
+    unions and their window clips give it in closed form, and a set built
+    without one reads it off ``contains`` cell by cell.
     """
 
     contains: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bounding_box: tuple[float, float, float, float]
-    row_runs: Optional[Callable[[np.ndarray, np.ndarray],
+    row_runs: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray],
                                 tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
@@ -130,7 +133,7 @@ def _runs_of(inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _DenseRuns:
-    """``row_runs`` read off ``contains``, evaluated on every cell a block of rows at a time.
+    """``row_runs`` read off ``contains``, evaluated on every cell of a copy a block at a time.
 
     It keeps the predicate it reads, so a set whose ``contains`` is
     replaced reads its runs off the new one.
@@ -138,12 +141,14 @@ class _DenseRuns:
 
     contains: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def __call__(self, xs, ys):
+    def __call__(self, xs, ys, dx):
         step = max(1, _DENSE_CELLS // xs.size)
         parts = []
-        for chunk in np.split(ys, np.arange(step, ys.size, step)):
-            inside = np.asarray(self.contains(xs[None, :], chunk[:, None]), dtype=bool)
-            parts.append(_runs_of(np.broadcast_to(inside, (chunk.size, xs.size))))
+        for d, rows in zip(dx, ys):
+            x = (xs - d)[None, :]
+            for chunk in np.split(rows, np.arange(step, rows.size, step)):
+                inside = np.asarray(self.contains(x, chunk[:, None]), dtype=bool)
+                parts.append(_runs_of(np.broadcast_to(inside, (chunk.size, xs.size))))
         k = max(lo.shape[1] for lo, _ in parts)
 
         def joined(ends):

@@ -12,10 +12,10 @@ census, both exactly.
 Smooth shapes (disc, annulus, unions, implicit sets) are exposed as
 predicates with a bounding box, built from plain dicts that hold each
 kind's keys and no other.  Every set also lists its cells row by row
-as column runs for the continuum sweep of ``variogram``: discs and annuli
-in closed form, confirmed against the predicate's own float expression,
-unions by merging their members' runs, and implicit sets by reading them
-off the predicate.
+as column runs for the continuum sweep of ``variogram``, for a stack of
+copies at x-offsets of their own: discs and annuli in closed form,
+confirmed against the predicate's own float expression, unions by merging
+their members' runs, and implicit sets by reading them off the predicate.
 """
 
 from __future__ import annotations
@@ -85,13 +85,15 @@ class PolyRectangle:
             out |= (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
         return out
 
-    def row_runs(self, xs, ys):
+    def row_runs(self, xs, ys, dx):
         """Column runs of the union row by row, one per rectangle before merging."""
         r = np.array(self.rects)
-        lo = np.searchsorted(xs, r[:, 0], "left")
-        hi = np.searchsorted(xs, r[:, 1], "right")
-        rows = (ys[:, None] >= r[:, 2]) & (ys[:, None] <= r[:, 3])
-        return _merge_runs(np.where(rows, lo, 0), np.where(rows, hi, 0))
+        shifted = [xs - d for d in dx]
+        lo = np.array([np.searchsorted(x, r[:, 0], "left") for x in shifted])[:, None]
+        hi = np.array([np.searchsorted(x, r[:, 1], "right") for x in shifted])[:, None]
+        rows = (ys[:, :, None] >= r[:, 2]) & (ys[:, :, None] <= r[:, 3])
+        return _merge_runs(np.where(rows, lo, 0).reshape(-1, len(r)),
+                           np.where(rows, hi, 0).reshape(-1, len(r)))
 
     def cells(self, xs, ys):
         """Coverage of the cells between axis values, exact if the axes hold every edge inside."""
@@ -163,7 +165,12 @@ def corner_points(w: PolyRectangle) -> list[tuple[float, float]]:
 
 
 def _merge_runs(lo, hi):
-    """Maximal runs of each row's union: sort by start, fold runs that touch or overlap."""
+    """Maximal runs of each row's union: sort by start, fold runs that touch or overlap.
+
+    Each row's non-empty runs come first, packed to the fullest row's
+    count, so a union lists as many runs per row as its rows cross, not
+    one per member; the arrays are kept when no row is narrower.
+    """
     order = np.argsort(lo, axis=1)
     lo, hi = np.take_along_axis(lo, order, 1), np.take_along_axis(hi, order, 1)
     reach = np.maximum.accumulate(hi, axis=1)
@@ -173,7 +180,15 @@ def _merge_runs(lo, hi):
     end[:, :-1] = start[:, 1:]
     # starts ascend, so the running max of the starts is the open group's start
     first = np.maximum.accumulate(np.where(start, lo, 0), axis=1)
-    return np.where(end, first, 0), np.where(end, reach, 0)
+    lo, hi = np.where(end, first, 0), np.where(end, reach, 0)
+    kept = hi > lo
+    if kept.all():
+        return lo, hi
+    k = max(1, kept.sum(1).max())
+    if k == lo.shape[1]:
+        return lo, hi
+    order = np.argsort(~kept, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(lo, order, 1), np.take_along_axis(hi, order, 1)
 
 
 def _intersect_runs(a, b):
@@ -181,6 +196,21 @@ def _intersect_runs(a, b):
     lo = np.maximum(a[0][:, :, None], b[0][:, None, :]).reshape(len(a[0]), -1)
     hi = np.minimum(a[1][:, :, None], b[1][:, None, :]).reshape(len(a[0]), -1)
     return lo, np.maximum(lo, hi)
+
+
+def _nearest(xs, d, cx):
+    """The first column ``c`` whose point ``xs[c] - d`` is nearest ``cx``.
+
+    Searching ``xs`` for ``cx + d`` lands within a rounding of the points'
+    own bracket of ``cx``, and is stepped until the points bracket it.
+    """
+    n = xs.size
+    k = int(np.searchsorted(xs, cx + d))
+    while k > 0 and xs[k - 1] - d >= cx:
+        k -= 1
+    while k < n and xs[k] - d < cx:
+        k += 1
+    return k - 1 if k == n or (k > 0 and (xs[k - 1] - d - cx) ** 2 <= (xs[k] - d - cx) ** 2) else k
 
 
 def _d2(x, y, cx, cy):
@@ -193,7 +223,7 @@ def _settle(p, d, n, inside):
     # inside, then inward while p itself is outside; this stops at the centre cell
     while True:
         q = p + d
-        out = (q >= 0) & (q < n) & inside(np.clip(q, 0, n - 1))
+        out = (q >= 0) & (q < n) & inside(np.minimum(np.maximum(q, 0), n - 1))
         if not out.any():
             break
         p = np.where(out, q, p)
@@ -204,32 +234,37 @@ def _settle(p, d, n, inside):
         p = np.where(back, p - d, p)
 
 
-def _ball_run(xs, ys, cx, cy, r2, within):
-    """The columns i with ``within(_d2(xs[i], y), r2)``: one run per row y.
+def _ball_run(xs, ys, dx, cx, cy, r2, within):
+    """The columns i with ``within(_d2(xs[i] - dx[q], y), r2)``: one run per row y of copy q.
 
     Along a row ``_d2`` falls and then rises, in floats too (``xs``
     ascends and every operation is monotone), so the inside columns form
-    one run around the column ``c`` nearest ``cx``.  A row whose ``c`` is
-    outside is empty; this probe also catches tangent rows that the
-    closed form misses.  Otherwise the closed-form ends are moved until
-    the predicate itself confirms them.
+    one run around the column ``c`` whose point ``xs[c] - dx[q]`` is
+    nearest ``cx``, found once per copy.  A row whose ``c`` is outside is
+    empty; this probe also catches tangent rows that the closed form
+    misses.  Otherwise the closed-form ends are moved until the predicate
+    itself confirms them.  ``_d2``'s two terms are formed apart, the
+    row's once, and added in its order, so every test is bit for bit
+    ``_d2``'s.
     """
-    n, m = xs.size, ys.size
-    k = int(np.searchsorted(xs, cx))
-    c = k - 1 if k == n or (k > 0 and (xs[k - 1] - cx) ** 2 <= (xs[k] - cx) ** 2) else k
-    lo, hi = np.full(m, c), np.full(m, c)
-    rows = np.flatnonzero(within(_d2(xs[c], ys, cx, cy), r2))
+    n, m = xs.size, ys.shape[1]
+    c = np.array([_nearest(xs, d, cx) for d in dx])
+    lo = np.repeat(c, m)
+    hi = lo.copy()
+    ty = (ys - cy) ** 2
+    rows = np.flatnonzero(within(((xs[c] - dx - cx) ** 2)[:, None] + ty, r2))
     if rows.size:
-        y = ys[rows]
-        w = np.sqrt(np.maximum(r2 - (y - cy) ** 2, 0.0))
+        ty, d, c = ty.ravel()[rows], dx[rows // m], lo[rows]
+        w = np.sqrt(np.maximum(r2 - ty, 0.0))
         step = (xs[-1] - xs[0]) / (n - 1) if n > 1 else 1.0
-        first = np.clip(np.ceil((cx - w - xs[0]) / step), 0, c).astype(np.intp)
-        last = np.clip(np.floor((cx + w - xs[0]) / step), c, n - 1).astype(np.intp)
+        x0 = xs[0] - d
+        first = np.minimum(np.maximum(np.ceil((cx - w - x0) / step), 0).astype(np.intp), c)
+        last = np.maximum(np.minimum(np.floor((cx + w - x0) / step), n - 1).astype(np.intp), c)
         # both ends of every row settle together, the low ends moving down
-        y2 = np.concatenate([y, y])
+        ty2, d2 = np.concatenate([ty, ty]), np.concatenate([d, d])
 
         def inside(cols):
-            return within(_d2(xs[cols], y2, cx, cy), r2)
+            return within((xs[cols] - d2 - cx) ** 2 + ty2, r2)
 
         ends = _settle(np.concatenate([first, last]), np.repeat([-1, 1], rows.size), n, inside)
         lo[rows], hi[rows] = ends[:rows.size], ends[rows.size:] + 1
@@ -311,8 +346,8 @@ def make_shape(spec: dict) -> IndicatorSet:
         def contains(x, y, cx=cx, cy=cy, r=r):
             return _d2(x, y, cx, cy) <= r * r
 
-        def row_runs(xs, ys, cx=cx, cy=cy, r=r):
-            lo, hi = _ball_run(xs, ys, cx, cy, r * r, np.less_equal)
+        def row_runs(xs, ys, dx, cx=cx, cy=cy, r=r):
+            lo, hi = _ball_run(xs, ys, dx, cx, cy, r * r, np.less_equal)
             return lo[:, None], hi[:, None]
 
         return IndicatorSet(
@@ -334,11 +369,11 @@ def make_shape(spec: dict) -> IndicatorSet:
             d2 = _d2(x, y, cx, cy)
             return (d2 >= a * a) & (d2 <= b * b)
 
-        def row_runs(xs, ys, cx=cx, cy=cy, a=r_in, b=r_out):
+        def row_runs(xs, ys, dx, cx=cx, cy=cy, a=r_in, b=r_out):
             # {d2 <= b^2} minus the hole {d2 < a^2}, which lies inside it;
             # an empty hole moves to the outer start so the runs never touch
-            lo, hi = _ball_run(xs, ys, cx, cy, b * b, np.less_equal)
-            hole_lo, hole_hi = _ball_run(xs, ys, cx, cy, a * a, np.less)
+            lo, hi = _ball_run(xs, ys, dx, cx, cy, b * b, np.less_equal)
+            hole_lo, hole_hi = _ball_run(xs, ys, dx, cx, cy, a * a, np.less)
             hole = hole_lo < hole_hi
             hole_lo, hole_hi = np.where(hole, hole_lo, lo), np.where(hole, hole_hi, lo)
             return np.stack([lo, hole_hi], 1), np.stack([hole_lo, hi], 1)
@@ -370,8 +405,8 @@ def make_shape(spec: dict) -> IndicatorSet:
         bbox = (min(b[0] for b in boxes), max(b[1] for b in boxes),
                 min(b[2] for b in boxes), max(b[3] for b in boxes))
 
-        def row_runs(xs, ys, members=members):
-            runs = [m.row_runs(xs, ys) for m in members]
+        def row_runs(xs, ys, dx, members=members):
+            runs = [m.row_runs(xs, ys, dx) for m in members]
             return _merge_runs(np.concatenate([lo for lo, _ in runs], 1),
                                np.concatenate([hi for _, hi in runs], 1))
 

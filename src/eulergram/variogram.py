@@ -14,10 +14,11 @@ row (``IndicatorSet.row_runs``), so the counting grows with the rows, not
 the cells.  Discs, annuli, their unions and window clips give their runs
 in closed form; a set without one (an implicit set) has its runs read
 off its predicate cell by cell.  A copy's runs are made once per block of
-rows, however many specs use its shift.  A spec's count is exact integer
-inclusion-exclusion over its complemented copies, each term intersecting
-run lists and summing the lengths, when its copies hold few runs per row;
-otherwise it sorts the copies' run ends.  One sweep
+rows, however many specs use its shift, and the copies at shifts off the
+mesh are asked for together, stacked with their own x-offsets.  A spec's
+count is exact integer inclusion-exclusion over its complemented copies,
+each term intersecting run lists and summing the lengths, when its copies
+hold few runs per row; otherwise it sorts the copies' run ends.  One sweep
 serves every requested shift combination, so asking for several
 variograms of the same set costs one sweep: ``directional_perimeters``
 estimates Per_u for any list of directions at once, and every perimeter
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, NonLatticeShift, NotAdmissible
-from .lattice import BitGrid, IndicatorSet, _whole_multiple
+from .lattice import _DENSE_CELLS, BitGrid, IndicatorSet, _whole_multiple
 from .shapes import _intersect_runs
 from .topology import _window_counts
 
@@ -202,11 +203,15 @@ def _sweep(indicator: IndicatorSet, specs: list[ShiftSpec], h: float,
     Every copy of the set is a list of column runs per row (see
     ``IndicatorSet.row_runs``), and each spec is counted by interval
     arithmetic on those runs (``_count``), a block of rows at a time; a
-    shift repeated among a spec's plus or minus copies is counted once.  A
-    shift of whole cells (kx, ky) reads master row j - ky moved by kx
-    columns, off-grid cells reading as empty; any other shift asks the set
-    for its runs at the shifted midpoints.  The default domain is the bounding box grown
-    by the largest shift magnitude, so that every row the sweep might read
+    shift repeated among a spec's plus or minus copies is counted once.
+    The master (shift 0) is read once, over all rows.  A shift of whole
+    cells (kx, ky) reads master row j - ky moved by kx columns, off-grid
+    cells reading as empty.  The other shifts of a block are stacked, in
+    the order the specs first use them, every copy with its own x-offset
+    and shifted rows, into ``row_runs`` calls of at most ``_DENSE_CELLS //
+    nx`` rows (or one copy), and each copy is dropped after the last spec
+    using it.  The default domain is the bounding box grown by the
+    largest shift magnitude, so that every row the sweep might read
     outside it is genuinely empty.
     """
     if domain is None:
@@ -232,12 +237,16 @@ def _sweep(indicator: IndicatorSet, specs: list[ShiftSpec], h: float,
     xs = x0 + (np.arange(nx) + 0.5) * h
     ys = y0 + (np.arange(ny) + 0.5) * h
     steps = {s: _cell_steps(s, h) for spec in specs for s in spec.all_shifts}
-    master = indicator.row_runs(xs, ys)
+    master = indicator.row_runs(xs, ys[None, :], np.zeros(1))
+    unaligned = np.array([s for s, k in steps.items() if k is None]).reshape(-1, 2)
 
-    def runs(s, rows):
-        if steps[s] is None:
-            return indicator.row_runs(xs - s[0], ys[rows] - s[1])
-        return _moved(master, *steps[s], nx, rows)
+    def stacked(rows):
+        # the unaligned copies of a block, in order of first use
+        per = max(1, _DENSE_CELLS // nx // rows.size)
+        for s in np.split(unaligned, np.arange(per, len(unaligned), per)):
+            lo, hi = indicator.row_runs(xs, ys[rows] - s[:, 1:], s[:, 0])
+            shape = (len(s), rows.size, lo.shape[1])
+            yield from zip(lo.reshape(shape), hi.reshape(shape))
 
     # a copy is made once per block and dropped after the last spec using it,
     # so a sweep of thousands of unaligned shifts holds few copies at once
@@ -246,11 +255,15 @@ def _sweep(indicator: IndicatorSet, specs: list[ShiftSpec], h: float,
     counts = [0] * len(specs)
     for j in range(0, ny, _BLOCK_ROWS):
         rows = np.arange(j, min(j + _BLOCK_ROWS, ny))
+        fresh = stacked(rows)
         copies = {}
         for k, spec in enumerate(specs):
             for s in spec.all_shifts:
+                # a shift is missing only at its first use, so unaligned
+                # ones come in the order ``stacked`` makes them
                 if s not in copies:
-                    copies[s] = runs(s, rows)
+                    copies[s] = (next(fresh) if steps[s] is None
+                                 else _moved(master, *steps[s], nx, rows))
             counts[k] += _count([copies[s] for s in dict.fromkeys(spec.plus_shifts)],
                                 [copies[s] for s in dict.fromkeys(spec.minus_shifts)])
             for s in done[k]:

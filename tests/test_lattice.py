@@ -204,7 +204,8 @@ def test_runs_of_matches_loop_oracle(inside, dense_cells):
                        bounding_box=(0.0, nx - 1.0, 0.0, ny - 1.0))
     with mock.patch.object(lattice, "_DENSE_CELLS", dense_cells):
         for lo, hi in (_runs_of(inside), ind.row_runs(np.arange(nx, dtype=float),
-                                                      np.arange(ny, dtype=float))):
+                                                      np.arange(ny, dtype=float)[None, :],
+                                                      np.zeros(1))):
             assert lo.shape == hi.shape == (ny, max(1, max(map(len, expected))))
             assert (lo <= hi).all()
             assert [[(int(a), int(b)) for a, b in zip(row_lo, row_hi) if a < b]

@@ -284,33 +284,44 @@ def row_run_cases(draw):
               make_shape({"type": "union", "members": [disc, other]}),
               make_shape({"type": "union", "members": [annulus, other]}),
               _clip_to_window(make_shape({"type": "union", "members": [annulus, other]}), window),
-              window]
+              window,
+              # built without runs: they are read off the predicate
+              make_shape({"type": "implicit",
+                          "g": lambda x, y: (x - cx) ** 2 + (y - cy) ** 2 - r * r,
+                          "bounding_box": [cx - r, cx + r, cy - r, cy + r]})]
     h = draw(st.sampled_from([0.01, 0.013, 1.0 / 64.0]))
     xs = -1.5 + (np.arange(int(round(4.0 / h))) + 0.5) * h - draw(st.floats(-0.1, 0.1))
     # rows through the hole, between the radii, on both circles and off the set
     ys = np.array([cy + t * r for t in draw(st.lists(st.floats(-1.3, 1.3), min_size=1,
                                                       max_size=8))]
                   + [cy - r, cy + r, cy + annulus["r_in"], cy + 2.0])
-    return shapes, xs, ys
+    # a stack of copies, each at its own x-offset off the mesh and its own
+    # rows: one offset puts a column on the centre, so the rows on the
+    # circles are tangent at a column; one moves the set off every row
+    i = draw(st.integers(0, xs.size - 1))
+    extra = draw(st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.2, 0.2)), max_size=3))
+    dx = np.array([xs[i] - cx, xs[-1] - xs[0] + 2.0] + [d for d, _ in extra])
+    dy = np.array([0.0, 0.0] + [d for _, d in extra])
+    return shapes, xs, ys[None, :] - dy[:, None], dx
 
 
 @settings(max_examples=100, deadline=None)
 @given(row_run_cases())
 def test_row_runs_are_the_runs_of_contains(case):
-    shapes, xs, ys = case
+    shapes, xs, ys, dx = case
     for shape in shapes:
-        lo, hi = shape.row_runs(xs, ys)
+        lo, hi = shape.row_runs(xs, ys, dx)
         assert lo.shape == hi.shape and lo.shape[0] == ys.size
         assert (lo <= hi).all()
-        for y, row_lo, row_hi in zip(ys, lo, hi):
+        for d, y, row_lo, row_hi in zip(np.repeat(dx, ys.shape[1]), ys.ravel(), lo, hi):
             got = sorted((int(a), int(b)) for a, b in zip(row_lo, row_hi) if a < b)
-            assert got == runs_by_diff(np.asarray(shape.contains(xs, np.full(xs.size, y))))
+            assert got == runs_by_diff(np.asarray(shape.contains(xs - d, np.full(xs.size, y))))
 
 
 def test_annulus_row_runs_lose_the_hole_off_the_inner_circle():
     ring = make_shape({"type": "annulus", "center": [0.0, 0.0], "r_in": 0.25, "r_out": 0.5})
     xs = -1.0 + (np.arange(200) + 0.5) * 0.01
-    lo, hi = ring.row_runs(xs, np.array([0.0, 0.3, 0.9]))
+    lo, hi = ring.row_runs(xs, np.array([[0.0, 0.3, 0.9]]), np.zeros(1))
     runs = [sorted((int(a), int(b)) for a, b in zip(ra, rb) if a < b) for ra, rb in zip(lo, hi)]
     assert [len(r) for r in runs] == [2, 1, 0]
 

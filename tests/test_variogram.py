@@ -362,11 +362,33 @@ def test_row_of_discs_is_counted_alike_by_both_counts(monkeypatch):
     calls = _spy_intersections(monkeypatch)
     assert _sweep(row, specs, h, domain) == want
     assert calls == []
+    expand = variogram._EXPAND_RUNS
     monkeypatch.setattr(variogram, "_EXPAND_RUNS", 10 ** 9)
     assert _sweep(row, specs, h, domain) == want
     # the repeated shifts of the third spec are expanded once: its widest
     # term meets two plus and two minus copies of twelve runs, not six
     assert max(calls) == 12 ** 4
+
+    # three annuli on a diagonal: their six runs per row pack to the two
+    # that a row crosses at most, so the specs of up to three copies are
+    # expanded, where six runs per row would have every spec sorted
+    rings = make_shape({"type": "union", "members": [
+        {"type": "annulus", "center": [0.3 * i, 0.3 * i], "r_in": 0.1, "r_out": 0.2}
+        for i in range(3)]})
+    domain = (-0.25, 0.85, -0.25, 0.85)
+    raw = raw + [([(0.0, 0.0)], [(h / 3, 0.5 * h)])]
+    specs = [ShiftSpec(plus_shifts=plus, minus_shifts=minus) for plus, minus in raw]
+    want = midpoint_shift_counts(rings.contains, domain, h, raw)
+    mid = -0.25 + (np.arange(110) + 0.5) * h
+    assert rings.row_runs(mid, mid[None], np.zeros(1))[0].shape == (110, 2)
+    monkeypatch.setattr(variogram, "_EXPAND_RUNS", expand)
+    calls.clear()
+    assert _sweep(rings, specs, h, domain) == want
+    assert calls
+    monkeypatch.setattr(variogram, "_EXPAND_RUNS", 0)
+    calls.clear()
+    assert _sweep(rings, specs, h, domain) == want
+    assert calls == []
 
 
 def test_many_minus_copies_are_sorted_not_expanded(monkeypatch):
@@ -400,25 +422,34 @@ def test_many_minus_copies_are_sorted_not_expanded(monkeypatch):
 def test_each_unaligned_shift_is_read_once_per_block(monkeypatch):
     ring = make_shape({"type": "annulus", "center": [0.1, -0.2], "r_in": 0.25, "r_out": 0.6})
     h = 0.01
-    u, v = (0.3 * h, 0.7 * h), (-1.6 * h, 2.0 * h)
+    u, v, w = (0.3 * h, 0.7 * h), (-1.6 * h, 2.0 * h), (2.5 * h, -h / 3)
     raw = [([(0.0, 0.0)], [u]), ([u], [(0.0, 0.0)]), ([(0.0, 0.0), u], [v, (h, 0.0)]),
-           ([v, (0.0, h)], [u, v]), ([(2 * h, -h)], [(0.0, 0.0)])]
+           ([v, (0.0, h)], [u, v]), ([(2 * h, -h)], [(0.0, 0.0), w])]
     specs = [ShiftSpec(plus_shifts=plus, minus_shifts=minus) for plus, minus in raw]
     domain = (-0.6, 0.8, -0.9, 0.5)
     calls = []
 
-    def counting(xs, ys):
-        calls.append((xs[0], len(ys)))
-        return ring.row_runs(xs, ys)
+    def counting(xs, ys, dx):
+        calls.append([(float(d), tuple(row)) for d, row in zip(dx, ys)])
+        return ring.row_runs(xs, ys, dx)
 
+    # 140 columns and rows: 9 blocks of at most 16 rows, and a call stacks
+    # at most 32 rows, so two copies of a block
     monkeypatch.setattr(variogram, "_BLOCK_ROWS", 16)
+    monkeypatch.setattr(variogram, "_DENSE_CELLS", 140 * 32)
     got = _sweep(dataclasses.replace(ring, row_runs=counting), specs, h, domain)
     assert got == midpoint_shift_counts(ring.contains, domain, h, raw)
-    # 140 rows make 9 blocks; u and v are asked for once in each, the
-    # whole-cell shifts never, as they move the master's runs
-    assert calls[0] == (-0.6 + 0.5 * h, 140)
-    starts = collections.Counter(x0 for x0, _ in calls[1:])
-    assert sorted(starts.values()) == [9, 9] and len(calls) == 1 + 2 * 9
+    ys = -0.9 + (np.arange(140) + 0.5) * h
+    # the master is read once, over every row
+    assert calls[0] == [(0.0, tuple(ys))]
+    # in each block the rows of u, v and w are asked for once, inside
+    # ceil(3 / 2) calls; the whole-cell shifts never, as they move the
+    # master's runs
+    blocks = [calls[1 + 2 * b:3 + 2 * b] for b in range(9)]
+    assert len(calls) == 1 + 2 * 9
+    for j, block in zip(range(0, 140, 16), blocks):
+        asked = collections.Counter(copy for call in block for copy in call)
+        assert asked == collections.Counter((s[0], tuple(ys[j:j + 16] - s[1])) for s in (u, v, w))
 
 
 def test_replaced_predicate_drives_the_sweep():
