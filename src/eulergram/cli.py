@@ -28,6 +28,7 @@ from .randomsets import (
     _DENSITY_KEYS,
     ShotNoiseModel,
     _mean_stderr,
+    _realizations,
     _replicate_features,
     estimate_stationary_densities,
     mean_chi_closed_form,
@@ -269,7 +270,8 @@ def _run_shotnoise(cfg: dict, out_dir: Path, timestamp: bool) -> None:
     replicates = _read(resolved, "replicates", _whole)
     seed = _read(resolved, "seed", _nonnegative)
 
-    feats = _replicate_features(model, window, replicates, seed)
+    feats = _replicate_features(_realizations(model, window.bounding_box, replicates, seed),
+                                model.level, window)
     rows = [(seed + i, f["chi"], f["per1"] + f["per2"], f["vol"])
             for i, f in enumerate(feats)]
     stats = _mean_stderr([f["chi"] for f in feats])

@@ -14,8 +14,9 @@ made.  The run kernel of ``topology`` reads chi (runs minus links between
 adjacent strips), perimeters and area off the runs.  The Monte Carlo makes
 one such strip-run pass per batch of replicates, their arrangements side
 by side with an empty strip between two, and a single realization is a
-batch of one.  The density estimator alone stamps a field, once per
-replicate, on its coarse axes.
+batch of one.  The density estimator runs the same batched pass on its
+coarse axes and fills a mask of their cells from the runs, so the pass
+is the one place that decides f >= lambda on a realization.
 A realization holds its germs as arrays: translated grain rectangles and marks.
 
 Each probability law is one class with ``sample``, ``mean`` and, for the
@@ -402,82 +403,26 @@ def sample_realization(model: ShotNoiseModel, domain, seed: int) -> Realization:
 
 # ------------------------------------------------- exact level-set geometry
 
-def _arrangement_axis(raw: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    coords = np.unique(np.clip(raw, lo, hi))
-    if coords.size < 2:
-        raise DegenerateArrangement("window collapsed to a line")
-    gaps = np.diff(coords)
-    if (gaps < 1e-12).any():
-        raise DegenerateArrangement(
-            "two distinct arrangement coordinates closer than 1e-12; "
-            "resample or nudge germ locations by less than 1e-9")
-    return coords
-
-
-def _axes(rects: np.ndarray, box) -> tuple[np.ndarray, np.ndarray]:
-    """Both arrangement axes of the rectangles and the box, clipped to the box."""
-    x0, x1, y0, y1 = box
-    return (_arrangement_axis(np.append(rects[:, :2], (x0, x1)), x0, x1),
-            _arrangement_axis(np.append(rects[:, 2:], (y0, y1)), y0, y1))
-
-
-def _clipped(xs, ys, rects, weights):
-    """Axis indices (i0, i1, j0, j1) and weights w of ``rects`` (n, 4: x0, x1, y0, y1)
-    clipped to the axes, for the rectangles that keep an area."""
-    x0 = np.maximum(rects[:, 0], xs[0])
-    x1 = np.minimum(rects[:, 1], xs[-1])
-    y0 = np.maximum(rects[:, 2], ys[0])
-    y1 = np.minimum(rects[:, 3], ys[-1])
-    keep = (x1 > x0) & (y1 > y0)
-    return (np.searchsorted(xs, x0[keep]), np.searchsorted(xs, x1[keep]),
-            np.searchsorted(ys, y0[keep]), np.searchsorted(ys, y1[keep]), weights[keep])
-
-
-def _stamped_field(xs, ys, rects, weights):
-    """Sum of ``weights`` (n,) over the cells each of ``rects`` (n, 4: x0, x1, y0, y1) covers.
-
-    Rectangles are clipped to the axes; each adds +w, -w, -w, +w at its four
-    corners of a difference array, in rectangle order, and two cumulative
-    sums turn the corners into the cell field.
-    """
-    i0, i1, j0, j1, w = _clipped(xs, ys, rects, weights)
-    diff = np.zeros((len(ys), len(xs)))
-    np.add.at(diff, (np.stack([j0, j0, j1, j1], 1).ravel(),
-                     np.stack([i0, i1, i0, i1], 1).ravel()),
-              np.stack([w, -w, -w, w], 1).ravel())
-    np.cumsum(diff, axis=0, out=diff)
-    np.cumsum(diff, axis=1, out=diff)
-    return diff[:-1, :-1]
-
-
-def _warn_on_ties(f: np.ndarray, level: float, stacklevel: int = 3) -> None:
-    """Warn, at the caller's caller by default, if some value of ``f`` is within
-    1e-12 max(1, |level|) of the level: such values are counted as two boolean
-    masks, no float temporary.
-    """
-    tol = 1e-12 * max(1.0, abs(level))
-    if np.count_nonzero(f >= level - tol) > np.count_nonzero(f > level + tol):
-        warnings.warn("field value ties the level on some cell; the closed-set "
-                      "convention decides membership", stacklevel=stacklevel)
-
-
 def _level_runs(i0, i1, j0, j1, w, first, stop, level):
     """Row runs (rows, lo, hi) of the cells where the summed weights are >= level.
 
     Strip g holds the cells first[g] <= i < stop[g], and rectangle k adds
     w[k] to the cells i0[k] <= i < i1[k] of the strips j0[k] <= g < j1[k],
     with j0[k] < j1[k] and first[g] <= i0[k] <= i1[k] <= stop[g] on each.
-    The field of :func:`_stamped_field` is summed strip by strip, never
-    built.  Each rectangle adds +w at column i0 and -w at column i1 of
-    every strip it spans; events at a strip's stop are dropped.  A strip's
-    events, by column, fill one row of a buffer headed by first[g], and one
-    cumulative sum per row gives each stretch of cells from one event
-    column to the next its value, the sum after the last event at its
-    column.  Each strip restarts at 0, so no rounding carries across
-    strips, and cells no rectangle covers read 0.  Only ``value >= level``
-    reads the level.  Runs are maximal stretches of values >= level,
-    half-open in columns, in raster order.  Warns, three frames above the
-    caller, when a value ties the level, as :func:`_warn_on_ties` does.
+    The field is summed strip by strip, never built.  Each rectangle adds
+    +w at column i0 and -w at column i1 of every strip it spans; events at
+    a strip's stop are dropped.  A strip's events, by column, fill one row
+    of a buffer headed by first[g], and one cumulative sum per row gives
+    each stretch of cells from one event column to the next its value, the
+    sum after the last event at its column.  Each strip restarts at 0, so
+    no rounding carries across strips, and cells no rectangle covers read
+    0.  This is the one place that decides f >= level on a realization.
+    Runs are maximal stretches of values >= level, half-open in columns,
+    in raster order.  A value within 1e-12 max(1, |level|) of the level
+    warns that the closed-set convention decides it, counting two boolean
+    masks and no float temporary.  The warning names the caller of the
+    public function, four frames up: :func:`_batch_runs`, then
+    :func:`_replicate_features`, then the public function.
     """
     ny = len(first)
     col = np.concatenate([i0, i1])
@@ -515,7 +460,10 @@ def _level_runs(i0, i1, j0, j1, w, first, stop, level):
     ends = np.cumsum(np.count_nonzero(cells, axis=1))
     value, start = value[:, :-1][cells], bound[:, :-1][cells]
     del cells, bound
-    _warn_on_ties(value, level, stacklevel=5)
+    tol = 1e-12 * max(1.0, abs(level))
+    if np.count_nonzero(value >= level - tol) > np.count_nonzero(value > level + tol):
+        warnings.warn("field value ties the level on some cell; the closed-set "
+                      "convention decides membership", stacklevel=5)
     inside = value >= level
     del value
     # each strip's stretches tile its cells; a run closes where its strip
@@ -559,16 +507,19 @@ def _batch_axis(raw, owner, count, lo, hi):
     return axis, np.searchsorted(owner, np.arange(count + 1)), index
 
 
-def _batch_features(reals, level: float, window: PolyRectangle) -> tuple[list[dict], int]:
-    """Exact features of {f >= level} in the window for each realization, and the
-    batch's event count, from one strip-run pass over the batch.
+def _batch_runs(reals, level: float, window: PolyRectangle) -> tuple[tuple, int]:
+    """Row runs of {f >= level} in the window for each realization, and the batch's
+    event count, from one strip-run pass over the batch.
 
     Each replicate's axes hold its rectangle and window edges clipped to the
     window's box.  The axes lie side by side, so strip j of replicate r is
     strip cut[r] + j of the batch.  The window's pieces are index boxes on
     each replicate's axes, and the runs they give each strip cut the level
     runs; none covers the strip between two replicates, so the cut empties
-    it even at levels <= 0, and no link joins two replicates.
+    it even at levels <= 0, and no link joins two replicates.  The runs
+    come as (xs, ys, rows, lo, hi, x_cut, y_cut), the arguments of
+    :func:`_run_features`: replicate r has the axes xs[x_cut[r]:x_cut[r + 1]]
+    and ys[y_cut[r]:y_cut[r + 1]], and its runs index into them.
     """
     win = window._pieces
     n, k = len(reals), len(win)
@@ -607,8 +558,42 @@ def _batch_features(reals, level: float, window: PolyRectangle) -> tuple[list[di
     hi = np.minimum(hi[:, None], win_hi[rows])
     keep = hi > lo
     rows = np.broadcast_to(rows[:, None], keep.shape)[keep]
-    return (_run_features(xs, ys, rows, lo[keep], hi[keep], x_cut, y_cut),
-            2 * int((j1 - j0).sum()))
+    return (xs, ys, rows, lo[keep], hi[keep], x_cut, y_cut), 2 * int((j1 - j0).sum())
+
+
+# the event count, rectangle edges times the strips they cross, that a batch
+# of replicates is sized to: large enough that the per-pass cost is shared,
+# small enough that the pass's buffers stay in the heap the allocator keeps.
+# A replicate of 145 unit squares on [0, 10]^2 makes about 5,600 events and
+# one of 240 squares and tees on [0, 7]^2 about 22,000, so a batch holds
+# eight or two of them; a bound of 32,768 left the second kind one a batch
+_BATCH_EVENTS = 49152
+
+
+def _replicate_features(reals, level: float, window: PolyRectangle, collect=None) -> list:
+    """One result per realization of ``reals`` from the strip-run pass, run in batches.
+
+    A batch's runs (see :func:`_batch_runs`) become the exact features of
+    {f >= level} in the window, or ``collect(batch, runs)``, a list of one
+    result per replicate of the batch.  A batch closes before it would pass
+    ``_BATCH_EVENTS`` at the events per rectangle, at least one, of the
+    last batch that held a rectangle; until then each batch is one
+    replicate.  The results do not depend on the batches.  Every public
+    function that reads a level set calls this one directly, so that the
+    tie warning of :func:`_level_runs` finds its caller at one depth.
+    """
+    out, batch, rects, per_rect = [], [], 0, None
+    for real in itertools.chain(reals, [None]):
+        if batch and (real is None or per_rect is None
+                      or (rects + len(real.rects)) * per_rect > _BATCH_EVENTS):
+            runs, events = _batch_runs(batch, level, window)
+            out += _run_features(*runs) if collect is None else collect(batch, runs)
+            per_rect = max(events, rects) / rects if rects else per_rect
+            batch, rects = [], 0
+        if real is not None:
+            batch.append(real)
+            rects += len(real.rects)
+    return out
 
 
 def level_set_features_exact(real: Realization, level: float,
@@ -622,7 +607,7 @@ def level_set_features_exact(real: Realization, level: float,
     cut by the window's runs, go to the run kernel.  This is the strip-run
     pass of the Monte Carlo on a batch of one.
     """
-    return _batch_features([real], level, window)[0][0]
+    return _replicate_features([real], level, window)[0]
 
 
 # ------------------------------------------------------------- closed forms
@@ -686,7 +671,7 @@ def _level_probabilities(model: ShotNoiseModel) -> dict:
     if np.any(np.abs(values - lam) <= 1e-9 * max(1.0, abs(lam))):
         warnings.warn("level coincides with an achievable mark sum; "
                       "closed-form interval probabilities use the closed-set side",
-                      stacklevel=2)
+                      stacklevel=4)
     marks = list(zip(model.mark_dist.values, model.mark_dist.probs))
     p1 = math.fsum(p * _interval_prob(values, probs, lam - m, lam) for m, p in marks)
     p2 = 0.0
@@ -712,6 +697,13 @@ def stationary_density_closed_form(model: ShotNoiseModel) -> dict:
         per_bar_ui = rho p1 E Per_i
         vol_bar    = P(f(0) >= lam)
     """
+    return _closed_densities(model)
+
+
+def _closed_densities(model: ShotNoiseModel) -> dict:
+    """The densities of :func:`stationary_density_closed_form`.  Both public closed
+    forms call this one directly, so that the warning of :func:`_level_probabilities`
+    finds their caller at one depth."""
     rho = model.intensity
     g = model.grain_dist.moments()
     p = _level_probabilities(model)
@@ -733,7 +725,7 @@ def mean_chi_closed_form(model: ShotNoiseModel, window: PolyRectangle) -> float:
     of F is a convex corner, which gives (Per1(V) per_bar_u2 + Per2(V)
     per_bar_u1) / 4 with per_bar_ui = rho p1 E Per_i.
     """
-    d = stationary_density_closed_form(model)
+    d = _closed_densities(model)
     v = polyrect_features(window)
     return (v["vol"] * d["chi_bar"]
             + v["chi"] * d["vol_bar"]
@@ -747,39 +739,6 @@ def _realizations(model: ShotNoiseModel, domain, replicates: int, seed: int):
     if replicates < 2:
         raise InvalidSpec("need at least 2 replicates")
     return (sample_realization(model, domain, seed + i) for i in range(replicates))
-
-
-# the event count, rectangle edges times the strips they cross, that a batch
-# of replicates is sized to: large enough that the per-pass cost is shared,
-# small enough that the pass's buffers stay in the heap the allocator keeps.
-# A replicate of 145 unit squares on [0, 10]^2 makes about 5,600 events and
-# one of 240 squares and tees on [0, 7]^2 about 22,000, so a batch holds
-# eight or two of them; a bound of 32,768 left the second kind one a batch
-_BATCH_EVENTS = 49152
-
-
-def _replicate_features(model: ShotNoiseModel, window: PolyRectangle,
-                        replicates: int, seed: int) -> list[dict]:
-    """Exact level-set features of replicates drawn with seeds seed, seed+1, ...
-
-    Replicates go through the strip-run pass in batches.  A batch closes
-    before it would pass ``_BATCH_EVENTS`` at the events per rectangle,
-    at least one, of the last batch that held a rectangle; until then each
-    batch is one replicate.  The features do not depend on the batches.
-    """
-    feats, batch, rects, per_rect = [], [], 0, None
-    for real in itertools.chain(_realizations(model, window.bounding_box, replicates, seed),
-                                [None]):
-        if batch and (real is None or per_rect is None
-                      or (rects + len(real.rects)) * per_rect > _BATCH_EVENTS):
-            out, events = _batch_features(batch, model.level, window)
-            feats += out
-            per_rect = max(events, rects) / rects if rects else per_rect
-            batch, rects = [], 0
-        if real is not None:
-            batch.append(real)
-            rects += len(real.rects)
-    return feats
 
 
 def _mean_stderr(vals) -> dict:
@@ -798,7 +757,8 @@ _DENSITY_KEYS = (("chi_bar", "chi_stderr"), ("per_bar_u1", "per_u1_stderr"),
 def mc_mean_chi(model: ShotNoiseModel, window: PolyRectangle,
                 replicates: int, seed: int) -> dict:
     """Average exact per-realization chi over independent replicates."""
-    feats = _replicate_features(model, window, replicates, seed)
+    feats = _replicate_features(_realizations(model, window.bounding_box, replicates, seed),
+                                model.level, window)
     return _mean_stderr([f["chi"] for f in feats])
 
 
@@ -833,13 +793,14 @@ def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
 
     Per realization, the probability of each membership pattern (point in F
     with its epsilon-translates out, and the reverse) is computed as an exact
-    area fraction of the window.  The field is stamped once, on the
-    arrangement of the rectangle edges in the window grown by epsilon; the
-    cells of the finer arrangement that adds the edges' epsilon-translates
-    read their own membership and that of their four translates from it by
-    integer index maps.  The Monte Carlo average over replicates then
-    estimates the densities chi = (P1 - P2)/eps^2, Per_ui = 2 P(in, +eps u_i
-    out)/eps, Vol = P(in).
+    area fraction of the window.  The level set is built once, by the
+    batched strip-run pass of :func:`mc_mean_chi`, on the arrangement of
+    the rectangle edges in the window grown by epsilon, and its runs fill a
+    mask of that arrangement's cells.  The cells of the finer arrangement
+    that adds the edges' epsilon-translates read their own membership and
+    that of their four translates from the mask by integer index maps.  The
+    Monte Carlo average over replicates then estimates the densities
+    chi = (P1 - P2)/eps^2, Per_ui = 2 P(in, +eps u_i out)/eps, Vol = P(in).
     Returns a dict with the keys of :func:`stationary_density_closed_form`
     (``chi_bar``, ``per_bar_u1``, ``per_bar_u2``, ``vol_bar``), each holding
     the mean over replicates, and the standard error of each under
@@ -863,41 +824,64 @@ def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
     gx0, gx1 = _grown(wx0, wx1, e)
     gy0, gy1 = _grown(wy0, wy1, e)
 
-    samples = []
+    shifts = np.array([0.0, -e, e])
     cell_area = np.empty(0)
-    for real in reals:
-        rects = real.rects
-        xs, ys = _axes(np.concatenate([rects, rects - e, rects + e]), (wx0, wx1, wy0, wy1))
-        cx = np.unique(np.clip(np.append(rects[:, :2], (gx0, gx1)), gx0, gx1))
-        cy = np.unique(np.clip(np.append(rects[:, 2:], (gy0, gy1)), gy0, gy1))
-        f = _stamped_field(cx, cy, rects, real.marks)
-        occ = f >= model.level
-        _warn_on_ties(f, model.level)
-        del f
-        cols = _translate_maps(cx, xs, e)
-        # a map for shift o reads f(x - o): -e the east or north translate, +e the west or south
-        here, north, south = (occ[r] for r in _translate_maps(cy, ys, e))
-        inside, east_in, east_rev = (np.take(here, c, axis=1) for c in cols)
-        north_in, north_rev = (np.take(rows, cols[0], axis=1) for rows in (north, south))
 
-        # one buffer of cell areas serves the replicates, grown to twice the
-        # need when one outgrows it: a fresh array per replicate is often
-        # mapped anew and faulted in page by page
-        if cell_area.size < inside.size:
-            cell_area = np.empty(2 * inside.size)
-        area = np.multiply(np.diff(ys)[:, None], np.diff(xs)[None, :],
-                           out=cell_area[:inside.size].reshape(inside.shape))
+    def batch_samples(batch, runs):
+        nonlocal cell_area
+        coarse_x, coarse_y, rows, lo, hi, cx_cut, cy_cut = runs
+        # the fine axes: the window edges and each rectangle edge with its two
+        # epsilon-translates, clipped to the window, one replicate after another
+        n = len(batch)
+        rects = np.concatenate([real.rects for real in batch])
+        owner = np.concatenate([np.repeat(np.arange(n), 2),
+                                np.repeat(np.arange(n), [6 * len(real.rects) for real in batch])])
+        fine_x, fx_cut, _ = _batch_axis(np.concatenate([np.tile((wx0, wx1), n),
+                                                        (rects[:, :2, None] + shifts).ravel()]),
+                                        owner, n, wx0, wx1)
+        fine_y, fy_cut, _ = _batch_axis(np.concatenate([np.tile((wy0, wy1), n),
+                                                        (rects[:, 2:, None] + shifts).ravel()]),
+                                        owner, n, wy0, wy1)
+        first = np.searchsorted(rows, cy_cut)
+        out = []
+        for r in range(n):
+            cx, cy = coarse_x[cx_cut[r]:cx_cut[r + 1]], coarse_y[cy_cut[r]:cy_cut[r + 1]]
+            xs, ys = fine_x[fx_cut[r]:fx_cut[r + 1]], fine_y[fy_cut[r]:fy_cut[r + 1]]
+            # replicate r's runs switch its coarse cells on at lo and off at hi; maximal
+            # runs neither overlap nor touch, so no column is switched twice
+            k = slice(first[r], first[r + 1])
+            occ = np.zeros((len(cy) - 1, len(cx)), dtype=bool)
+            occ[rows[k] - cy_cut[r], lo[k] - cx_cut[r]] = True
+            occ[rows[k] - cy_cut[r], hi[k] - cx_cut[r]] = True
+            occ = np.logical_xor.accumulate(occ, axis=1)[:, :-1]
+            cols = _translate_maps(cx, xs, e)
+            # a map for shift o reads f(x - o): -e the east or north translate,
+            # +e the west or south
+            here, north, south = (occ[m] for m in _translate_maps(cy, ys, e))
+            inside, east_in, east_rev = (np.take(here, c, axis=1) for c in cols)
+            north_in, north_rev = (np.take(m, cols[0], axis=1) for m in (north, south))
 
-        def frac(mask: np.ndarray) -> float:
-            return float(area[mask].sum()) / w_area
+            # one buffer of cell areas serves the replicates, grown to twice the
+            # need when one outgrows it: a fresh array per replicate is often
+            # mapped anew and faulted in page by page
+            if cell_area.size < inside.size:
+                cell_area = np.empty(2 * inside.size)
+            area = np.multiply(np.diff(ys)[:, None], np.diff(xs)[None, :],
+                               out=cell_area[:inside.size].reshape(inside.shape))
 
-        p_out = frac(inside & ~east_in & ~north_in)
-        p_in = frac(~inside & east_rev & north_rev)
-        samples.append(((p_out - p_in) / (e * e),
+            def frac(mask: np.ndarray) -> float:
+                return float(area[mask].sum()) / w_area
+
+            p_out = frac(inside & ~east_in & ~north_in)
+            p_in = frac(~inside & east_rev & north_rev)
+            out.append(((p_out - p_in) / (e * e),
                         2.0 * frac(inside & ~east_in) / e,
                         2.0 * frac(inside & ~north_in) / e,
                         frac(inside)))
+        return out
 
+    grown = PolyRectangle(rects=((gx0, gx1, gy0, gy1),))
+    samples = _replicate_features(reals, model.level, grown, batch_samples)
     out = {}
     for (density, stderr), col in zip(_DENSITY_KEYS, zip(*samples)):
         stats = _mean_stderr(col)

@@ -34,7 +34,7 @@ from eulergram import (
 )
 from eulergram import randomsets
 from eulergram.lattice import _run_list
-from eulergram.randomsets import _clipped, _level_runs, _stamped_field
+from eulergram.randomsets import _level_runs
 from oracles import (
     LevelIndicator,
     bfs_component_count,
@@ -208,8 +208,12 @@ def test_non_atomic_marks_rejected_by_closed_form():
 
 
 def test_level_on_atom_sum_warns():
-    with pytest.warns(UserWarning, match="coincides"):
+    with pytest.warns(UserWarning, match="coincides") as caught:
         stationary_density_closed_form(square_model(1.0))
+        mean_chi_closed_form(square_model(1.0), V10)
+    # one warning from each closed form, each pointing at its call here
+    assert len({w.lineno for w in caught}) == 2
+    assert all(w.filename == __file__ for w in caught)
 
 
 def test_spec_validation():
@@ -480,15 +484,22 @@ def test_field_tie_on_cells_warns():
     (1.0, -5e-13, True, 1),
     (1.0, -2e-12, False, 1),
 ])
-def test_tie_check_tolerance(mark, level, warns, chi):
+def test_tie_check_tolerance(monkeypatch, mark, level, warns, chi):
     real = hand_realization([((0.2, 0.3), UNIT_SQUARE, mark)], (0.0, 2.0, 0.0, 2.0))
+    window = PolyRectangle(rects=((0.0, 2.0, 0.0, 2.0),))
+    # the Monte Carlo and the density estimator draw this realization twice;
+    # their model only gives the level
+    monkeypatch.setattr(randomsets, "_realizations", lambda *args: iter([real, real]))
+    model = square_model(level)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = level_set_features_exact(
-            real, level, PolyRectangle(rects=((0.0, 2.0, 0.0, 2.0),)))["chi"]
-    assert any("tie" in str(w.message) for w in caught) is warns
-    # the warning points at the caller
-    assert all(w.filename == __file__ for w in caught if "tie" in str(w.message))
+        got = level_set_features_exact(real, level, window)["chi"]
+        mc_mean_chi(model, window, 2, 0)
+        estimate_stationary_densities(model, 0.01, window.bounding_box, 2, 0)
+    ties = [w for w in caught if "tie" in str(w.message)]
+    # each entry point warns, and the warning points at its call here
+    assert len({w.lineno for w in ties}) == (3 if warns else 0)
+    assert all(w.filename == __file__ for w in ties)
     # membership is f >= level whether or not the check warns
     assert got == chi
 
@@ -590,13 +601,12 @@ def _batched(monkeypatch, reals, level, window, bound):
 
     def spy(batch, *args):
         sizes.append(len(batch))
-        return batch_features(batch, *args)
+        return batch_runs(batch, *args)
 
-    batch_features = randomsets._batch_features
+    batch_runs = randomsets._batch_runs
     monkeypatch.setattr(randomsets, "_BATCH_EVENTS", bound)
-    monkeypatch.setattr(randomsets, "_batch_features", spy)
-    monkeypatch.setattr(randomsets, "_realizations", lambda *args: iter(reals))
-    return randomsets._replicate_features(square_model(level), window, len(reals), 0), sizes
+    monkeypatch.setattr(randomsets, "_batch_runs", spy)
+    return randomsets._replicate_features(iter(reals), level, window), sizes
 
 
 @settings(max_examples=150, deadline=None)
@@ -723,7 +733,8 @@ def test_overlapping_grain_mc_matches_closed_form():
                            grain_dist=GrainMixture(components=(OVERLAPPING,), probs=(1.0,)),
                            mark_dist=AtomicMarks(values=(1.0,), probs=(1.0,)), level=1.5)
     window = PolyRectangle(rects=((0.0, 5.0, 0.0, 5.0),))
-    feats = randomsets._replicate_features(model, window, 200, 0)
+    feats = randomsets._replicate_features(
+        randomsets._realizations(model, window.bounding_box, 200, 0), model.level, window)
     chi = randomsets._mean_stderr([f["chi"] for f in feats])
     vol = randomsets._mean_stderr([f["vol"] for f in feats])
     assert abs(chi["mean"] - mean_chi_closed_form(model, window)) <= 4 * chi["stderr"]
@@ -732,7 +743,7 @@ def test_overlapping_grain_mc_matches_closed_form():
 
 
 def test_overlapping_grain_density_matches_closed_form():
-    # the stamped field of densities gives the overlap one mark too
+    # the level runs of densities give the overlap one mark too
     model = ShotNoiseModel(intensity=0.2,
                            grain_dist=GrainMixture(components=(OVERLAPPING,), probs=(1.0,)),
                            mark_dist=AtomicMarks(values=(1.0,), probs=(1.0,)), level=1.5)
@@ -785,7 +796,9 @@ def test_random_mixtures_match_window_closed_forms():
                 "per1": v["vol"] * d["per_bar_u1"] + v["per1"] * d["vol_bar"],
                 "per2": v["vol"] * d["per_bar_u2"] + v["per2"] * d["vol_bar"],
                 "vol": v["vol"] * d["vol_bar"]}
-        feats = randomsets._replicate_features(model, window, 200, 1000 * k)
+        feats = randomsets._replicate_features(
+            randomsets._realizations(model, window.bounding_box, 200, 1000 * k), model.level,
+            window)
         for key, target in want.items():
             got = randomsets._mean_stderr([f[key] for f in feats])
             assert abs(got["mean"] - target) <= 4.5 * got["stderr"], (k, key)
@@ -876,7 +889,7 @@ def test_window_shift_leaves_chi_distribution_unchanged():
     assert d <= 0.2
 
 
-# ------------------------------------------------------------- stamping
+# ----------------------------------------------------------- level runs
 
 
 @st.composite
@@ -901,21 +914,6 @@ def stamp_cases(draw):
               for _ in range(n)]
     weights = draw(st.lists(st.floats(0.001, 10.0), min_size=n, max_size=n))
     return xs, ys, grains, weights
-
-
-@settings(max_examples=300, deadline=None)
-@given(stamp_cases())
-@example((np.arange(4.0), np.arange(3.0), [], []))
-@example((np.arange(4.0), np.arange(3.0),
-          [[(0.0, 2.0, 0.0, 1.0), (1.0, 3.0, 1.0, 2.0)], [(-1.0, 5.0, -2.0, 0.5)]],
-          [0.7, 1.3]))
-def test_stamper_matches_loop_oracle(case):
-    xs, ys, grains, weights = case
-    rects = np.array([r for g in grains for r in g], dtype=float).reshape(-1, 4)
-    marks = np.array([wgt for g, wgt in zip(grains, weights) for _ in g], dtype=float)
-    got = _stamped_field(xs, ys, rects, marks)
-    assert got.shape == (len(ys) - 1, len(xs) - 1)
-    assert np.array_equal(got, stamped_field_by_loop(xs, ys, grains, weights))
 
 
 @st.composite
@@ -951,10 +949,12 @@ def test_level_runs_match_loop_oracle(case):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         # one arrangement, whose strips all hold the columns 0 to len(xs) - 1;
-        # a rectangle between two coordinates of ys covers no strip
-        i0, i1, j0, j1, w = _clipped(xs, ys, rects, marks)
+        # each rectangle, clipped to the axes, spans the axis indices of its
+        # edges, and one between two coordinates of ys covers no strip
+        i0, i1 = (np.searchsorted(xs, np.clip(rects[:, k], xs[0], xs[-1])) for k in (0, 1))
+        j0, j1 = (np.searchsorted(ys, np.clip(rects[:, k], ys[0], ys[-1])) for k in (2, 3))
         some = j1 > j0
-        got = _level_runs(i0[some], i1[some], j0[some], j1[some], w[some],
+        got = _level_runs(i0[some], i1[some], j0[some], j1[some], marks[some],
                           np.zeros(len(ys) - 1, dtype=int), np.full(len(ys) - 1, len(xs) - 1),
                           level)
     ties = bool((gap <= 0.5 * tol).any())
@@ -1070,15 +1070,46 @@ def test_densities_match_five_stamp_oracle_integer_marks(epsilon, x0, y0, side, 
 
 
 def test_densities_stamp_once_per_replicate(monkeypatch):
-    calls = []
+    """One strip-run pass per batch, and every replicate in exactly one batch."""
+    sizes = []
 
-    def counted(*args):
-        calls.append(1)
-        return _stamped_field(*args)
+    def counted(i0, i1, j0, j1, w, first, stop, level):
+        # the strips of each replicate start at its own first column
+        sizes.append(len(np.unique(first)))
+        return level_runs(i0, i1, j0, j1, w, first, stop, level)
 
-    monkeypatch.setattr(randomsets, "_stamped_field", counted)
-    estimate_stationary_densities(square_model(1.5), 0.01, (0.0, 2.0, 0.0, 2.0), 5, 0)
-    assert len(calls) == 5
+    level_runs = randomsets._level_runs
+    monkeypatch.setattr(randomsets, "_level_runs", counted)
+    monkeypatch.setattr(randomsets, "_BATCH_EVENTS", 600)
+    estimate_stationary_densities(square_model(1.5), 0.01, (0.0, 2.0, 0.0, 2.0), 12, 0)
+    assert sum(sizes) == 12 and len(sizes) > 2 and max(sizes) > 1, sizes
+
+
+@pytest.mark.parametrize("level", [-1.0, 0.0])
+def test_densities_at_levels_below_zero_fill_the_window(monkeypatch, level):
+    """At a level <= 0 every cell is in the level set, covered or not, in batches
+    of several replicates too: no cell has a translate outside, and all of the
+    window is inside.  Uncovered cells tie level 0; the closed set keeps them."""
+    monkeypatch.setattr(randomsets, "_BATCH_EVENTS", 600)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        est = estimate_stationary_densities(square_model(level), 0.01, (0.0, 2.0, 0.0, 2.0),
+                                            12, 0)
+    for key in ("chi_bar", "chi_stderr", "per_bar_u1", "per_u1_stderr",
+                "per_bar_u2", "per_u2_stderr"):
+        assert est[key] == 0.0, key
+    assert abs(est["vol_bar"] - 1.0) <= 1e-12
+
+
+def test_densities_do_not_depend_on_batches(monkeypatch):
+    # uniform marks: the strip sums are not exact, and still agree batch for batch
+    model = ShotNoiseModel(1.5, RectFamily(Uniform(0.5, 1.5), Uniform(0.2, 1.0)),
+                           Uniform(0.2, 1.0), 0.7)
+    got = []
+    for bound in (1, 1 << 30):
+        monkeypatch.setattr(randomsets, "_BATCH_EVENTS", bound)
+        got.append(estimate_stationary_densities(model, 0.01, (0.0, 2.0, 0.0, 2.0), 8, 3))
+    assert got[0] == got[1]
 
 
 @pytest.mark.parametrize("level,warns", [(0.8, True), (0.85, False)])
