@@ -8,13 +8,16 @@ to a polyrectangular window is itself a polyrectangle living on the cell
 arrangement spanned by the germ rectangle edges, so chi, perimeters and
 areas come from integer/float cell bookkeeping rather than digitization.
 The level set is built as row runs, one list per horizontal strip of the
-arrangement, straight from the rectangle edges: each strip sums its own
-+w/-w edge events, and no field or mask of the arrangement's size is
-made.  The run kernel of ``topology`` reads chi (runs minus links between
-adjacent strips), perimeters and area off the runs.  The Monte Carlo makes
-one such strip-run pass per batch of replicates, their arrangements side
-by side with an empty strip between two, and a single realization is a
-batch of one.  The density estimator runs the same batched pass on its
+arrangement, straight from the rectangle edges, and no field or mask of
+the arrangement's size is made.  The columns are cut into bands about
+twice the mean rectangle width wide; a band's strips are cut only by the
+edges of the rectangle pieces in that band, each band strip sums its own
++w/-w edge events, and runs that meet at a band cut are joined.  The run
+kernel of ``topology`` reads chi (runs minus links between adjacent
+strips), perimeters and area off the runs.  The Monte Carlo makes one
+such strip-run pass per batch of replicates, their arrangements side by
+side with a strip of no cells between two, and a single realization is
+a batch of one.  The density estimator runs the same batched pass on its
 coarse axes and fills a mask of their cells from the runs, so the pass
 is the one place that decides f >= lambda on a realization.
 A realization holds its germs as arrays: translated grain rectangles and marks.
@@ -403,32 +406,97 @@ def sample_realization(model: ShotNoiseModel, domain, seed: int) -> Realization:
 
 # ------------------------------------------------- exact level-set geometry
 
+def _band_strips(i0, i1, j0, j1, first, stop):
+    """The rectangles of :func:`_level_runs` cut into column bands, and the bands' strips.
+
+    An arrangement is a run of consecutive strips with one first and stop.
+    Its columns are cut into bands ``width`` wide, about twice the mean
+    column span of the rectangles, and each rectangle into one piece per
+    band it meets.  A band strip is a run of its arrangement's strips with
+    no edge of the band's pieces between them: one boolean array per band,
+    all laid end to end, marks the strips where a band strip starts, and a
+    cumsum numbers the band strips.  Returns the pieces (their rectangle,
+    columns pi0 to pi1 and band strips s0 to s1), each band strip's
+    columns (first to stop), and its first strip and strip count in the
+    caller's numbering.  Bands come in column order within an arrangement,
+    and band strips in strip order within a band.
+    """
+    ny = len(first)
+    new = np.ones(ny, dtype=bool)
+    new[1:] = (first[1:] != first[:-1]) | (stop[1:] != stop[:-1])
+    head = np.flatnonzero(new)
+    height = np.diff(np.append(head, ny))
+    a_first, cols = first[head], stop[head] - first[head]
+    span = i1 - i0
+    width = -(-2 * int(span.sum()) // max(span.size, 1)) or max(1, int(cols.max(initial=1)))
+    bands = -(-cols // width)
+    band0 = np.cumsum(bands) - bands
+    arr_of = np.repeat(np.arange(head.size), bands)
+    band_lo = a_first[arr_of] + width * (np.arange(arr_of.size) - band0[arr_of])
+    band_hi = np.minimum(band_lo + width, (a_first + cols)[arr_of])
+
+    # the arrangement of each rectangle, and the bands of its first and last column
+    arr = np.searchsorted(head, j0, side="right") - 1
+    b0 = (i0 - a_first[arr]) // width
+    pieces = np.where(span > 0, (i1 - 1 - a_first[arr]) // width - b0 + 1, 0)
+    rect = np.repeat(np.arange(span.size), pieces)
+    band = np.repeat(band0[arr] + b0 - np.cumsum(pieces) + pieces, pieces) + np.arange(rect.size)
+
+    # band b's strips are the slots off[b] to off[b + 1] - 1 of the marks,
+    # and the slot after the last band's ends it
+    strips = height[arr_of]
+    off = np.cumsum(strips) - strips
+    total = int(strips.sum())
+    mark = np.zeros(total + 1, dtype=bool)
+    mark[off] = True
+    mark[total] = True
+    top = off[band] - head[arr[rect]]
+    s0, s1 = top + j0[rect], top + j1[rect]
+    mark[s0] = True
+    mark[s1] = True
+    number = np.cumsum(mark) - 1
+    at = np.flatnonzero(mark)
+    owner = np.searchsorted(off, at[:-1], side="right") - 1
+    return (rect, np.maximum(i0[rect], band_lo[band]), np.minimum(i1[rect], band_hi[band]),
+            number[s0], number[s1], band_lo[owner], band_hi[owner],
+            at[:-1] - off[owner] + head[arr_of[owner]], np.diff(at))
+
+
 def _level_runs(i0, i1, j0, j1, w, first, stop, level):
-    """Row runs (rows, lo, hi) of the cells where the summed weights are >= level.
+    """Row runs (rows, lo, hi) of the cells where the summed weights are >= level,
+    and the number of (edge, band strip) events summed to find them.
 
     Strip g holds the cells first[g] <= i < stop[g], and rectangle k adds
     w[k] to the cells i0[k] <= i < i1[k] of the strips j0[k] <= g < j1[k],
     with j0[k] < j1[k] and first[g] <= i0[k] <= i1[k] <= stop[g] on each.
-    The field is summed strip by strip, never built.  Each rectangle adds
-    +w at column i0 and -w at column i1 of every strip it spans; events at
-    a strip's stop are dropped.  A strip's events, by column, fill one row
-    of a buffer headed by first[g], and one cumulative sum per row gives
-    each stretch of cells from one event column to the next its value, the
-    sum after the last event at its column.  Each strip restarts at 0, so
-    no rounding carries across strips, and cells no rectangle covers read
-    0.  This is the one place that decides f >= level on a realization.
-    Runs are maximal stretches of values >= level, half-open in columns,
-    in raster order.  A value within 1e-12 max(1, |level|) of the level
-    warns that the closed-set convention decides it, counting two boolean
-    masks and no float temporary.  The warning names the caller of the
-    public function, four frames up: :func:`_batch_runs`, then
+    Consecutive strips with one first and stop form an arrangement, and
+    each rectangle's strips lie in one.  The field is never built: it is
+    summed on the band strips of :func:`_band_strips`, each cut only by
+    the edges of its band's pieces.  Each piece adds +w at its first
+    column and -w at its stop on every band strip it spans; events at a
+    band strip's stop are dropped.  A band strip's events, by column, fill
+    one row of a buffer headed by its first column, and one cumulative sum
+    per row gives each stretch of cells from one event column to the next
+    its value, the sum after the last event at its column.  Each band
+    strip restarts at 0, so no rounding carries across band strips, and
+    cells no rectangle covers read 0.  This is the one place that decides
+    f >= level on a realization.  Runs are maximal stretches of values >=
+    level, half-open in columns, in raster order: each band strip's runs
+    go to each of its strips, and two runs that meet at a band cut are
+    joined.  A value within 1e-12 max(1, |level|) of the level warns that
+    the closed-set convention decides it, counting two boolean masks and
+    no float temporary.  The warning names the caller of the public
+    function, four frames up: :func:`_batch_runs`, then
     :func:`_replicate_features`, then the public function.
     """
+    key16 = len(first) <= 1 << 16  # the strips' indices sort as uint16
+    rect, i0, i1, j0, j1, first, stop, strip_row, strip_rows = _band_strips(
+        i0, i1, j0, j1, first, stop)
     ny = len(first)
     col = np.concatenate([i0, i1])
     edge = np.flatnonzero(col < np.tile(stop[j0], 2))
     edge = edge[np.argsort(col[edge], kind="stable")]
-    col, step = col[edge], np.concatenate([w, -w])[edge]
+    col, step = col[edge], np.concatenate([w[rect], -w[rect]])[edge]
     bottom = np.concatenate([j0, j0])[edge]
     span = np.concatenate([j1 - j0, j1 - j0])[edge]
     count = np.cumsum(np.bincount(bottom, minlength=ny + 1)
@@ -449,7 +517,7 @@ def _level_runs(i0, i1, j0, j1, w, first, stop, level):
     slot += np.arange(slot.size)
     value = np.zeros((ny, width))
     value.ravel()[slot] = step[src]
-    bound = np.empty((ny, width), dtype=np.int64)
+    bound = np.empty((ny, width), dtype=np.int32 if stop.max(initial=0) < 1 << 31 else np.int64)
     bound[:] = stop[:, None]
     bound[:, 0] = first
     bound.ravel()[slot] = col[src]
@@ -476,8 +544,22 @@ def _level_runs(i0, i1, j0, j1, w, first, stop, level):
     close = np.flatnonzero(inside & brk)
     rows = np.searchsorted(ends, np.flatnonzero(opens), side="right")
     # a run that does not end its strip ends where the next stretch starts
-    return (rows, start[opens],
-            np.where(last[close], stop[rows], start[np.minimum(close + 1, start.size - 1)]))
+    lo = start[opens]
+    hi = np.where(last[close], stop[rows], start[np.minimum(close + 1, start.size - 1)])
+    del start, inside, last, brk, opens, close
+
+    # each band strip's runs go to each of its rows; a stable sort by row
+    # puts one row's runs in band order, each band's in column order
+    rows_of = strip_rows[rows]
+    row = np.repeat(strip_row[rows] - np.cumsum(rows_of) + rows_of, rows_of)
+    row += np.arange(row.size)
+    order = np.argsort(row.astype(np.uint16) if key16 else row, kind="stable")
+    row, lo, hi = row[order], np.repeat(lo, rows_of)[order], np.repeat(hi, rows_of)[order]
+    # two runs of one row that meet are the two sides of a band cut
+    opens = np.ones(row.size + 1, dtype=bool)
+    opens[1:-1] = (row[1:] != row[:-1]) | (lo[1:] != hi[:-1])
+    at = np.flatnonzero(opens)
+    return row[at[:-1]], lo[at[:-1]], hi[at[1:] - 1], int(count.sum())
 
 
 def _batch_axis(raw, owner, count, lo, hi):
@@ -515,8 +597,8 @@ def _batch_runs(reals, level: float, window: PolyRectangle) -> tuple[tuple, int]
     window's box.  The axes lie side by side, so strip j of replicate r is
     strip cut[r] + j of the batch.  The window's pieces are index boxes on
     each replicate's axes, and the runs they give each strip cut the level
-    runs; none covers the strip between two replicates, so the cut empties
-    it even at levels <= 0, and no link joins two replicates.  The runs
+    runs.  The strip between two replicates holds no cells, so it has no
+    runs even at levels <= 0, and no link joins two replicates.  The runs
     come as (xs, ys, rows, lo, hi, x_cut, y_cut), the arguments of
     :func:`_run_features`: replicate r has the axes xs[x_cut[r]:x_cut[r + 1]]
     and ys[y_cut[r]:y_cut[r + 1]], and its runs index into them.
@@ -539,12 +621,13 @@ def _batch_runs(reals, level: float, window: PolyRectangle) -> tuple[tuple, int]
     keep = (i1 > i0) & (j1 > j0)
     i0, i1, j0, j1 = i0[keep], i1[keep], j0[keep], j1[keep]
 
-    # strip g of replicate r holds the columns x_cut[r] to x_cut[r + 1] - 1;
-    # no rectangle or window piece covers the strip above r's top edge
+    # strip g of replicate r holds the columns x_cut[r] to x_cut[r + 1] - 1,
+    # and the strip above r's top edge, between two replicates, holds none
     strips = np.arange(len(ys) - 1)
     rep = np.repeat(np.arange(n), np.diff(y_cut))[:-1]
-    rows, lo, hi = _level_runs(i0, i1, j0, j1, marks[keep], x_cut[rep], x_cut[rep + 1] - 1,
-                               level)
+    first, stop = x_cut[rep], x_cut[rep + 1] - 1
+    stop[y_cut[1:-1] - 1] = first[y_cut[1:-1] - 1]
+    rows, lo, hi, events = _level_runs(i0, i1, j0, j1, marks[keep], first, stop, level)
 
     # window piece q covers the columns wx[g, q, 0] to wx[g, q, 1] of the
     # strips g with wy[g, q, 0] <= g < wy[g, q, 1]; the pieces that cover a
@@ -558,16 +641,17 @@ def _batch_runs(reals, level: float, window: PolyRectangle) -> tuple[tuple, int]
     hi = np.minimum(hi[:, None], win_hi[rows])
     keep = hi > lo
     rows = np.broadcast_to(rows[:, None], keep.shape)[keep]
-    return (xs, ys, rows, lo[keep], hi[keep], x_cut, y_cut), 2 * int((j1 - j0).sum())
+    return (xs, ys, rows, lo[keep], hi[keep], x_cut, y_cut), events
 
 
-# the event count, rectangle edges times the strips they cross, that a batch
-# of replicates is sized to: large enough that the per-pass cost is shared,
-# small enough that the pass's buffers stay in the heap the allocator keeps.
-# A replicate of 145 unit squares on [0, 10]^2 makes about 5,600 events and
-# one of 240 squares and tees on [0, 7]^2 about 22,000, so a batch holds
-# eight or two of them; a bound of 32,768 left the second kind one a batch
-_BATCH_EVENTS = 49152
+# the event count, piece edges times the band strips they cross, that a
+# batch of replicates is sized to: large enough that the per-pass cost is
+# shared, small enough that the pass's buffers stay in the heap the
+# allocator keeps.  A replicate of 145 unit squares on [0, 10]^2 makes
+# about 1,700 events and one of 240 squares and tees on [0, 7]^2 about
+# 7,100, so a batch holds some eighteen or four of them; a bound of 49,152
+# held half as many again, for a peak memory 4% higher and no faster
+_BATCH_EVENTS = 32768
 
 
 def _replicate_features(reals, level: float, window: PolyRectangle, collect=None) -> list:
@@ -578,7 +662,10 @@ def _replicate_features(reals, level: float, window: PolyRectangle, collect=None
     result per replicate of the batch.  A batch closes before it would pass
     ``_BATCH_EVENTS`` at the events per rectangle, at least one, of the
     last batch that held a rectangle; until then each batch is one
-    replicate.  The results do not depend on the batches.  Every public
+    replicate.  The results do not depend on the batches: with integer
+    marks every sum is exact, and otherwise a batch's bands can round a
+    sum apart in the last bits, which moves a cell across the level only
+    within the tie tolerance, where :func:`_level_runs` warns.  Every public
     function that reads a level set calls this one directly, so that the
     tie warning of :func:`_level_runs` finds its caller at one depth.
     """

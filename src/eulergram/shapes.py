@@ -15,7 +15,8 @@ kind's keys and no other.  Every set also lists its cells row by row
 as column runs for the continuum sweep of ``variogram``, for a stack of
 copies at x-offsets of their own: discs and annuli in closed form,
 confirmed against the predicate's own float expression, unions by merging
-their members' runs, and implicit sets by reading them off the predicate.
+the runs of their members, each asked only for the rows its box reaches,
+and implicit sets by reading them off the predicate.
 """
 
 from __future__ import annotations
@@ -405,8 +406,25 @@ def make_shape(spec: dict) -> IndicatorSet:
         bbox = (min(b[0] for b in boxes), max(b[1] for b in boxes),
                 min(b[2] for b in boxes), max(b[3] for b in boxes))
 
+        # a member is asked only for the block of copies and rows that its
+        # box can reach, found as contains finds it (an x on the box cuts no
+        # column); its other rows are empty, and a block of all rows is the
+        # call itself
         def row_runs(xs, ys, dx, members=members):
-            runs = [m.row_runs(xs, ys, dx) for m in members]
+            runs = []
+            for m in members:
+                part = _box_block(np.float64(m.bounding_box[0]), ys, m.bounding_box)
+                if part is None:
+                    continue
+                block, _, yb = part
+                lo, hi = m.row_runs(xs, yb, dx[block[0]])
+                if yb.shape != ys.shape:
+                    out = np.zeros((2, *ys.shape, lo.shape[1]), dtype=lo.dtype)
+                    out[(slice(None), *block)] = np.stack([lo, hi]).reshape(2, *yb.shape, -1)
+                    lo, hi = out.reshape(2, ys.size, -1)
+                runs.append((lo, hi))
+            if not runs:
+                return (np.zeros((ys.size, 1), dtype=np.intp),) * 2
             return _merge_runs(np.concatenate([lo for lo, _ in runs], 1),
                                np.concatenate([hi for _, hi in runs], 1))
 

@@ -650,6 +650,21 @@ def test_replicate_batches_split_and_keep_errors(monkeypatch):
     assert str(batched.value) == str(alone.value)
 
 
+def test_strips_between_replicates_hold_no_cells(monkeypatch):
+    """A rectangle [-1, 3]^2 covers the window [0, 2]^2, so no cell of a replicate
+    has value 0; at a level 5e-13 below 0, which only uncovered cells would tie,
+    neither one replicate nor a batch of three warns."""
+    window = PolyRectangle(rects=((0.0, 2.0, 0.0, 2.0),))
+    grain = PolyRectangle(rects=((0.0, 4.0, 0.0, 4.0),))
+    real = hand_realization([((-1.0, -1.0), grain, 1.0)], window.bounding_box)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = level_set_features_exact(real, -5e-13, window)
+        got, sizes = _batched(monkeypatch, [real] * 3, -5e-13, window, 1 << 30)
+    assert sizes == [1, 2]
+    assert got == [alone] * 3 and alone == {"chi": 1, "per1": 4.0, "per2": 4.0, "vol": 4.0}
+
+
 def test_closed_form_inputs_keep_their_bits():
     # report.json carries these; the values are pinned by repr so that a change
     # to the cell kernel cannot move its bytes unnoticed
@@ -956,11 +971,84 @@ def test_level_runs_match_loop_oracle(case):
         some = j1 > j0
         got = _level_runs(i0[some], i1[some], j0[some], j1[some], marks[some],
                           np.zeros(len(ys) - 1, dtype=int), np.full(len(ys) - 1, len(xs) - 1),
-                          level)
+                          level)[:3]
     ties = bool((gap <= 0.5 * tol).any())
     assert any("ties the level" in str(w.message) for w in caught) is ties
     if not ties:
         want = _run_list(field >= level)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@st.composite
+def side_by_side_cases(draw):
+    """Arrangements side by side as :func:`randomsets._batch_runs` lays out a
+    batch: each has its own strips and columns, one column and one strip with
+    no cells (first == stop) lie between two, and its index-box rectangles,
+    mostly one or two columns wide with some across many bands, stay inside
+    it.  Weights are integers or not; levels are at or below zero too."""
+    first, stop, boxes, weights, parts = [], [], [], [], []
+    col = 0
+    for a in range(draw(st.integers(1, 4))):
+        if a:
+            first.append(col)
+            stop.append(col)
+            col += 1
+        ncol, nrow = draw(st.integers(1, 30)), draw(st.integers(1, 6))
+        row0 = len(first)
+        first += [col] * nrow
+        stop += [col + ncol] * nrow
+        own = []
+        for _ in range(draw(st.integers(0, 10))):
+            i0 = draw(st.integers(0, ncol))
+            i1 = draw(st.integers(i0, min(ncol, i0 + 2)) if draw(st.booleans())
+                      else st.integers(i0, ncol))
+            j0 = draw(st.integers(0, nrow - 1))
+            j1 = draw(st.integers(j0 + 1, nrow))
+            own.append((i0, i1, j0, j1))
+            boxes.append((col + i0, col + i1, row0 + j0, row0 + j1))
+            weights.append(draw(st.sampled_from([1.0, 2.0, 0.7, 1.3, 2.9])))
+        parts.append((col, ncol, row0, nrow, own, weights[len(weights) - len(own):]))
+        col += ncol
+    level = draw(st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.65, 1.0, 1.45, 2.05, 3.35]),
+                           st.floats(-1.0, 8.0)))
+    return np.array(first), np.array(stop), boxes, weights, parts, level
+
+
+@settings(max_examples=300, deadline=None)
+@given(side_by_side_cases())
+# nine unit-wide squares and one across all 20 columns, four bands of six:
+# the wide one's runs cross three band cuts, and at level 2 the runs of two
+# squares that meet at the cut at column 6, [4, 6) and [6, 8), are one run
+@example((np.zeros(2, dtype=int), np.full(2, 20),
+          [(k, k + 1, 0, 1) for k in range(9)] + [(0, 20, 0, 2)]
+          + [(4, 6, 1, 2), (6, 8, 1, 2)],
+          [1.0] * 12,
+          [(0, 20, 0, 2, [(k, k + 1, 0, 1) for k in range(9)] + [(0, 20, 0, 2)]
+            + [(4, 6, 1, 2), (6, 8, 1, 2)], [1.0] * 12)],
+          2.0))
+def test_level_runs_of_side_by_side_arrangements_match_loop_oracle(case):
+    first, stop, boxes, weights, parts, level = case
+    want_rows, want_lo, want_hi, gaps = [], [], [], []
+    for col, ncol, row0, nrow, own, own_weights in parts:
+        field = stamped_field_by_loop(np.arange(ncol + 1.0), np.arange(nrow + 1.0),
+                                      [[box] for box in own], own_weights)
+        gaps.append(np.abs(field - level).ravel())
+        rows, lo, hi = _run_list(field >= level)
+        want_rows.append(rows + row0)
+        want_lo.append(lo + col)
+        want_hi.append(hi + col)
+    gap = np.concatenate(gaps)
+    tol = 1e-12 * max(1.0, abs(level))
+    # band sums and the loop's running sums round apart: keep clear of the tolerance's edge
+    assume(not ((gap > 0.5 * tol) & (gap < 1e-9)).any())
+    i0, i1, j0, j1 = (np.array([box[k] for box in boxes], dtype=int) for k in range(4))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _level_runs(i0, i1, j0, j1, np.array(weights), first, stop, level)[:3]
+    ties = bool((gap <= 0.5 * tol).any())
+    assert any("ties the level" in str(w.message) for w in caught) is ties
+    if not ties:
+        want = [np.concatenate(part) for part in (want_rows, want_lo, want_hi)]
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -1080,7 +1168,7 @@ def test_densities_stamp_once_per_replicate(monkeypatch):
 
     level_runs = randomsets._level_runs
     monkeypatch.setattr(randomsets, "_level_runs", counted)
-    monkeypatch.setattr(randomsets, "_BATCH_EVENTS", 600)
+    monkeypatch.setattr(randomsets, "_BATCH_EVENTS", 300)
     estimate_stationary_densities(square_model(1.5), 0.01, (0.0, 2.0, 0.0, 2.0), 12, 0)
     assert sum(sizes) == 12 and len(sizes) > 2 and max(sizes) > 1, sizes
 

@@ -278,11 +278,16 @@ def row_run_cases(draw):
     # touching, overlapping or apart along x
     other = {"type": "disc", "center": [cx + 2 * r + draw(st.sampled_from([0.0, -0.05, 0.1])), cy],
              "r": r}
+    # a disc above the first, in rows of its own: the union asks each member
+    # only for the rows its box reaches
+    above = {"type": "disc", "center": [cx + 0.3 * r, cy + 2.5 * r], "r": 0.5 * r}
     window = PolyRectangle(rects=[(cx - 0.3, cx + 0.4, cy - 0.5, cy + 0.2),
                                   (cx - 0.1, cx + 0.8, cy - 0.2, cy + 0.6)])
     shapes = [make_shape(disc), make_shape(annulus),
               make_shape({"type": "union", "members": [disc, other]}),
               make_shape({"type": "union", "members": [annulus, other]}),
+              make_shape({"type": "union", "members": [disc, above]}),
+              make_shape({"type": "union", "members": [annulus, above, other]}),
               _clip_to_window(make_shape({"type": "union", "members": [annulus, other]}), window),
               window,
               # built without runs: they are read off the predicate
@@ -294,7 +299,7 @@ def row_run_cases(draw):
     # rows through the hole, between the radii, on both circles and off the set
     ys = np.array([cy + t * r for t in draw(st.lists(st.floats(-1.3, 1.3), min_size=1,
                                                       max_size=8))]
-                  + [cy - r, cy + r, cy + annulus["r_in"], cy + 2.0])
+                  + [cy - r, cy + r, cy + annulus["r_in"], cy + 2.0, cy + 2.5 * r])
     # a stack of copies, each at its own x-offset off the mesh and its own
     # rows: one offset puts a column on the centre, so the rows on the
     # circles are tangent at a column; one moves the set off every row
