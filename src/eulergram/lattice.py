@@ -21,6 +21,7 @@ own box rather than the whole grid.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -218,7 +219,9 @@ def lattice_covering(
     margin: int = 1,
 ) -> Lattice:
     """Smallest lattice of spacing ``epsilon``, anchored on ``epsilon * Z^2``,
-    covering the box with ``margin`` extra empty cells on every side."""
+    covering the box with ``margin`` extra empty cells on every side.  A box
+    whose ends over ``epsilon`` are not finite, or which ``epsilon`` cannot
+    resolve (an end x with x + epsilon == x), raises :class:`InvalidSpec`."""
     x0, x1, y0, y1 = bounding_box
     if not (x1 >= x0 and y1 >= y0):
         raise ValueError("malformed bounding box")
@@ -226,6 +229,10 @@ def lattice_covering(
     if max(wx, wy) > 1 << 31:
         raise InvalidSpec(f"epsilon {epsilon} spans {bounding_box} with a {wy:.3g} x {wx:.3g} "
                           "lattice; an axis holds at most 2**31 points")
+    e = float(epsilon)
+    if not all(math.isfinite(v / e) and v + e != v for v in map(float, bounding_box)):
+        raise InvalidSpec(f"epsilon {epsilon} cannot resolve the box {bounding_box}: an end "
+                          "over epsilon is not finite, or adding epsilon leaves it unchanged")
     i0 = int(np.floor(x0 / epsilon)) - margin
     i1 = int(np.ceil(x1 / epsilon)) + margin
     j0 = int(np.floor(y0 / epsilon)) - margin

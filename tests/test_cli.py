@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -544,6 +545,36 @@ def test_germ_count_beyond_host_memory_exits_one(tmp_path, capsys, monkeypatch):
     cfg = {**SHOT_CFG, "window": {"rects": [[0, 40000, 0, 40000]]}}
     message = refused_before_allocating(tmp_path, capsys, "shotnoise", cfg)
     assert "germ count" in message and "GiB" in message
+
+
+@pytest.mark.parametrize("subcommand,cfg", [
+    ("shotnoise", {**SHOT_CFG, "replicates": 1e308}),
+    ("densities", {**DENS_CFG, "replicates": 1e308}),
+], ids=["shotnoise", "densities"])
+def test_replicates_beyond_host_memory_exit_one(tmp_path, capsys, monkeypatch, subcommand, cfg):
+    # 1e308 replicates used to be accepted, and the run kept one result per
+    # replicate until memory ran out; the host's memory is pinned so the
+    # refusal does not depend on it
+    monkeypatch.setattr(randomsets, "_physical_memory", lambda: 8.0 * 2**30)
+    start = time.perf_counter()
+    message = refused_before_allocating(tmp_path, capsys, subcommand, cfg)
+    assert time.perf_counter() - start < 1.0
+    assert "replicates" in message and "GiB" in message
+
+
+FAR_DISC = {"type": "disc", "center": [1e308, 0], "r": 1.0}
+
+
+@pytest.mark.parametrize("subcommand,cfg", [
+    ("chi", {"shape": FAR_DISC, "epsilon": 0.1}),
+    ("sweep", {"shape": FAR_DISC, "epsilons": [0.2, 0.1, 0.05]}),
+    ("bounds", {"truth": FAR_DISC, "h": 0.05, "epsilons": [0.1]}),
+], ids=["chi", "sweep", "bounds"])
+def test_box_the_mesh_cannot_resolve_exits_one(tmp_path, capsys, subcommand, cfg):
+    # a disc centred at 1e308 used to exit 2 with an OverflowError from the
+    # lattice's integer bounds: its box over the mesh is not finite
+    message = refused_before_allocating(tmp_path, capsys, subcommand, cfg)
+    assert "cannot resolve" in message
 
 
 FAMILY = {"type": "rect_family",
