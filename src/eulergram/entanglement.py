@@ -24,17 +24,19 @@ Each detector returns its pairs as a tuple of point pairs ((x, y), (x', y'))
 in length units, so ``len`` of the result is the pair count.  Both
 detectors screen all candidates as arrays.  Interior candidates (each
 coarse point with its east and north neighbour) pass four boolean masks:
-both ends off the set, test square inside the grid, square nonempty by
-prefix sums, both ends near the window.  The surviving squares of each of
-the two shapes are stacked into one (n, rows, cols) array and labelled by a
-single 3-D ``ndimage.label`` whose structure is 8-connected within a square
-and empty across squares.  Boundary candidates are consecutive members of
-each coarse row and column, with a cumulative count of blocking points
-between them, tested against every maximal window edge in one broadcast.
-Whether an intermediate coarse point lies near the set is read from one
-integer column pass per side (the vertical distance from every cell to the
-nearest set cell of its column), combined over the few columns within the
-coarse mesh of that point only.
+both ends off the set, test square inside the grid, the set met on the
+line from x to y (by prefix sums), both ends near the window.  The
+surviving squares are stacked into one (n, 2 * half + 2, k + 1) array,
+north ones transposed, each over an empty row, and their row runs go
+through the union-find that counts components (``topology._links`` and
+``_merge``), 8-connected: no link joins two squares, and a square is one
+component iff one root lies in it.  Boundary candidates are consecutive
+members of each coarse row and column, with a cumulative count of
+blocking points between them, tested against every maximal window edge
+in one broadcast.  Whether an intermediate coarse point lies near the set
+is read from one integer column pass per side (the vertical distance from
+every cell to the nearest set cell of its column), combined over the few
+columns within the coarse mesh of that point only.
 
 What does not depend on the coarse mesh is built once per truth:
 ``verify_bounds`` takes a list of meshes and hands both detectors the
@@ -52,9 +54,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MeshMismatch
-from .lattice import BitGrid, Lattice, _whole_multiple
+from .lattice import BitGrid, Lattice, _run_list, _whole_multiple
 from .shapes import PolyRectangle, corner_points
-from .topology import _component_counts, chi_vef
+from .topology import _component_counts, _links, _merge, chi_vef
 
 __all__ = [
     "BoundReport",
@@ -62,10 +64,6 @@ __all__ = [
     "detect_boundary_pairs",
     "verify_bounds",
 ]
-
-# a stack of boxes: 8-connected within one box, never linking two boxes
-_BOX_STACK = np.pad(np.ones((1, 3, 3), dtype=bool), ((1, 1), (0, 0), (0, 0)))
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -171,11 +169,6 @@ def detect_interior_pairs(truth: BitGrid, coarse_epsilon: float,
     the truth grid are skipped (the set is assumed to keep that margin).
     Pairs come in raster order of x, the east neighbour before the north one.
     """
-    # scipy.ndimage is imported where it is used (here and in shapes.morph),
-    # never at module level: it costs most of the start-up of ``import
-    # eulergram``, and no other routine calls it
-    from scipy import ndimage
-
     k = _subdivision(truth, coarse_epsilon)
     truth = _prepared(truth)
     bits = truth.bits
@@ -195,9 +188,11 @@ def detect_interior_pairs(truth: BitGrid, coarse_epsilon: float,
     # screens, cheapest first, each narrowing the candidate indices c
     c = np.flatnonzero(~bits[j0, i0] & ~bits[j1, i1]
                        & (ja >= 0) & (ia >= 0) & (jb < ny) & (ib < nx))
-    # an empty box leaves two border arcs, never one component
+    # the border's two arcs lie on either side of the line from x to y, and
+    # an 8-connected path between them steps on it: if the set misses the
+    # line, the box is never one component
     pref = truth.prefix
-    a, b, A, B = ja[c], ia[c], jb[c] + 1, ib[c] + 1
+    a, b, A, B = j0[c], i0[c], j1[c] + 1, i1[c] + 1
     c = c[pref[A, B] - pref[a, B] - pref[A, b] + pref[a, b] > 0]
     ends = np.stack([lat.origin[0] + lat.epsilon * np.stack([i0[c], i1[c]], 1),
                      lat.origin[1] + lat.epsilon * np.stack([j0[c], j1[c]], 1)], 2)
@@ -209,20 +204,28 @@ def detect_interior_pairs(truth: BitGrid, coarse_epsilon: float,
         near = (np.hypot(dx, dy).min(axis=2) <= coarse_epsilon * (1 + 1e-12)).all(axis=1)
         c, ends = c[near], ends[near]
 
-    keep = np.zeros(len(c), dtype=bool)
-    rim = [0, -1]
-    for vert, shape, gaps in ((0, (2 * half + 1, k + 1), (half, rim)),
-                              (1, (k + 1, 2 * half + 1), (rim, half))):
-        sel = np.flatnonzero(north[c] == vert)
-        if not sel.size:
-            continue
-        boxes = sliding_window_view(bits, shape)[ja[c[sel]], ia[c[sel]]]
-        boxes[:, rim, :] = True
-        boxes[:, :, rim] = True
-        boxes[:, gaps[0], gaps[1]] = False
-        lab, _ = ndimage.label(boxes, structure=_BOX_STACK)
-        # one component iff every label in a box is its corner's (always on)
-        keep[sel] = ((lab == 0) | (lab == lab[:, :1, :1])).all(axis=(1, 2))
+    if not len(c):
+        return ()
+    # every box in one stack over an empty row, so that no link joins two
+    # boxes; a north box is transposed into the east shape, which 8-links
+    # keep.  A surviving corner leaves k + half + 1 cells on one axis and
+    # k + 1 on the other, so both windows fit the grid
+    side = 2 * half + 1  # the box across the line from x to y
+    vert = north[c] == 1
+    stack = np.zeros((len(c), side + 1, k + 1), dtype=bool)
+    stack[~vert, :side] = sliding_window_view(bits, (side, k + 1))[ja[c[~vert]], ia[c[~vert]]]
+    stack[vert, :side] = sliding_window_view(bits, (k + 1, side))[
+        ja[c[vert]], ia[c[vert]]].transpose(0, 2, 1)
+    stack[:, [0, side - 1], :] = True
+    stack[:, :side, [0, -1]] = True
+    stack[:, half, [0, -1]] = False
+    # one 8-connected union-find over the runs of all boxes: a box is one
+    # component iff one root lies in it
+    rows, lo, hi = _run_list(stack.reshape(-1, k + 1))
+    parent = np.arange(rows.size)
+    _merge(parent, *_links(rows, lo, hi, k + 3, 1))
+    keep = np.bincount(rows[parent == np.arange(rows.size)] // (side + 1),
+                       minlength=len(c)) == 1
 
     return _pair_tuples(ends[keep])
 

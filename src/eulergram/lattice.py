@@ -202,8 +202,10 @@ def digitize(indicator: IndicatorSet, lattice: Lattice) -> BitGrid:
 
 
 def _whole_multiple(value: float, unit: float) -> Optional[int]:
-    """``round(value / unit)`` if that ratio is whole to a relative 1e-9, else None."""
+    """``round(value / unit)`` if that ratio is finite and whole to a relative 1e-9, else None."""
     q = value / unit
+    if not math.isfinite(q):
+        return None
     k = round(q)
     return int(k) if abs(q - k) <= 1e-9 * max(1.0, abs(q)) else None
 
@@ -220,8 +222,9 @@ def lattice_covering(
 ) -> Lattice:
     """Smallest lattice of spacing ``epsilon``, anchored on ``epsilon * Z^2``,
     covering the box with ``margin`` extra empty cells on every side.  A box
-    whose ends over ``epsilon`` are not finite, or which ``epsilon`` cannot
-    resolve (an end x with x + epsilon == x), raises :class:`InvalidSpec`."""
+    whose ends over ``epsilon`` are not finite, which ``epsilon`` cannot
+    resolve (an end x with x + epsilon == x), or whose lattice would end at
+    an infinite coordinate raises :class:`InvalidSpec`."""
     x0, x1, y0, y1 = bounding_box
     if not (x1 >= x0 and y1 >= y0):
         raise ValueError("malformed bounding box")
@@ -237,6 +240,9 @@ def lattice_covering(
     i1 = int(np.ceil(x1 / epsilon)) + margin
     j0 = int(np.floor(y0 / epsilon)) - margin
     j1 = int(np.ceil(y1 / epsilon)) + margin
+    if not all(math.isfinite(i * e) for i in (i0, i1, j0, j1)):
+        raise InvalidSpec(f"epsilon {epsilon} puts the lattice covering {bounding_box} "
+                          "beyond the floats: an end point i * epsilon is not finite")
     return Lattice(
         epsilon=epsilon,
         origin=(i0 * epsilon, j0 * epsilon),

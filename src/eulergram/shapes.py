@@ -464,6 +464,8 @@ def morph(grid: BitGrid, radius: float, op: str) -> BitGrid:
         raise InvalidSpec(f"op must be 'dilate' or 'erode', got {op!r}")
     r_cells = radius / eps
 
+    # imported here, never at module level: scipy.ndimage costs most of the
+    # start-up of ``import eulergram``, and no other routine calls it
     from scipy import ndimage
 
     if op == "dilate":

@@ -8,6 +8,7 @@ import pytest
 from eulergram import (cli, estimate_perimeter, make_shape, perimeter_variational,
                        randomsets, variogram)
 from eulergram.cli import main
+from thin_bounds import THIN_BOUNDS_CFG, THIN_BOUNDS_CSV
 
 E1 = math.exp(-1.0)
 
@@ -162,22 +163,16 @@ def test_bounds_subcommand(tmp_path):
     assert len(lines) == 3
 
 
-# a disc inside a thin ring, the gap between them 6.4 truth cells wide, and a
-# window cutting both: the coarse meshes miss the ring and the gap, so pairs
-# are detected on the set and on its complement
-THIN_BOUNDS_CFG = {
-    "truth": {"type": "union", "members": [
-        {"type": "disc", "center": [0, 0], "r": 0.3},
-        {"type": "annulus", "center": [0, 0], "r_in": 0.4, "r_out": 0.45}]},
-    "h": 0.015625, "epsilons": [0.0625, 0.125, 0.25],
-    "window": {"rects": [[-0.6, 0.2, -0.6, 0.6]]},
-}
-THIN_BOUNDS_CSV = """\
-epsilon,n_interior,n_boundary,corners,components_digitized,components_truth,bound_rhs,holds,chi_abs,chi_bound_rhs,chi_holds
-0.0625,7,1,4,4,2,26,True,10,30,True
-0.125,9,0,4,1,2,28,True,4,32,True
-0.25,6,0,4,1,2,22,True,1,26,True
-"""
+def test_bounds_with_boxes_wider_than_the_truth_grid(tmp_path):
+    # a 25 x 25 truth grid and 33 x 33 test boxes: no pair can be tested,
+    # and the run reports none
+    cfg = {"truth": {"type": "disc", "center": [0, 0], "r": 0.5}, "h": 0.0625,
+           "epsilons": [2.0]}
+    code, out_dir, report = run_cli(tmp_path, "wide", "bounds", cfg)
+    assert code == 0
+    assert report["results"]["all_bounds_hold"] is True
+    rows = (out_dir / "bounds.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:3] for r in rows] == [["2.0", "0", "0"]]
 
 
 def test_bounds_on_thin_features_reports_pairs(tmp_path):
@@ -295,13 +290,18 @@ TRUNCATED = {"type": "rect_family",
                    "epsilon": 0.05, "replicates": 8, "seed": 1}),
     ("shotnoise", {**SHOT_CFG, "model": {**SHOT_CFG["model"], "grains": {
         **TRUNCATED, "a": [1]}}}),
+    # a mesh of 1e308 put the lattice's origin at -inf: chi exited 0 and
+    # sweep wrote chi 0 for that mesh
+    ("chi", {"shape": {"type": "disc", "center": [0, 0], "r": 0.5}, "epsilon": 1e308}),
+    ("sweep", {"shape": {"type": "disc", "center": [0, 0], "r": 0.5},
+               "epsilons": [1e308, 0.1, 0.05]}),
 ], ids=["truncate-q-one", "truncate-q-above-one", "truncate-q-zero", "lambda-nan",
         "lambda-infinite", "densities-window-reversed", "disc-radius-nan",
         "disc-radius-infinite", "disc-centre-nan", "annulus-outer-radius-infinite",
         "annulus-centre-infinite", "union-member-radius-nan", "implicit-g-text",
         "union-member-implicit-g-text", "implicit-box-two-numbers", "implicit-box-nan",
         "shotnoise-window-infinite", "densities-window-infinite",
-        "rect-family-law-not-object"])
+        "rect-family-law-not-object", "chi-epsilon-1e308", "sweep-epsilon-1e308"])
 def test_degenerate_model_or_window_exits_one(tmp_path, capsys, subcommand, cfg):
     # these used to exit 2 from a numpy/math error, or report on a meaningless model
     code, _, report = run_cli(tmp_path, "degenerate", subcommand, cfg)
@@ -502,8 +502,23 @@ def test_mesh_too_fine_to_allocate_exits_one(tmp_path, capsys, subcommand, cfg):
     assert "2**31" in message and " x " in message
 
 
+# a small valid run of each subcommand: a refused run is traced after one,
+# so the modules that a first call imports (numpy.ma, inspect) do not count
+# against its bound
+WARM_CFG = {
+    "chi": {"shape": DISC, "epsilon": 0.1},
+    "sweep": {"shape": DISC, "epsilons": [0.2, 0.1, 0.05]},
+    "bounds": {"truth": DISC, "h": 0.0625, "epsilons": [0.25]},
+    "perimeter": PER_CFG,
+    "shotnoise": {**SHOT_CFG, "replicates": 4},
+    "densities": DENS_CFG,
+}
+
+
 def refused_before_allocating(tmp_path, capsys, subcommand, cfg) -> str:
     """The message of a run that exits 1 with InvalidSpec, tracing under 1 MiB at peak."""
+    assert run_cli(tmp_path, "warm", subcommand, WARM_CFG[subcommand])[0] == 0
+    capsys.readouterr()
     tracemalloc.start()
     try:
         code, _, report = run_cli(tmp_path, "huge", subcommand, cfg)
@@ -575,6 +590,17 @@ def test_box_the_mesh_cannot_resolve_exits_one(tmp_path, capsys, subcommand, cfg
     # lattice's integer bounds: its box over the mesh is not finite
     message = refused_before_allocating(tmp_path, capsys, subcommand, cfg)
     assert "cannot resolve" in message
+
+
+def test_bounds_mesh_beyond_the_floats_exits_one(tmp_path, capsys):
+    # 1e308 over the truth mesh is infinite; its rounding used to raise an
+    # OverflowError and exit 2
+    cfg = {"truth": HALF_DISC, "h": 0.0625, "epsilons": [1e308]}
+    code, _, report = run_cli(tmp_path, "far", "bounds", cfg)
+    assert code == 1
+    assert report is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MeshMismatch"
 
 
 FAMILY = {"type": "rect_family",

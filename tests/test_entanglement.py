@@ -61,6 +61,18 @@ def test_empty_set_has_no_pairs():
     assert len(detect_boundary_pairs(g, 8.0, w)) == 0
 
 
+def test_boxes_wider_than_the_grid_report_nothing():
+    # every test box would leave the grid, so no candidate survives and no
+    # box is gathered: the run reports no pairs rather than failing
+    disc = np.hypot(*np.mgrid[-12:13, -12:13]) <= 8
+    g = fine_grid(disc)
+    assert detect_interior_pairs(g, coarse_epsilon=32.0) == ()
+    strip = fine_grid(np.eye(5, 40, 2, dtype=bool))
+    assert detect_interior_pairs(strip, coarse_epsilon=8.0) == ()
+    report = verify_bounds(g, [32.0])[0]
+    assert (report.n_interior, report.holds) == (0, True)
+
+
 def test_mesh_mismatch():
     g = fine_grid(np.zeros((33, 33), dtype=bool))
     with pytest.raises(MeshMismatch):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import eulergram
+from thin_bounds import THIN_BOUNDS_CFG, THIN_BOUNDS_CSV
 
 # every module of the package but the command line, whose ``main`` is the
 # console script and not part of the library
@@ -43,6 +44,7 @@ def test_package_exports_are_listed_at_home():
 _LOADS = """
 import json, sys
 from pathlib import Path
+import numpy as np
 import eulergram, eulergram.cli as cli
 
 def scipy_loaded():
@@ -55,6 +57,10 @@ for sub, cfg in json.loads(sys.argv[2]):
     path.write_text(json.dumps(cfg))
     code = cli.main([sub, "--config", str(path), "--out", str(out / sub), "--no-timestamp"])
     seen[sub] = [code, scipy_loaded()]
+grid = eulergram.BitGrid(eulergram.Lattice(epsilon=0.1, origin=(0.0, 0.0), nx=5, ny=5),
+                         np.eye(5, dtype=bool))
+eulergram.morph(grid, 0.1, "dilate")
+seen["morph"] = scipy_loaded()
 print(json.dumps(seen))
 """
 
@@ -63,10 +69,10 @@ _MODEL = {"intensity": 1.0, "lambda": 1.5, "grains": [{"rects": [[0, 1, 0, 1]], 
           "marks": [{"value": 1.0, "p": 1.0}]}
 
 
-def test_scipy_loads_only_where_a_grid_is_labelled(tmp_path):
-    # scipy.ndimage costs most of the start-up; only the box labelling of
-    # interior pairs and distance transforms import it, so these five runs
-    # never load scipy: chi and sweep count components without it
+def test_scipy_loads_only_where_distances_are_transformed(tmp_path):
+    # scipy.ndimage costs most of the start-up; only the distance transform
+    # of ``morph`` imports it, so no subcommand loads scipy: chi, sweep and
+    # bounds count components and label test boxes without it
     runs = [
         ("perimeter", {"shape": _DISC, "epsilons": [0.08, 0.04, 0.02], "quad_mesh": 1e-2,
                        "directions": 8}),
@@ -76,7 +82,8 @@ def test_scipy_loads_only_where_a_grid_is_labelled(tmp_path):
                        "replicates": 4, "seed": 0}),
         ("chi", {"shape": _DISC, "epsilon": 0.1}),
         ("sweep", {"shape": _DISC, "epsilons": [0.2, 0.1, 0.05]}),
-        ("bounds", {"truth": _DISC, "h": 0.0625, "epsilons": [0.25]}),
+        # its test boxes reach the labelling: 7 interior pairs at the finest mesh
+        ("bounds", THIN_BOUNDS_CFG),
     ]
     root = Path(__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", _LOADS, str(tmp_path), json.dumps(runs)],
@@ -85,8 +92,8 @@ def test_scipy_loads_only_where_a_grid_is_labelled(tmp_path):
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout)
     assert seen.pop("import") == []
-    bounds_code, after_bounds = seen.pop("bounds")
-    assert seen == {sub: [0, []]
-                    for sub in ("perimeter", "shotnoise", "densities", "chi", "sweep")}
-    # the lazy import is reached: detecting interior pairs loads it
-    assert bounds_code == 0 and "scipy.ndimage" in after_bounds
+    after_morph = seen.pop("morph")
+    assert seen == {sub: [0, []] for sub, _ in runs}
+    assert (tmp_path / "bounds" / "bounds.csv").read_text() == THIN_BOUNDS_CSV
+    # the lazy import is reached: a distance transform loads it
+    assert "scipy.ndimage" in after_morph

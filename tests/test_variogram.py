@@ -139,6 +139,13 @@ def test_non_lattice_shift_rejected():
         discrete_polyvariogram(g, ShiftSpec(plus_shifts=[(0.3, 0.0)]))
 
 
+def test_shift_beyond_the_floats_rejected():
+    # 1e308 over the mesh 1e-10 is infinite; its rounding used to raise an OverflowError
+    g = grid_from(np.zeros((4, 4), dtype=bool), epsilon=1e-10)
+    with pytest.raises(NonLatticeShift):
+        discrete_polyvariogram(g, ShiftSpec(plus_shifts=[(1e308, 0.0)]))
+
+
 def test_empty_plus_rejected():
     g = grid_from(np.zeros((4, 4), dtype=bool))
     with pytest.raises(InvalidSpec):
