@@ -86,6 +86,9 @@ def _subdivision(truth: BitGrid, coarse_epsilon: float) -> int:
         raise MeshMismatch(
             f"coarse mesh {coarse_epsilon} must be an integer multiple >= 4 of "
             f"the truth mesh {h}")
+    if k >= 1 << 31:  # the detectors index boxes in int32
+        raise MeshMismatch(f"coarse mesh {coarse_epsilon} spans {k} truth cells, "
+                           "more than 2**31 - 1")
     return k
 
 

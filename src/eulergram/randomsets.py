@@ -177,15 +177,6 @@ class Exponential:
 
 # ------------------------------------------------------- grain distributions
 
-def _overlapping(rects) -> bool:
-    """Whether two of the rectangles (x0, x1, y0, y1) share interior points."""
-    r = np.array(rects)
-    lo = np.maximum(r[:, None, ::2], r[None, :, ::2])
-    hi = np.minimum(r[:, None, 1::2], r[None, :, 1::2])
-    # every rectangle shares interior points with itself
-    return np.count_nonzero((hi > lo).all(axis=2)) > len(r)
-
-
 @dataclass(frozen=True)
 class GrainMixture:
     """Finite mixture of fixed polyrectangles with probabilities."""
@@ -202,10 +193,9 @@ class GrainMixture:
             raise InvalidSpec("grain probabilities must be nonnegative and sum to 1")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "probs", ps)
-        # the sampler's rows: a component whose rectangles overlap gives its
-        # interior-disjoint pieces instead, so that no point of a grain takes
-        # its germ's mark twice; the others give their rectangles as they are
-        tables = [w._pieces if _overlapping(w.rects) else np.array(w.rects) for w in comps]
+        # the sampler's rows: every component gives its interior-disjoint
+        # pieces, so that no point of a grain takes its germ's mark twice
+        tables = [w._pieces for w in comps]
         object.__setattr__(self, "_table", np.concatenate(tables))
         object.__setattr__(self, "_sizes", np.array([len(t) for t in tables]))
 
@@ -926,6 +916,8 @@ def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
     e = float(epsilon)
     if not 0 < e < math.inf:
         raise InvalidSpec(f"epsilon must be positive and finite, got {epsilon}")
+    if e * e == 0:  # chi is read per epsilon**2
+        raise InvalidSpec(f"epsilon {epsilon} squared underflows to 0")
     wx0, wx1, wy0, wy1 = (float(v) for v in window)
     if not (all(map(math.isfinite, (wx0, wx1, wy0, wy1))) and wx1 > wx0 and wy1 > wy0):
         raise InvalidSpec(f"window {tuple(window)} needs finite x0 < x1 and y0 < y1")

@@ -13,7 +13,7 @@ counts whole runs of cells: every set lists its cells as a few runs per
 row (``IndicatorSet.row_runs``), so the counting grows with the rows, not
 the cells.  Discs, annuli, their unions and window clips give their runs
 in closed form; a set without one (an implicit set) has its runs read
-off its predicate cell by cell.  A copy's runs are made once per block of
+off its predicate cell by cell.  A copy's runs are made once, over all
 rows, however many specs use its shift, and the copies at shifts off the
 mesh are asked for together, stacked with their own x-offsets.  A spec's
 count is exact integer inclusion-exclusion over its complemented copies,
@@ -137,24 +137,21 @@ def discrete_polyvariogram(grid: BitGrid, shifts: ShiftSpec) -> int:
     return int(np.count_nonzero(acc))
 
 
-# the sweep counts this many rows at a time, so memory stays flat on fine meshes
-_BLOCK_ROWS = 1024
-
-
-def _moved(runs, kx: int, ky: int, nx: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _moved(runs, kx: int, ky: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
     # row j of the copy shifted by whole cells is row j - ky moved by kx,
     # clipped to the grid; rows from off the grid are empty
     ny = len(runs[0])
-    src = rows - ky
+    src = np.arange(ny) - ky
     ok = ((src >= 0) & (src < ny))[:, None]
     src = src.clip(0, ny - 1)
     return tuple(np.where(ok, np.clip(a[src] + kx, 0, nx), 0) for a in runs)
 
 
 # a spec's inclusion-exclusion terms together hold at most this many runs
-# per row; a costlier spec sorts its copies' run ends instead.  Timed on
-# 1024-row blocks of disc and annulus unions, the expansion was the faster
-# count at every spec up to 24 runs and the slower one from 36 up
+# per row; a costlier spec sorts its copies' run ends instead.  Both counts
+# take time in proportion to the rows, so the threshold is a number of runs
+# per row, whatever the height of the sweep.  Timed on disc and annulus
+# unions, the expansion was the faster count at every spec up to 24 runs
 _EXPAND_RUNS = 24
 
 
@@ -202,14 +199,14 @@ def _sweep(indicator: IndicatorSet, specs: list[ShiftSpec], h: float,
 
     Every copy of the set is a list of column runs per row (see
     ``IndicatorSet.row_runs``), and each spec is counted by interval
-    arithmetic on those runs (``_count``), a block of rows at a time; a
+    arithmetic on those runs (``_count``), over all rows in one call; a
     shift repeated among a spec's plus or minus copies is counted once.
     The master (shift 0) is read once, over all rows.  A shift of whole
     cells (kx, ky) reads master row j - ky moved by kx columns, off-grid
-    cells reading as empty.  The other shifts of a block are stacked, in
-    the order the specs first use them, every copy with its own x-offset
-    and shifted rows, into ``row_runs`` calls of at most ``_DENSE_CELLS //
-    nx`` rows (or one copy), and each copy is dropped after the last spec
+    cells reading as empty.  The other shifts are stacked, in the order
+    the specs first use them, every copy with its own x-offset and
+    shifted rows, into ``row_runs`` calls of at most ``_DENSE_CELLS // nx
+    // ny`` copies (or one), and each copy is dropped after the last spec
     using it.  The default domain is the bounding box grown by the
     largest shift magnitude, so that every row the sweep might read
     outside it is genuinely empty.
@@ -240,34 +237,31 @@ def _sweep(indicator: IndicatorSet, specs: list[ShiftSpec], h: float,
     master = indicator.row_runs(xs, ys[None, :], np.zeros(1))
     unaligned = np.array([s for s, k in steps.items() if k is None]).reshape(-1, 2)
 
-    def stacked(rows):
-        # the unaligned copies of a block, in order of first use
-        per = max(1, _DENSE_CELLS // nx // rows.size)
+    def stacked():
+        # the unaligned copies over all rows, in order of first use
+        per = max(1, _DENSE_CELLS // nx // ny)
         for s in np.split(unaligned, np.arange(per, len(unaligned), per)):
-            lo, hi = indicator.row_runs(xs, ys[rows] - s[:, 1:], s[:, 0])
-            shape = (len(s), rows.size, lo.shape[1])
+            lo, hi = indicator.row_runs(xs, ys - s[:, 1:], s[:, 0])
+            shape = (len(s), ny, lo.shape[1])
             yield from zip(lo.reshape(shape), hi.reshape(shape))
 
-    # a copy is made once per block and dropped after the last spec using it,
-    # so a sweep of thousands of unaligned shifts holds few copies at once
+    # a copy is made once and dropped after the last spec using it, so a
+    # sweep of thousands of unaligned shifts holds few copies at once
     last = {s: k for k, spec in enumerate(specs) for s in spec.all_shifts}
     done = [[s for s in set(spec.all_shifts) if last[s] == k] for k, spec in enumerate(specs)]
-    counts = [0] * len(specs)
-    for j in range(0, ny, _BLOCK_ROWS):
-        rows = np.arange(j, min(j + _BLOCK_ROWS, ny))
-        fresh = stacked(rows)
-        copies = {}
-        for k, spec in enumerate(specs):
-            for s in spec.all_shifts:
-                # a shift is missing only at its first use, so unaligned
-                # ones come in the order ``stacked`` makes them
-                if s not in copies:
-                    copies[s] = (next(fresh) if steps[s] is None
-                                 else _moved(master, *steps[s], nx, rows))
-            counts[k] += _count([copies[s] for s in dict.fromkeys(spec.plus_shifts)],
-                                [copies[s] for s in dict.fromkeys(spec.minus_shifts)])
-            for s in done[k]:
-                del copies[s]
+    fresh = stacked()
+    copies = {}
+    counts = []
+    for k, spec in enumerate(specs):
+        for s in spec.all_shifts:
+            # a shift is missing only at its first use, so unaligned ones
+            # come in the order ``stacked`` makes them
+            if s not in copies:
+                copies[s] = next(fresh) if steps[s] is None else _moved(master, *steps[s], nx)
+        counts.append(_count([copies[s] for s in dict.fromkeys(spec.plus_shifts)],
+                             [copies[s] for s in dict.fromkeys(spec.minus_shifts)]))
+        for s in done[k]:
+            del copies[s]
     return counts
 
 

@@ -1,9 +1,19 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
+import operator
+import tempfile
 import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eulergram import (cli, estimate_perimeter, make_shape, perimeter_variational,
                        randomsets, variogram)
@@ -603,6 +613,31 @@ def test_bounds_mesh_beyond_the_floats_exits_one(tmp_path, capsys):
     assert err["error"] == "MeshMismatch"
 
 
+@pytest.mark.parametrize("coarse", [67108864.0, 1e30], ids=["2**31_cells", "1e30"])
+def test_bounds_mesh_of_2_31_truth_cells_exits_one(tmp_path, capsys, coarse):
+    # 67108864 over the truth mesh 2**-5 is 2**31 cells: the int32 box
+    # indices used to overflow and exit 2
+    cfg = {"truth": {"type": "disc", "center": [0, 0], "r": 0.5}, "h": 0.03125,
+           "epsilons": [coarse]}
+    code, _, report = run_cli(tmp_path, "wide", "bounds", cfg)
+    assert code == 1
+    assert report is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MeshMismatch"
+
+
+@pytest.mark.parametrize("epsilon", [1e-162, 1e-300])
+def test_densities_epsilon_whose_square_underflows_exits_one(tmp_path, capsys, epsilon):
+    # chi is read per epsilon**2, which is 0 here: the division used to
+    # exit 2 with a ZeroDivisionError
+    code, _, report = run_cli(tmp_path, "tiny", "densities", {**DENS_CFG, "epsilon": epsilon})
+    assert code == 1
+    assert report is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidSpec"
+    assert "underflows" in err["message"]
+
+
 FAMILY = {"type": "rect_family",
           "a": {"dist": "exponential", "scale": 1.0, "truncate_q": 0.99},
           "b": {"dist": "uniform", "low": 0.5, "high": 1.5}}
@@ -660,3 +695,86 @@ def test_unexpected_exception_exits_two(tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert err["context"]["subcommand"] == "chi"
+
+
+# ------------------------------------------------------------- config fuzzer
+
+# one valid config per kind of run; every fuzz case mutates one of them
+FUZZ_BASES = {
+    "chi": ("chi", {"shape": HALF_DISC, "epsilon": 0.1}),
+    "sweep": ("sweep", {"shape": {"type": "union", "members": [
+                            {"type": "disc", "center": [-0.7, 0], "r": 0.5},
+                            {"type": "disc", "center": [0.7, 0], "r": 0.5}]},
+                        "window": {"rects": [[-1, 1, -0.3, 0.3]]},
+                        "epsilons": [0.1, 0.05, 0.025], "quad_mesh": 0.01,
+                        "continuum_epsilon": 0.05}),
+    "perimeter": ("perimeter", PER_CFG),
+    "bounds": ("bounds", {"truth": HALF_DISC, "h": 0.03125, "epsilons": [0.125, 0.25],
+                          "window": {"rects": [[-0.6, 0.2, -0.6, 0.6]]}}),
+    "mixture": ("shotnoise", {**SHOT_CFG, "model": _model(grains=[
+                    {"rects": [[0, 1, 0, 1]], "p": 0.5},
+                    {"rects": [[0, 1, 0, 0.4], [0.1, 0.5, 0.4, 1]], "p": 0.5}]),
+                              "replicates": 4}),
+    "family": ("shotnoise", {**SHOT_CFG, "model": _model(grains=FAMILY), "replicates": 4}),
+    "densities": ("densities", {**DENS_CFG, "window": [0, 2, 0, 2], "replicates": 4}),
+}
+# the leaf values of the fuzzer; each one that only scales the work (1e308,
+# 1e-300, 10**30 as a count, mesh or replicate number) is refused up front,
+# so none is left out
+FUZZ_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 1e308, 1e-300, -1e-9, "x", "", [], {},
+               None, True, False, 10 ** 30, [0], [1, 0.5], [0, 1, 0, 1],
+               {"type": "disc"}]
+DELETE = object()
+
+
+def _paths(node, path=()):
+    # every key or index below the root, parents before their children
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _mutated(cfg, edits):
+    cfg = copy.deepcopy(cfg)
+    for path, value in edits:
+        try:
+            node = functools.reduce(operator.getitem, path[:-1], cfg)
+            if value is DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit replaced or removed this path
+    return cfg
+
+
+_FUZZ_CASES = st.sampled_from(sorted(FUZZ_BASES)).flatmap(lambda name: st.tuples(
+    st.just(name),
+    st.lists(st.tuples(st.sampled_from(list(_paths(FUZZ_BASES[name][1]))),
+                       st.sampled_from([*FUZZ_VALUES, DELETE])), min_size=1, max_size=2)))
+
+
+@given(_FUZZ_CASES)
+@example(("bounds", [(("epsilons", 0), 10 ** 30)]))
+@example(("densities", [(("epsilon",), 1e-300)]))
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+def test_mutated_config_exits_zero_or_one(case):
+    # a config with one or two leaves replaced or keys deleted either runs
+    # or is refused with a JSON error line; it never exits 2
+    name, edits = case
+    subcommand, base = FUZZ_BASES[name]
+    cfg = _mutated(base, edits)
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([subcommand, "--config", str(cfg_path), "--out", str(Path(tmp) / "o"),
+                         "--no-timestamp"])
+    assert code in (0, 1), (subcommand, cfg, err.getvalue())
+    if code == 1:
+        assert set(json.loads(err.getvalue().splitlines()[-1])) == {
+            "error", "message", "context"}

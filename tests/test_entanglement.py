@@ -85,6 +85,19 @@ def test_mesh_mismatch():
             verify_bounds(g, meshes)
 
 
+def test_coarse_mesh_of_2_31_truth_cells_is_refused():
+    # the detectors index boxes in int32: a subdivision of 2**31 cells used
+    # to overflow them, so it is refused before any array work; one fewer
+    # is an ordinary mesh whose boxes leave the grid
+    g = fine_grid(np.zeros((33, 33), dtype=bool))
+    assert detect_interior_pairs(g, coarse_epsilon=float(2 ** 31 - 1)) == ()
+    for eps in (float(2 ** 31), 1e30):
+        with pytest.raises(MeshMismatch):
+            detect_interior_pairs(g, coarse_epsilon=eps)
+        with pytest.raises(MeshMismatch):
+            verify_bounds(g, [8.0, eps])
+
+
 # --------------------------------------------------------------- boundary
 
 

@@ -737,7 +737,7 @@ def test_overlapping_grain_takes_its_mark_once():
     assert got["chi"] == want["chi"] == 1
     for key in ("per1", "per2", "vol"):
         assert got[key] == pytest.approx(want[key], abs=1e-12), key
-    # a grain without overlaps keeps its rectangles, and min_edge reads the given ones
+    # the tee's pieces are its rectangles, and min_edge reads the given ones
     mixture = GrainMixture(components=(OVERLAPPING, TEE), probs=(0.5, 0.5))
     assert np.array_equal(mixture._table[-2:], TEE.rects)
     assert GrainMixture(components=(OVERLAPPING,), probs=(1.0,)).min_edge() == 0.5
@@ -766,6 +766,15 @@ def test_overlapping_grain_density_matches_closed_form():
                                         replicates=200, seed=0)
     want = stationary_density_closed_form(model)["vol_bar"]
     assert abs(est["vol_bar"] - want) <= 4 * est["vol_stderr"]
+
+
+def _overlapping(rects) -> bool:
+    """Whether two of the rectangles (x0, x1, y0, y1) share interior points."""
+    r = np.array(rects)
+    lo = np.maximum(r[:, None, ::2], r[None, :, ::2])
+    hi = np.minimum(r[:, None, 1::2], r[None, :, 1::2])
+    # every rectangle shares interior points with itself
+    return np.count_nonzero((hi > lo).all(axis=2)) > len(r)
 
 
 def _random_model(rng) -> ShotNoiseModel:
@@ -817,7 +826,7 @@ def test_random_mixtures_match_window_closed_forms():
         for key, target in want.items():
             got = randomsets._mean_stderr([f[key] for f in feats])
             assert abs(got["mean"] - target) <= 4.5 * got["stderr"], (k, key)
-        overlapping += any(randomsets._overlapping(w.rects)
+        overlapping += any(_overlapping(w.rects)
                            for w in model.grain_dist.components)
     assert overlapping >= 3
 
@@ -1099,6 +1108,11 @@ def test_density_estimator_guards():
             estimate_stationary_densities(model, epsilon=epsilon,
                                           window=(0.0, 2.0, 0.0, 2.0),
                                           replicates=4, seed=0)
+    # positive, but its square underflows to 0 and chi is read per epsilon**2
+    with pytest.raises(InvalidSpec, match="underflows"):
+        estimate_stationary_densities(model, epsilon=1e-162,
+                                      window=(0.0, 2.0, 0.0, 2.0),
+                                      replicates=4, seed=0)
     for window in ((6.0, 0.0, 0.0, 6.0), (0.0, 6.0, 6.0, 0.0),
                    (0.0, 0.0, 0.0, 6.0), (0.0, 6.0, 2.0, 2.0),
                    (0.0, math.inf, 0.0, 6.0), (-math.inf, 6.0, 0.0, 6.0)):

@@ -426,37 +426,36 @@ def test_many_minus_copies_are_sorted_not_expanded(monkeypatch):
     assert len(calls) == 3
 
 
-def test_each_unaligned_shift_is_read_once_per_block(monkeypatch):
-    ring = make_shape({"type": "annulus", "center": [0.1, -0.2], "r_in": 0.25, "r_out": 0.6})
-    h = 0.01
+def test_each_unaligned_shift_is_read_once_per_sweep(monkeypatch):
+    ring = make_shape({"type": "annulus", "center": [0.01, -0.02], "r_in": 0.25, "r_out": 0.6})
+    h = 0.001
     u, v, w = (0.3 * h, 0.7 * h), (-1.6 * h, 2.0 * h), (2.5 * h, -h / 3)
     raw = [([(0.0, 0.0)], [u]), ([u], [(0.0, 0.0)]), ([(0.0, 0.0), u], [v, (h, 0.0)]),
            ([v, (0.0, h)], [u, v]), ([(2 * h, -h)], [(0.0, 0.0), w])]
     specs = [ShiftSpec(plus_shifts=plus, minus_shifts=minus) for plus, minus in raw]
-    domain = (-0.6, 0.8, -0.9, 0.5)
+    # 140 columns and 1,300 rows, more than any block the sweep ever cut
+    domain = (-0.07, 0.07, -0.65, 0.65)
     calls = []
 
     def counting(xs, ys, dx):
         calls.append([(float(d), tuple(row)) for d, row in zip(dx, ys)])
         return ring.row_runs(xs, ys, dx)
 
-    # 140 columns and rows: 9 blocks of at most 16 rows, and a call stacks
-    # at most 32 rows, so two copies of a block
-    monkeypatch.setattr(variogram, "_BLOCK_ROWS", 16)
-    monkeypatch.setattr(variogram, "_DENSE_CELLS", 140 * 32)
+    # a call stacks at most two copies of all rows
+    per = 2
+    monkeypatch.setattr(variogram, "_DENSE_CELLS", 140 * 1300 * per)
     got = _sweep(dataclasses.replace(ring, row_runs=counting), specs, h, domain)
     assert got == midpoint_shift_counts(ring.contains, domain, h, raw)
-    ys = -0.9 + (np.arange(140) + 0.5) * h
+    ys = -0.65 + (np.arange(1300) + 0.5) * h
     # the master is read once, over every row
     assert calls[0] == [(0.0, tuple(ys))]
-    # in each block the rows of u, v and w are asked for once, inside
-    # ceil(3 / 2) calls; the whole-cell shifts never, as they move the
+    # u, v and w are each asked for once, over every row, inside
+    # ceil(3 / per) calls; the whole-cell shifts never, as they move the
     # master's runs
-    blocks = [calls[1 + 2 * b:3 + 2 * b] for b in range(9)]
-    assert len(calls) == 1 + 2 * 9
-    for j, block in zip(range(0, 140, 16), blocks):
-        asked = collections.Counter(copy for call in block for copy in call)
-        assert asked == collections.Counter((s[0], tuple(ys[j:j + 16] - s[1])) for s in (u, v, w))
+    assert len(calls) == 1 + math.ceil(3 / per)
+    assert all(len(call) <= per for call in calls[1:])
+    asked = collections.Counter(copy for call in calls[1:] for copy in call)
+    assert asked == collections.Counter((s[0], tuple(ys - s[1])) for s in (u, v, w))
 
 
 def test_replaced_predicate_drives_the_sweep():
