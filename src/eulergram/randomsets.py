@@ -9,19 +9,23 @@ arrangement spanned by the germ rectangle edges, so chi, perimeters and
 areas come from integer/float cell bookkeeping rather than digitization.
 The level set is built as row runs, one list per horizontal strip of the
 arrangement, straight from the rectangle edges, and no field or mask of
-the arrangement's size is made.  The columns are cut into bands about
-twice the mean rectangle width wide; a band's strips are cut only by the
-edges of the rectangle pieces in that band, each band strip sums its own
-+w/-w edge events, and runs that meet at a band cut are joined.  The run
-kernel of ``topology`` reads chi (runs minus links between adjacent
-strips), perimeters and area off the runs.  The Monte Carlo makes one
-such strip-run pass per batch of replicates, their arrangements side by
-side with a strip of no cells between two, and a single realization is
-a batch of one.  The density estimator runs the same batched pass on its
-coarse axes, so the pass is the one place that decides f >= lambda on a
-realization.  It lays each replicate's runs onto the fine columns that
-read them under each column shift, one table of coarse rows per shift,
-and reads every fine mask by gathering rows of those tables.
+the arrangement's size is made.  A replicate's columns are cut into bands
+twice the mean width of its own rectangles wide; a band's strips are cut
+only by the edges of the rectangle pieces in that band, each band strip
+sums its own +w/-w edge events, and runs that meet at a band cut are
+joined.  The run kernel of ``topology`` reads chi (runs minus links
+between adjacent strips), perimeters and area off the runs.  The Monte
+Carlo makes one such strip-run pass per batch of replicates, their
+arrangements side by side with a strip of no cells between two, and a
+single realization is a batch of one; a replicate's bands, and so its
+features, are the same in any batch.  The density estimator runs the
+same batched pass on its coarse axes, so the pass is the one place that
+decides f >= lambda on a realization.  It lays each replicate's runs
+onto the fine columns that read them under each column shift, one table
+of coarse rows per shift, and reads every fine mask by gathering rows of
+those tables.  A warning of a tie with the level, or of a coarse
+epsilon, names the first line outside the package that led to it: the
+caller of the public function, or the CLI line that ran the subcommand.
 A realization holds its germs as arrays: translated grain rectangles and marks.
 
 Each probability law is one class with ``sample``, ``mean`` and, for the
@@ -51,6 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -84,6 +89,16 @@ __all__ = [
 ]
 
 _TAIL_TOL = 1e-12
+
+
+def _warn(message: str) -> None:
+    """Warn at the first frame outside the package, counting its CLI as outside: the
+    line that called a public function, or that ran a subcommand."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(
+            "eulergram.") and frame.f_globals["__name__"] != "eulergram.cli":
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 # ------------------------------------------------------- mark and edge laws
@@ -402,12 +417,14 @@ def _band_strips(i0, i1, j0, j1, first, stop):
     """The rectangles of :func:`_level_runs` cut into column bands, and the bands' strips.
 
     An arrangement is a run of consecutive strips with one first and stop.
-    Its columns are cut into bands ``width`` wide, about twice the mean
-    column span of the rectangles, and each rectangle into one piece per
-    band it meets.  A band strip is a run of its arrangement's strips with
-    no edge of the band's pieces between them: one boolean array per band,
-    all laid end to end, marks the strips where a band strip starts, and a
-    cumsum numbers the band strips.  Returns the pieces (their rectangle,
+    Its columns are cut into bands ``width`` wide, twice the mean column
+    span of its own rectangles rounded up, or one band as wide as its
+    columns where they span none, and each rectangle into one piece per
+    band it meets, so no arrangement's bands depend on the ones beside it.
+    A band strip is a run of its arrangement's strips with no edge of the
+    band's pieces between them: one boolean array per band, all laid end
+    to end, marks the strips where a band strip starts, and a cumsum
+    numbers the band strips.  Returns the pieces (their rectangle,
     columns pi0 to pi1 and band strips s0 to s1), each band strip's
     columns (first to stop), and its first strip and strip count in the
     caller's numbering.  Bands come in column order within an arrangement,
@@ -419,18 +436,21 @@ def _band_strips(i0, i1, j0, j1, first, stop):
     head = np.flatnonzero(new)
     height = np.diff(np.append(head, ny))
     a_first, cols = first[head], stop[head] - first[head]
+    # the arrangement of each rectangle, and each arrangement's band width
+    arr = np.searchsorted(head, j0, side="right") - 1
     span = i1 - i0
-    width = -(-2 * int(span.sum()) // max(span.size, 1)) or max(1, int(cols.max(initial=1)))
+    width = -(-2 * np.bincount(arr, span, head.size).astype(np.int64)
+              // np.maximum(np.bincount(arr, minlength=head.size), 1))
+    width = np.where(width > 0, width, np.maximum(cols, 1))
     bands = -(-cols // width)
     band0 = np.cumsum(bands) - bands
     arr_of = np.repeat(np.arange(head.size), bands)
-    band_lo = a_first[arr_of] + width * (np.arange(arr_of.size) - band0[arr_of])
-    band_hi = np.minimum(band_lo + width, (a_first + cols)[arr_of])
+    band_lo = a_first[arr_of] + width[arr_of] * (np.arange(arr_of.size) - band0[arr_of])
+    band_hi = np.minimum(band_lo + width[arr_of], (a_first + cols)[arr_of])
 
-    # the arrangement of each rectangle, and the bands of its first and last column
-    arr = np.searchsorted(head, j0, side="right") - 1
-    b0 = (i0 - a_first[arr]) // width
-    pieces = np.where(span > 0, (i1 - 1 - a_first[arr]) // width - b0 + 1, 0)
+    # the bands of each rectangle's first and last column
+    b0 = (i0 - a_first[arr]) // width[arr]
+    pieces = np.where(span > 0, (i1 - 1 - a_first[arr]) // width[arr] - b0 + 1, 0)
     rect = np.repeat(np.arange(span.size), pieces)
     band = np.repeat(band0[arr] + b0 - np.cumsum(pieces) + pieces, pieces) + np.arange(rect.size)
 
@@ -477,9 +497,7 @@ def _level_runs(i0, i1, j0, j1, w, first, stop, level):
     go to each of its strips, and two runs that meet at a band cut are
     joined.  A value within 1e-12 max(1, |level|) of the level warns that
     the closed-set convention decides it, counting two boolean masks and
-    no float temporary.  The warning names the caller of the public
-    function, four frames up: :func:`_batch_runs`, then
-    :func:`_replicate_features`, then the public function.
+    no float temporary.
     """
     key16 = len(first) <= 1 << 16  # the strips' indices sort as uint16
     rect, i0, i1, j0, j1, first, stop, strip_row, strip_rows = _band_strips(
@@ -522,8 +540,8 @@ def _level_runs(i0, i1, j0, j1, w, first, stop, level):
     del cells, bound
     tol = 1e-12 * max(1.0, abs(level))
     if np.count_nonzero(value >= level - tol) > np.count_nonzero(value > level + tol):
-        warnings.warn("field value ties the level on some cell; the closed-set "
-                      "convention decides membership", stacklevel=5)
+        _warn("field value ties the level on some cell; the closed-set "
+              "convention decides membership")
     inside = value >= level
     del value
     # each strip's stretches tile its cells; a run closes where its strip
@@ -658,12 +676,8 @@ def _replicate_features(reals, level: float, window: PolyRectangle, collect=None
     result per replicate of the batch.  A batch closes before it would pass
     ``_BATCH_EVENTS`` at the events per rectangle, at least one, of the
     last batch that held a rectangle; until then each batch is one
-    replicate.  The results do not depend on the batches: with integer
-    marks every sum is exact, and otherwise a batch's bands can round a
-    sum apart in the last bits, which moves a cell across the level only
-    within the tie tolerance, where :func:`_level_runs` warns.  Every public
-    function that reads a level set calls this one directly, so that the
-    tie warning of :func:`_level_runs` finds its caller at one depth.
+    replicate.  The results do not depend on the batches: each replicate's
+    bands, and so each of its sums, are the ones it gets alone.
     """
     out, batch, rects, per_rect = [], [], 0, None
     for real in itertools.chain(reals, [None]):
@@ -738,23 +752,31 @@ def _interval_prob(values: np.ndarray, probs: np.ndarray, a: float, b: float) ->
     return float(probs[lo:hi].sum())
 
 
-def _level_probabilities(model: ShotNoiseModel) -> dict:
-    """Interval probabilities of g ~ f(0) that decide the corner counts.
+def stationary_density_closed_form(model: ShotNoiseModel) -> dict:
+    """Densities per unit area of chi, directional perimeters and volume of F.
 
-    By Slivnyak-Mecke the field from all other germs at a grain corner, or
-    at a crossing of two grains' edges, has the law of f(0).  A corner of
-    a grain with mark m is a corner of F iff lam - m <= g < lam (p1).  At a
-    crossing of a vertical edge (mark m1) with a horizontal edge (mark m2)
-    the quadrants carry g, g+m1, g+m2, g+m1+m2: exactly one is in F iff
-    lam - m1 - m2 <= g < lam - max(m1, m2) (p2, a convex corner), and
-    exactly three iff lam - min(m1, m2) <= g < lam (p2_prime, a reflex one).
+    A polyrectangle has chi = (convex - reflex corners) / 4.  Grain corners
+    occur at density rho and edge crossings of two grains at density
+    rho^2 E Per1 E Per2.  By Slivnyak-Mecke the field from all other germs
+    at a grain corner, or at a crossing of two grains' edges, has the law
+    of g ~ f(0).  A corner of a grain with mark m is a corner of F iff
+    lam - m <= g < lam (p1).  At a crossing of a vertical edge (mark m1)
+    with a horizontal edge (mark m2) the quadrants carry g, g+m1, g+m2,
+    g+m1+m2: exactly one is in F iff lam - m1 - m2 <= g < lam - max(m1, m2)
+    (p2, a convex corner), and exactly three iff lam - min(m1, m2) <= g <
+    lam (p2', a reflex one).  So
+
+        chi_bar    = rho p1 E chi + (rho^2 / 4) (p2 - p2') E Per1 E Per2
+        per_bar_ui = rho p1 E Per_i
+        vol_bar    = P(f(0) >= lam)
     """
+    rho = model.intensity
+    g = model.grain_dist.moments()
     values, probs = _coverage_distribution(model)
     lam = model.level
     if np.any(np.abs(values - lam) <= 1e-9 * max(1.0, abs(lam))):
-        warnings.warn("level coincides with an achievable mark sum; "
-                      "closed-form interval probabilities use the closed-set side",
-                      stacklevel=4)
+        _warn("level coincides with an achievable mark sum; "
+              "closed-form interval probabilities use the closed-set side")
     marks = list(zip(model.mark_dist.values, model.mark_dist.probs))
     p1 = math.fsum(p * _interval_prob(values, probs, lam - m, lam) for m, p in marks)
     p2 = 0.0
@@ -763,40 +785,13 @@ def _level_probabilities(model: ShotNoiseModel) -> dict:
         for m2, q2 in marks:
             p2 += q1 * q2 * _interval_prob(values, probs, lam - m1 - m2, lam - max(m1, m2))
             p2p += q1 * q2 * _interval_prob(values, probs, lam - min(m1, m2), lam)
-    # complement of the below-level mass: exact even when the convolution
-    # truncates the far upper tail (all truncated mass sits above the level)
-    tail = 1.0 - _interval_prob(values, probs, -math.inf, lam)
-    return {"p1": p1, "p2": p2, "p2_prime": p2p, "tail": tail}
-
-
-def stationary_density_closed_form(model: ShotNoiseModel) -> dict:
-    """Densities per unit area of chi, directional perimeters and volume of F.
-
-    A polyrectangle has chi = (convex - reflex corners) / 4.  Grain corners
-    occur at density rho and edge crossings of two grains at density
-    rho^2 E Per1 E Per2, so with p1, p2, p2' from the law of f(0):
-
-        chi_bar    = rho p1 E chi + (rho^2 / 4) (p2 - p2') E Per1 E Per2
-        per_bar_ui = rho p1 E Per_i
-        vol_bar    = P(f(0) >= lam)
-    """
-    return _closed_densities(model)
-
-
-def _closed_densities(model: ShotNoiseModel) -> dict:
-    """The densities of :func:`stationary_density_closed_form`.  Both public closed
-    forms call this one directly, so that the warning of :func:`_level_probabilities`
-    finds their caller at one depth."""
-    rho = model.intensity
-    g = model.grain_dist.moments()
-    p = _level_probabilities(model)
-    chi_bar = (rho * p["p1"] * g["chi"]
-               + 0.25 * rho * rho * (p["p2"] - p["p2_prime"]) * g["per1"] * g["per2"])
     return {
-        "chi_bar": chi_bar,
-        "per_bar_u1": rho * p["p1"] * g["per1"],
-        "per_bar_u2": rho * p["p1"] * g["per2"],
-        "vol_bar": p["tail"],
+        "chi_bar": rho * p1 * g["chi"] + 0.25 * rho * rho * (p2 - p2p) * g["per1"] * g["per2"],
+        "per_bar_u1": rho * p1 * g["per1"],
+        "per_bar_u2": rho * p1 * g["per2"],
+        # complement of the below-level mass: exact even when the convolution
+        # truncates the far upper tail (all truncated mass sits above the level)
+        "vol_bar": 1.0 - _interval_prob(values, probs, -math.inf, lam),
     }
 
 
@@ -808,7 +803,7 @@ def mean_chi_closed_form(model: ShotNoiseModel, window: PolyRectangle) -> float:
     of F is a convex corner, which gives (Per1(V) per_bar_u2 + Per2(V)
     per_bar_u1) / 4 with per_bar_ui = rho p1 E Per_i.
     """
-    d = _closed_densities(model)
+    d = stationary_density_closed_form(model)
     v = polyrect_features(window)
     return (v["vol"] * d["chi_bar"]
             + v["chi"] * d["vol_bar"]
@@ -925,9 +920,8 @@ def estimate_stationary_densities(model: ShotNoiseModel, epsilon: float, window,
     reals = _realizations(model, (wx0 - e, wx1 + e, wy0 - e, wy1 + e), replicates, seed)
     min_edge = model.grain_dist.min_edge()
     if epsilon > 0.25 * min_edge:
-        warnings.warn(f"epsilon {epsilon} is not small against the grain edge "
-                      f"scale {min_edge}; densities will carry finite-mesh bias",
-                      stacklevel=2)
+        _warn(f"epsilon {epsilon} is not small against the grain edge "
+              f"scale {min_edge}; densities will carry finite-mesh bias")
 
     w_area = (wx1 - wx0) * (wy1 - wy0)
     gx0, gx1 = _grown(wx0, wx1, e)

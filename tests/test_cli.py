@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import inspect
 import io
 import json
 import math
@@ -234,6 +235,35 @@ def test_densities_subcommand(tmp_path):
     assert lines[0] == "quantity,estimate,stderr"
     assert [line.split(",")[0] for line in lines[1:]] == densities
     assert lines[1] == f"chi_bar,{res['chi_bar']!r},{res['chi_stderr']!r}"
+
+
+# the tie model: 0.1 + 0.7 is 0.7999999999999999, so cells covered by one
+# grain of each mark tie the level, and so does that sum in the closed form
+TIE_MODEL = {"intensity": 0.8, "lambda": 0.8,
+             "grains": [{"rects": [[0, 1, 0, 1]], "p": 1.0}],
+             "marks": [{"value": 0.1, "p": 0.5}, {"value": 0.7, "p": 0.5}]}
+
+
+@pytest.mark.parametrize("subcommand,runner,cfg,kinds", [
+    ("shotnoise", cli._run_shotnoise,
+     {"model": TIE_MODEL, "window": {"rects": [[0, 6, 0, 6]]}, "replicates": 20, "seed": 0},
+     {"ties the level", "coincides"}),
+    # epsilon 0.3 is coarse against the unit edges, so it also warns of bias
+    ("densities", cli._run_densities,
+     {"model": TIE_MODEL, "window": [0, 6, 0, 6], "epsilon": 0.3, "replicates": 4, "seed": 0},
+     {"ties the level", "coincides", "bias"}),
+])
+def test_warnings_name_the_subcommand_line(tmp_path, subcommand, runner, cfg, kinds):
+    lines, first = inspect.getsourcelines(runner)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run_cli(tmp_path, subcommand, subcommand, cfg, extra=("--no-timestamp",))
+    assert code == 0
+    assert {kind for kind in kinds for w in caught if kind in str(w.message)} == kinds
+    for w in caught:
+        assert w.category is UserWarning
+        assert (w.filename, first <= w.lineno < first + len(lines)) == (cli.__file__, True), \
+            (str(w.message), w.filename, w.lineno)
 
 
 def test_missing_config_key_reports_json_error(tmp_path, capsys):

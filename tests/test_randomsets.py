@@ -650,6 +650,22 @@ def test_replicate_batches_split_and_keep_errors(monkeypatch):
     assert str(batched.value) == str(alone.value)
 
 
+def test_replicate_features_do_not_depend_on_the_batch(monkeypatch):
+    """Marks 0.1 and 0.7 sum to 0.7999999999999999, a tie of level 0.8 that the
+    rounding of a band strip's sum decides: each replicate's bands are its own,
+    so a batch of several replicates sums each one as it is summed alone."""
+    model = ShotNoiseModel(0.8, GrainMixture((UNIT_SQUARE,), (1.0,)),
+                           AtomicMarks((0.1, 0.7), (0.5, 0.5)), 0.8)
+    window = PolyRectangle(rects=((0.0, 6.0, 0.0, 6.0),))
+    reals = [sample_realization(model, window.bounding_box, seed) for seed in range(20)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = [level_set_features_exact(real, 0.8, window) for real in reals]
+        got, sizes = _batched(monkeypatch, reals, 0.8, window, randomsets._BATCH_EVENTS)
+    assert max(sizes) > 1
+    assert got == want
+
+
 def test_strips_between_replicates_hold_no_cells(monkeypatch):
     """A rectangle [-1, 3]^2 covers the window [0, 2]^2, so no cell of a replicate
     has value 0; at a level 5e-13 below 0, which only uncovered cells would tie,
