@@ -373,16 +373,11 @@ def main(argv: list[str] | None = None) -> int:
             _read(cfg, "seed", _nonnegative)
         run(cfg, out_dir, timestamp)
         return 0
-    except EulergramError as exc:
+    except Exception as exc:  # reported as JSON; an EulergramError exits 1, any other 2
         payload = {"error": type(exc).__name__, "message": str(exc),
                    "context": {"subcommand": subcommand}}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return 1
-    except Exception as exc:  # anything else still reports machine-readably
-        payload = {"error": type(exc).__name__, "message": str(exc),
-                   "context": {"subcommand": subcommand}}
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, EulergramError) else 2
 
 
 if __name__ == "__main__":

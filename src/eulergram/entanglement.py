@@ -34,14 +34,15 @@ component iff one root lies in it.  Boundary candidates are consecutive
 members of each coarse row and column, with a cumulative count of
 blocking points between them, tested against every maximal window edge
 in one broadcast.  Whether an intermediate coarse point lies near the set
-is read from one integer column pass per side (the vertical distance from
-every cell to the nearest set cell of its column), combined over the few
-columns within the coarse mesh of that point only.
+is read from the same prefix sums: the disc of the coarse mesh around that
+point is a union of column segments, and each segment's set count is a
+difference of prefix sums, over the few columns within the coarse mesh of
+that point only.
 
 What does not depend on the coarse mesh is built once per truth:
 ``verify_bounds`` takes a list of meshes and hands both detectors the
-same prepared truth and complement, whose prefix sums and column
-distances are each computed on first use.
+same prepared truth and complement, whose prefix sums are computed on
+first use.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _subdivision(truth: BitGrid, coarse_epsilon: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _Truth:
-    """A truth grid with the arrays both detectors read at every coarse mesh, each built once."""
+    """A truth grid with the prefix sums both detectors read at every coarse mesh, built once."""
 
     lattice: Lattice
     bits: np.ndarray
@@ -108,47 +109,38 @@ class _Truth:
         np.cumsum(pref[1:, 1:], axis=1, out=pref[1:, 1:])
         return pref
 
-    @cached_property
-    def column_gap(self) -> np.ndarray:
-        """Vertical distance, in cells, from every cell to the nearest set cell of its column.
-
-        A column without set cells reads the dtype's maximum, beyond the
-        reach of any coarse mesh under 2**31 cells.
-        """
-        bits = self.bits
-        ny = bits.shape[0]
-        # a missing set cell on one side sits ny rows off, so gaps stay under 2 * ny
-        rows = np.arange(ny, dtype=np.int32 if ny < 1 << 30 else np.int64)[:, None]
-        gap = np.where(bits, rows, -ny)
-        np.maximum.accumulate(gap, axis=0, out=gap)  # last set row at or above
-        np.subtract(rows, gap, out=gap)
-        below = np.where(bits[::-1], rows, -ny)  # the same on the flipped grid
-        np.maximum.accumulate(below, axis=0, out=below)
-        np.subtract(rows, below, out=below)
-        np.minimum(gap, below[::-1], out=gap)
-        gap[:, ~bits.any(axis=0)] = np.iinfo(gap.dtype).max
-        return gap
-
     def near(self, k: int, thr: float) -> np.ndarray:
         """Whether each coarse point ``[::k, ::k]`` lies within ``thr`` of the set.
 
         The distance is Euclidean, from the cell to the nearest set cell, as
-        a full-grid distance transform gives it.  Only the columns within
-        R = int(thr / h) + 1 of a coarse point can hold a set cell that near.
-        Squares are summed in floats, exact below 2**53 and never wrapping.
+        a full-grid distance transform gives it.  The cells within ``thr``
+        form one segment of rows j - w..j + w in each column i +- t, where w
+        is the largest reach with sqrt(w^2 + t^2) * h <= thr, so each column
+        offset reads the prefix sums at two rows per coarse point.  No cell
+        that near lies more than span = int(thr / h) + 1 cells off along
+        either axis, and neither t nor w exceeds the grid.  Squares are
+        summed in floats, exact below 2**53 and never wrapping.
         """
         h = self.lattice.epsilon
-        nx = self.bits.shape[1]
-        span = min(int(thr / h) + 1, nx - 1)
-        gap = self.column_gap[::k]
-        cols = np.arange(0, nx, k)
-        d2 = np.full((gap.shape[0], cols.size), np.inf)
-        for t in range(-span, span + 1):
+        ny, nx = self.bits.shape
+        span = int(thr / h) + 1
+        rows, cols = np.arange(0, ny, k), np.arange(0, nx, k)
+        near = np.zeros((rows.size, cols.size), dtype=bool)
+        w = min(span, ny - 1)
+        for t in range(min(span, nx - 1) + 1):
+            # the reach only shrinks as the offset grows
+            while w >= 0 and not math.sqrt(float(w) * w + t * t) * h <= thr:
+                w -= 1
+            if w < 0:
+                break
+            # set cells of rows j - w..j + w left of each column
+            seg = self.prefix[np.minimum(rows + w + 1, ny)] - self.prefix[np.maximum(rows - w, 0)]
             # an offset past the grid reads the border column, which its own
-            # smaller offset already counts
-            g = gap[:, np.clip(cols + t, 0, nx - 1)].astype(float)
-            np.minimum(d2, g * g + t * t, out=d2)
-        return np.sqrt(d2) * h <= thr
+            # smaller offset already counts with a reach as long
+            for off in {t, -t}:
+                c = np.clip(cols + off, 0, nx - 1)
+                near |= seg[:, c + 1] > seg[:, c]
+        return near
 
 
 def _prepared(truth) -> _Truth:
@@ -296,8 +288,8 @@ def verify_bounds(truth: BitGrid, coarse_epsilons,
     Returns one report per mesh of ``coarse_epsilons``, in the given
     order; every mesh must be an integer multiple >= 4 of the truth mesh,
     and all are checked before any work starts.  What does not depend on
-    the mesh (the window mask, truth component counts, prefix sums and the
-    per-side column distances) is computed once for all of them.
+    the mesh (the window mask, truth component counts and the per-side
+    prefix sums) is computed once for all of them.
 
     Without a window: #components(coarse set) <= 2 * #interior pairs +
     #components(truth), and the chi bound is evaluated against the truth

@@ -656,6 +656,25 @@ def test_bounds_mesh_of_2_31_truth_cells_exits_one(tmp_path, capsys, coarse):
     assert err["error"] == "MeshMismatch"
 
 
+def test_bounds_at_coarse_meshes_up_to_2_31_truth_cells(tmp_path):
+    # 2**30 and 2**31 - 1 cells of the truth mesh 2**-5: each axis holds one
+    # coarse point, so no pair forms, and no array grows with the coarse
+    # mesh: its reach is capped at the truth grid
+    cfg = {"truth": HALF_DISC, "h": 0.03125,
+           "epsilons": [2.0 ** 25, (2 ** 31 - 1) * 2.0 ** -5]}
+    assert run_cli(tmp_path, "warm", "bounds", WARM_CFG["bounds"])[0] == 0
+    tracemalloc.start()
+    try:
+        code, out_dir, report = run_cli(tmp_path, "coarse", "bounds", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20
+    rows = [r.split(",") for r in (out_dir / "bounds.csv").read_text().splitlines()[1:]]
+    assert [r[1:3] for r in rows] == [["0", "0"], ["0", "0"]]
+
+
 @pytest.mark.parametrize("epsilon", [1e-162, 1e-300])
 def test_densities_epsilon_whose_square_underflows_exits_one(tmp_path, capsys, epsilon):
     # chi is read per epsilon**2, which is 0 here: the division used to
@@ -671,6 +690,27 @@ def test_densities_epsilon_whose_square_underflows_exits_one(tmp_path, capsys, e
 FAMILY = {"type": "rect_family",
           "a": {"dist": "exponential", "scale": 1.0, "truncate_q": 0.99},
           "b": {"dist": "uniform", "low": 0.5, "high": 1.5}}
+
+
+EXP_MODEL = {"intensity": 1.0, "lambda": 0.75, "grains": FAMILY,
+             "marks": {"type": "exponential", "scale": 1.0}}
+
+
+@pytest.mark.parametrize("subcommand,cfg,keys", [
+    ("shotnoise", {"model": EXP_MODEL, "window": {"rects": [[0, 4, 0, 4]]},
+                   "replicates": 4, "seed": 0}, ("closed_form", "abs_diff", "within_3_stderr")),
+    ("densities", {"model": EXP_MODEL, "window": [0, 4, 0, 4], "epsilon": 0.05,
+                   "replicates": 4, "seed": 0}, ("closed_form_reference",)),
+], ids=["shotnoise", "densities"])
+def test_mark_law_without_a_closed_form_reports_null(tmp_path, subcommand, cfg, keys):
+    # exponential marks have no closed form: the run still exits 0 with its
+    # Monte Carlo estimates, and every closed-form field reads null
+    code, _, report = run_cli(tmp_path, "exp", subcommand, cfg, extra=("--no-timestamp",))
+    assert code == 0
+    results = report["results"]
+    assert [results[k] for k in keys] == [None] * len(keys)
+    estimate = results["mc_mean"] if subcommand == "shotnoise" else results["chi_bar"]
+    assert math.isfinite(estimate)
 
 
 @pytest.mark.parametrize("subcommand,cfg,error,key", [

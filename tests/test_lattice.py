@@ -180,6 +180,34 @@ def test_read_pgm_refuses_a_truncated_raster(tmp_path):
         read_pgm(path)
 
 
+def test_read_pgm_skips_a_header_comment(tmp_path):
+    lat = Lattice(epsilon=0.5, origin=(0.0, 0.0), nx=9, ny=3)
+    grid = BitGrid(lattice=lat, bits=np.eye(3, 9, dtype=bool))
+    path = tmp_path / "grid.pgm"
+    write_pgm(grid, path)
+    raw = path.read_bytes()
+    assert raw.startswith(b"P4\n")
+    path.write_bytes(b"P4\n# a comment line\n" + raw[3:])
+    assert read_pgm(path) == grid
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda raw, meta: (b"P5" + raw[2:], meta), "not a P4 bitmap"),
+    (lambda raw, meta: (b"P4\n9 ", meta), "truncated bitmap header"),
+    (lambda raw, meta: (raw, {**meta, "nx": 8}), "sidecar dimensions disagree"),
+], ids=["magic", "header", "sidecar-nx"])
+def test_read_pgm_refuses_a_malformed_file(tmp_path, edit, message):
+    lat = Lattice(epsilon=1.0, origin=(0.0, 0.0), nx=9, ny=4)
+    path = tmp_path / "grid.pgm"
+    write_pgm(BitGrid(lattice=lat, bits=np.ones((4, 9), dtype=bool)), path)
+    sidecar = tmp_path / "grid.json"
+    raw, meta = edit(path.read_bytes(), json.loads(sidecar.read_text()))
+    path.write_bytes(raw)
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=message):
+        read_pgm(path)
+
+
 @st.composite
 def run_rows(draw):
     nx = draw(st.integers(1, 12))

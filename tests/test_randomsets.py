@@ -221,6 +221,9 @@ def test_spec_validation():
         AtomicMarks(values=(1.0, -2.0), probs=(0.5, 0.5))
     with pytest.raises(InvalidSpec):
         AtomicMarks(values=(1.0,), probs=(0.9,))
+    for values, probs in (((1.0, 2.0), (1.0,)), ((), ())):
+        with pytest.raises(InvalidSpec, match="pair up"):
+            AtomicMarks(values=values, probs=probs)
     with pytest.raises(InvalidSpec):
         GrainMixture(components=(UNIT_SQUARE,), probs=(0.8,))
     with pytest.raises(InvalidSpec):

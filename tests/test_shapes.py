@@ -224,6 +224,16 @@ def test_union_contains_matches_its_members_pointwise(case):
         assert np.array_equal(got, want)
 
 
+def test_union_contains_on_points_hitting_a_box_in_x_and_y_apart():
+    # the first point lies in the disc's box in x only, the second in y
+    # only: no point of the list can be in the first disc, which is skipped
+    u = make_shape({"type": "union", "members": [
+        {"type": "disc", "center": [0, 0], "r": 1.0},
+        {"type": "disc", "center": [5, 5], "r": 1.0}]})
+    x, y = np.array([0.0, 5.0, 5.0]), np.array([5.0, 0.0, 5.5])
+    assert u.contains(x, y).tolist() == [False, False, True]
+
+
 def test_shape_spec_validation():
     with pytest.raises(InvalidSpec):
         make_shape({"type": "disc", "center": [0, 0], "r": 0.0})
@@ -245,6 +255,8 @@ def test_shape_spec_validation():
                         **bad})
     with pytest.raises(InvalidSpec):
         make_shape({"type": "union", "members": [5]})
+    with pytest.raises(InvalidSpec, match="at least one member"):
+        make_shape({"type": "union", "members": []})
     for bad in ({"type": "disc", "center": [0, 0], "r": math.nan},
                 {"type": "disc", "center": [0, math.inf], "r": 1.0},
                 {"type": "annulus", "center": [0, 0], "r_in": math.inf, "r_out": math.inf},

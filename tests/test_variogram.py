@@ -148,8 +148,11 @@ def test_shift_beyond_the_floats_rejected():
 
 def test_empty_plus_rejected():
     g = grid_from(np.zeros((4, 4), dtype=bool))
+    spec = ShiftSpec(plus_shifts=[], minus_shifts=[(1.0, 0.0)])
     with pytest.raises(InvalidSpec):
-        discrete_polyvariogram(g, ShiftSpec(plus_shifts=[], minus_shifts=[(1.0, 0.0)]))
+        discrete_polyvariogram(g, spec)
+    with pytest.raises(InvalidSpec, match="intersected copy"):
+        continuous_polyvariogram(disc(), spec, quad_mesh=0.1)
 
 
 def test_nonfinite_shift_rejected():
@@ -163,6 +166,12 @@ def test_nonfinite_shift_rejected():
 def test_continuous_volume_of_disc():
     vol = continuous_polyvariogram(disc(), ShiftSpec(), quad_mesh=1e-3)
     assert vol == pytest.approx(math.pi, rel=0.01)
+
+
+def test_mesh_coarser_than_the_sweep_domain_rejected():
+    # the unit disc's sweep domain is 2 wide: a mesh of 5 rounds it to no cell
+    with pytest.raises(InvalidSpec, match="coarser than the sweep domain"):
+        continuous_polyvariogram(disc(), ShiftSpec(), quad_mesh=5.0)
 
 
 def test_disjoint_translates_vanish():
